@@ -43,21 +43,17 @@ from hopfkit import HopfData, NotSemisimpleError
 # the 4-dimensional algebra on {1, g, x, gx} with g^2 = 1, x^2 = 0, xg = -gx:
 # a genuine Hopf algebra (axioms pass) whose integral pairs to zero
 I, G, X, GX = range(4)
-mult = [[[0] * 4 for _ in range(4)] for _ in range(4)]
-for a, b, k, c in [
-    (I, I, I, 1), (I, G, G, 1), (I, X, X, 1), (I, GX, GX, 1),
-    (G, I, G, 1), (G, G, I, 1), (G, X, GX, 1), (G, GX, X, 1),
-    (X, I, X, 1), (X, G, GX, -1), (GX, I, GX, 1), (GX, G, X, -1),
-]:
-    mult[a][b][k] = c
-comult = [[[0] * 4 for _ in range(4)] for _ in range(4)]
-comult[I][I][I] = comult[G][G][G] = 1
-comult[X][I][X] = comult[G][X][X] = 1
-comult[GX][G][GX] = comult[I][GX][GX] = 1
-antipode = [[0] * 4 for _ in range(4)]
-antipode[I][I] = antipode[G][G] = 1
-antipode[GX][X] = -1
-antipode[X][GX] = 1
+mult = {
+    (I, I, I): 1, (I, G, G): 1, (I, X, X): 1, (I, GX, GX): 1,
+    (G, I, G): 1, (G, G, I): 1, (G, X, GX): 1, (G, GX, X): 1,
+    (X, I, X): 1, (X, G, GX): -1, (GX, I, GX): 1, (GX, G, X): -1,
+}
+comult = {
+    (I, I, I): 1, (G, G, G): 1,
+    (X, I, X): 1, (G, X, X): 1,
+    (GX, G, GX): 1, (I, GX, GX): 1,
+}
+antipode = {(I, I): 1, (G, G): 1, (GX, X): -1, (X, GX): 1}
 small = HopfData("sweedler4", 4, mult, [1, 0, 0, 0], comult, [1, 1, 0, 0], antipode)
 try:
     compute_integrals(small)

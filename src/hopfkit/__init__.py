@@ -57,7 +57,7 @@ from .linalg import Matrix, char_min_poly, kernel_basis, rank, rref_solve, trace
 from .pipeline import SUITES, Pipeline
 from .polys import IntegralityCertificate, Poly, is_algebraic_integer, min_poly_scalar
 from .report import ReportItem, VerificationReport
-from .scalars import CycScalar, cyc_arith, cyclotomic_coeffs, euler_phi, format_scalar, parse_scalar
+from .scalars import CycScalar, cyclotomic_coeffs, euler_phi, format_scalar, parse_scalar
 from .theorems import (
     explore_central_fusion,
     kaplansky_report,
@@ -105,7 +105,6 @@ __all__ = [
     "check_axioms",
     "compute_integrals",
     "convolve",
-    "cyc_arith",
     "cyclotomic_coeffs",
     "drinfeld_double",
     "dualize",

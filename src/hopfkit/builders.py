@@ -19,19 +19,11 @@ from .scalars import ONE, ZERO
 def group_algebra(g: GroupTable) -> HopfData:
     """k[G]: basis = group elements, Delta(x) = x (x) x, S(x) = x^-1."""
     n = g.order
-    mult = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mult[i][j][g.table[i][j]] = ONE
+    mult = {(i, j, g.table[i][j]): ONE for i in range(n) for j in range(n)}
     unit = [ONE if k == g.identity else ZERO for k in range(n)]
-    comult = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        comult[k][k][k] = ONE
-    counit = [ONE] * n
-    antipode = [[ZERO] * n for _ in range(n)]
-    for j in range(n):
-        antipode[g.inverses[j]][j] = ONE
-    return HopfData(f"k[{g.name}]", n, mult, unit, comult, counit, antipode,
+    comult = {(k, k, k): ONE for k in range(n)}
+    antipode = {(g.inverses[j], j): ONE for j in range(n)}
+    return HopfData(f"k[{g.name}]", n, mult, unit, comult, [ONE] * n, antipode,
                     cyclotomic_order=g.exponent)
 
 
@@ -41,19 +33,11 @@ def function_algebra(g: GroupTable) -> HopfData:
     Equals dualize(group_algebra(g)) entry-for-entry.
     """
     n = g.order
-    mult = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        mult[k][k][k] = ONE
-    unit = [ONE] * n
-    comult = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            comult[i][j][g.table[i][j]] = ONE
+    mult = {(k, k, k): ONE for k in range(n)}
+    comult = {(i, j, g.table[i][j]): ONE for i in range(n) for j in range(n)}
     counit = [ONE if k == g.identity else ZERO for k in range(n)]
-    antipode = [[ZERO] * n for _ in range(n)]
-    for j in range(n):
-        antipode[g.inverses[j]][j] = ONE
-    return HopfData(f"k^{g.name}", n, mult, unit, comult, counit, antipode,
+    antipode = {(g.inverses[j], j): ONE for j in range(n)}
+    return HopfData(f"k^{g.name}", n, mult, [ONE] * n, comult, counit, antipode,
                     cyclotomic_order=g.exponent)
 
 
@@ -66,115 +50,55 @@ def drinfeld_double(g: GroupTable) -> HopfData:
         S(d_x (x) h) = d_{h^-1 x^-1 h} (x) h^-1
     """
     n = g.order
-    d = n * n
     t, inv, e = g.table, g.inverses, g.identity
 
     def idx(x: int, h: int) -> int:
         return x * n + h
 
-    mult = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
-    for x in range(n):
-        for h in range(n):
-            row = idx(x, h)
-            hinv = inv[h]
-            for y in range(n):
-                if t[t[h][y]][hinv] != x:
-                    continue
-                for h2 in range(n):
-                    mult[row][idx(y, h2)][idx(x, t[h][h2])] = ONE
-    unit = [ZERO] * d
-    for x in range(n):
-        unit[idx(x, e)] = ONE
-    comult = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
-    for x in range(n):
-        for h in range(n):
-            k = idx(x, h)
-            for a in range(n):
-                b = t[inv[a]][x]  # ab = x
-                comult[idx(a, h)][idx(b, h)][k] = ONE
-    counit = [ZERO] * d
-    for h in range(n):
-        counit[idx(e, h)] = ONE
-    antipode = [[ZERO] * d for _ in range(d)]
-    for x in range(n):
-        for h in range(n):
-            hinv = inv[h]
-            target = t[t[hinv][inv[x]]][h]  # h^-1 x^-1 h
-            antipode[idx(target, hinv)][idx(x, h)] = ONE
-    return HopfData(f"D({g.name})", d, mult, unit, comult, counit, antipode,
+    mult = {
+        (idx(x, h), idx(y, h2), idx(x, t[h][h2])): ONE
+        for x in range(n)
+        for h in range(n)
+        for y in range(n)
+        if t[t[h][y]][inv[h]] == x
+        for h2 in range(n)
+    }
+    unit = [ONE if h == e else ZERO for x in range(n) for h in range(n)]
+    comult = {
+        (idx(a, h), idx(t[inv[a]][x], h), idx(x, h)): ONE  # a * (a^-1 x) = x
+        for x in range(n)
+        for h in range(n)
+        for a in range(n)
+    }
+    counit = [ONE if x == e else ZERO for x in range(n) for h in range(n)]
+    antipode = {
+        (idx(t[t[inv[h]][inv[x]]][h], inv[h]), idx(x, h)): ONE  # h^-1 x^-1 h
+        for x in range(n)
+        for h in range(n)
+    }
+    return HopfData(f"D({g.name})", n * n, mult, unit, comult, counit, antipode,
                     cyclotomic_order=g.exponent)
+
+
+def _kron(a: dict, b: dict, d2: int) -> dict:
+    """Kronecker product of two sparse tensors of one arity, index (i, j) -> i*d2 + j."""
+    return {
+        tuple(i * d2 + j for i, j in zip(ka, kb)): ca * cb
+        for ka, ca in a.items()
+        for kb, cb in b.items()
+    }
 
 
 def tensor_product(h1: HopfData, h2: HopfData) -> HopfData:
     """Componentwise Hopf structure on the tensor basis, index (i, j) -> i*d2 + j."""
-    d1, d2 = h1.dim, h2.dim
-    d = d1 * d2
-
-    def idx(i: int, j: int) -> int:
-        return i * d2 + j
-
-    mult = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
-    for i1 in range(d1):
-        for k1 in range(d1):
-            row1 = h1.mult[i1][k1]
-            for r1 in range(d1):
-                c1 = row1[r1]
-                if c1.is_zero():
-                    continue
-                for i2 in range(d2):
-                    for k2 in range(d2):
-                        row2 = h2.mult[i2][k2]
-                        for r2 in range(d2):
-                            c2 = row2[r2]
-                            if not c2.is_zero():
-                                mult[idx(i1, i2)][idx(k1, k2)][idx(r1, r2)] = c1 * c2
-    comult = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
-    for i1 in range(d1):
-        for k1 in range(d1):
-            row1 = h1.comult[i1][k1]
-            for r1 in range(d1):
-                c1 = row1[r1]
-                if c1.is_zero():
-                    continue
-                for i2 in range(d2):
-                    for k2 in range(d2):
-                        row2 = h2.comult[i2][k2]
-                        for r2 in range(d2):
-                            c2 = row2[r2]
-                            if not c2.is_zero():
-                                comult[idx(i1, i2)][idx(k1, k2)][idx(r1, r2)] = c1 * c2
-    unit = [ZERO] * d
-    for i in range(d1):
-        if h1.unit[i].is_zero():
-            continue
-        for j in range(d2):
-            if not h2.unit[j].is_zero():
-                unit[idx(i, j)] = h1.unit[i] * h2.unit[j]
-    counit = [ZERO] * d
-    for i in range(d1):
-        if h1.counit[i].is_zero():
-            continue
-        for j in range(d2):
-            if not h2.counit[j].is_zero():
-                counit[idx(i, j)] = h1.counit[i] * h2.counit[j]
-    antipode = [[ZERO] * d for _ in range(d)]
-    for i1 in range(d1):
-        for j1 in range(d1):
-            c1 = h1.antipode[i1][j1]
-            if c1.is_zero():
-                continue
-            for i2 in range(d2):
-                for j2 in range(d2):
-                    c2 = h2.antipode[i2][j2]
-                    if not c2.is_zero():
-                        antipode[idx(i1, i2)][idx(j1, j2)] = c1 * c2
+    d2 = h2.dim
     return HopfData(
         f"{h1.name} (x) {h2.name}",
-        d,
-        mult,
-        unit,
-        comult,
-        counit,
-        antipode,
+        h1.dim * d2,
+        _kron(h1.mult, h2.mult, d2),
+        [a * b for a in h1.unit for b in h2.unit],
+        _kron(h1.comult, h2.comult, d2),
+        [a * b for a in h1.counit for b in h2.counit],
+        _kron(h1.antipode, h2.antipode, d2),
         cyclotomic_order=lcm(h1.cyclotomic_order, h2.cyclotomic_order),
     )

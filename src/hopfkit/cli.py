@@ -30,10 +30,15 @@ from .groups import parse_group
 from .hopf import HopfData, format_hopf, format_vector, parse_hopf
 from .integrals import integrals_report
 from .pipeline import SUITES, Pipeline
+from .report import VerificationReport, report_document
 from .scalars import format_scalar
 from .wedderburn import blocks_report
 
-_BUILD_KINDS = ("group-algebra", "function-algebra", "double", "tensor")
+_BUILDERS = {
+    "group-algebra": group_algebra,
+    "function-algebra": function_algebra,
+    "double": drinfeld_double,
+}
 
 
 @dataclass(frozen=True)
@@ -67,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     build = sub.add_parser("build", help="construct a .hopf file from group data")
-    build.add_argument("kind", choices=_BUILD_KINDS)
+    build.add_argument("kind", choices=(*_BUILDERS, "tensor"))
     build.add_argument("inputs", nargs="+", help=".grp file (or two .hopf files for tensor)")
     build.add_argument("-o", "--output", help="output .hopf path (default: stdout)")
 
@@ -96,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="run every suite and emit one document")
     report.add_argument("input", help=".grp or .hopf file")
     report.add_argument("--as", dest="build_as", default=None,
-                        choices=("group-algebra", "function-algebra", "double"),
+                        choices=tuple(_BUILDERS),
                         help="how to build a Hopf algebra from a .grp input")
     report.add_argument("--cyclotomic", type=int, default=None, metavar="N")
     report.add_argument("--seed", type=int, default=0)
@@ -121,13 +126,7 @@ def _load_algebra(path: str, build_as: str | None) -> HopfData:
     if path.endswith(".grp"):
         if build_as is None:
             raise ParseError(f"{path} is a group file; choose --as group-algebra|function-algebra|double")
-        group = parse_group(Path(path).read_text())
-        builder = {
-            "group-algebra": group_algebra,
-            "function-algebra": function_algebra,
-            "double": drinfeld_double,
-        }[build_as]
-        return builder(group)
+        return _BUILDERS[build_as](parse_group(Path(path).read_text()))
     return _load_hopf(path)
 
 
@@ -139,15 +138,14 @@ def _cmd_build(args) -> int:
     else:
         if len(args.inputs) != 1:
             raise ParseError(f"build {args.kind} needs exactly one .grp input")
-        group = parse_group(Path(args.inputs[0]).read_text())
-        builder = {
-            "group-algebra": group_algebra,
-            "function-algebra": function_algebra,
-            "double": drinfeld_double,
-        }[args.kind]
-        h = builder(group)
+        h = _BUILDERS[args.kind](parse_group(Path(args.inputs[0]).read_text()))
     _emit(format_hopf(h), args.output)
     return 0
+
+
+def _emit_document(pipe: Pipeline, reports: list[VerificationReport], cfg: SessionConfig) -> None:
+    doc = report_document(pipe.H.name, pipe.H.dim, reports)
+    _emit(json.dumps(doc, indent=2) + "\n", cfg.output)
 
 
 def _cmd_check_axioms(args) -> int:
@@ -155,8 +153,7 @@ def _cmd_check_axioms(args) -> int:
     pipe = Pipeline(_load_hopf(args.input), order=cfg.cyclotomic, seed=cfg.seed)
     rep = pipe.axioms
     if cfg.json:
-        doc = {"algebra": pipe.H.name, "dim": pipe.H.dim, "suites": [rep.to_dict()], "overall": rep.overall}
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.output)
+        _emit_document(pipe, [rep], cfg)
     else:
         _emit(rep.render_text() + "\n", cfg.output)
     return 0 if rep.overall else 1
@@ -168,8 +165,7 @@ def _cmd_integrals(args) -> int:
     p = pipe.integrals
     rep = integrals_report(pipe.H, p)
     if cfg.json:
-        doc = {"algebra": pipe.H.name, "dim": pipe.H.dim, "suites": [rep.to_dict()], "overall": rep.overall}
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.output)
+        _emit_document(pipe, [rep], cfg)
         return 0 if rep.overall else 1
     lines = [
         f"integrals of {pipe.H.name} (dim {pipe.H.dim})",
@@ -188,8 +184,7 @@ def _cmd_wedderburn(args) -> int:
     blocks = pipe.blocks
     rep = blocks_report(pipe.H, blocks)
     if cfg.json:
-        doc = {"algebra": pipe.H.name, "dim": pipe.H.dim, "suites": [rep.to_dict()], "overall": rep.overall}
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.output)
+        _emit_document(pipe, [rep], cfg)
         return 0 if rep.overall else 1
     lines = [
         f"wedderburn decomposition of {pipe.H.name} (dim {pipe.H.dim}, Q(zeta_{pipe.order}))",
@@ -243,13 +238,7 @@ def _render_report(pipe: Pipeline, suites: list[str], cfg: SessionConfig) -> int
     reports = [pipe.suite(name) for name in suites]
     overall = all(rep.overall for rep in reports if not rep.exploratory)
     if cfg.json:
-        doc = {
-            "algebra": pipe.H.name,
-            "dim": pipe.H.dim,
-            "suites": [rep.to_dict() for rep in reports],
-            "overall": overall,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.output)
+        _emit_document(pipe, reports, cfg)
     else:
         lines = [f"verification of {pipe.H.name} (dim {pipe.H.dim})"]
         lines += [rep.render_text() for rep in reports]

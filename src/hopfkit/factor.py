@@ -23,7 +23,7 @@ from math import gcd, isqrt, lcm
 
 from .polys import Poly
 from .rng import DeterministicRng
-from .scalars import CycScalar
+from .scalars import CycScalar, _frac_poly_divmod, _frac_poly_mul
 
 # ---------------------------------------------------------------------------
 # rational reconstruction
@@ -105,24 +105,10 @@ def _trim(c: list) -> list:
     return c
 
 
-def _q_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    r = list(a)
-    db = len(b) - 1
-    q = [Fraction(0)] * max(0, len(r) - db)
-    inv = 1 / b[-1]
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i] * inv
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                r[i - db + j] -= c * b[j]
-    return _trim(q), _trim(r)
-
-
 def _q_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a, b = _trim(list(a)), _trim(list(b))
     while b:
-        a, b = b, _q_divmod(a, b)[1]
+        a, b = b, _frac_poly_divmod(a, b)[1]
     if a:
         inv = 1 / a[-1]
         a = [c * inv for c in a]
@@ -143,7 +129,7 @@ def resultant_q(a: list[Fraction], b: list[Fraction]) -> Fraction:
         da, db = len(a) - 1, len(b) - 1
         if db == 0:
             return res * b[0] ** da
-        r = _q_divmod(a, b)[1]
+        r = _frac_poly_divmod(a, b)[1]
         dr = len(r) - 1 if r else -1
         if not r:
             return Fraction(0)
@@ -417,8 +403,8 @@ def _yun(f: list[Fraction]) -> list[tuple[list[Fraction], int]]:
     g = _q_gcd(f, _q_derivative(f))
     if len(g) - 1 == 0:
         return [(list(f), 1)]
-    w = _q_divmod(f, g)[0]
-    y = _q_divmod(_q_derivative(f), g)[0]
+    w = _frac_poly_divmod(f, g)[0]
+    y = _frac_poly_divmod(_q_derivative(f), g)[0]
     i = 1
     while len(w) - 1 > 0:
         z = [a - b for a, b in zip(y + [Fraction(0)] * max(0, len(_q_derivative(w)) - len(y)),
@@ -427,8 +413,8 @@ def _yun(f: list[Fraction]) -> list[tuple[list[Fraction], int]]:
         a = _q_gcd(w, z)
         if len(a) - 1 > 0:
             parts.append((a, i))
-        w = _q_divmod(w, a)[0]
-        y = _q_divmod(z, a)[0]
+        w = _frac_poly_divmod(w, a)[0]
+        y = _frac_poly_divmod(z, a)[0]
         i += 1
     return parts
 
@@ -491,7 +477,7 @@ def _norm_by_interpolation(p_rat: list[Fraction], shift: int, order: int) -> lis
         q = [Fraction(0)]
         base = [Fraction(t), Fraction(-shift)]
         for c in reversed(p_rat):
-            q = _q_poly_mul(q, base)
+            q = _frac_poly_mul(q, base)
             if not q:
                 q = [Fraction(0)]
             q[0] += c
@@ -500,18 +486,6 @@ def _norm_by_interpolation(p_rat: list[Fraction], shift: int, order: int) -> lis
             q = []
         values.append(resultant_q(mod, q))
     return _lagrange(list(xs), values)
-
-
-def _q_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _trim(out)
 
 
 def _lagrange(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
@@ -523,7 +497,7 @@ def _lagrange(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
         den = Fraction(1)
         for j, xj in enumerate(xs):
             if j != i:
-                num = _q_poly_mul(num, [Fraction(-xj), Fraction(1)])
+                num = _frac_poly_mul(num, [Fraction(-xj), Fraction(1)])
                 den *= xi - xj
         term = [c / den for c in num]
         acc = [a + b for a, b in zip(acc + [Fraction(0)] * max(0, len(term) - len(acc)),

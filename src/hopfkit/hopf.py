@@ -1,29 +1,33 @@
 """Structure-constant model of a finite-dimensional Hopf algebra.
 
-A :class:`HopfData` stores five dense tensors over a fixed basis b_0..b_{d-1}:
+A :class:`HopfData` stores sparse structure constants over a fixed basis
+b_0..b_{d-1}, keeping only the nonzero entries, in index order:
 
-    mult[i][j][k]     b_i b_j = sum_k mult[i][j][k] b_k
+    mult[i, j, k]     b_i b_j = sum_k mult[i, j, k] b_k
     unit[k]           1 = sum_k unit[k] b_k
-    comult[i][j][k]   Delta(b_k) = sum_{i,j} comult[i][j][k] b_i (x) b_j
+    comult[i, j, k]   Delta(b_k) = sum_{i,j} comult[i, j, k] b_i (x) b_j
     counit[k]         eps(b_k)
-    antipode[i][j]    S(b_j) = sum_i antipode[i][j] b_i
+    antipode[i, j]    S(b_j) = sum_i antipode[i, j] b_i
 
-Elements of H are coordinate tuples over the basis; elements of the dual H*
-are coordinate tuples over the dual basis, paired by the coordinate dot
-product.  Dualization transposes the picture: with these conventions the dual
-Hopf algebra simply swaps mult with comult and unit with counit and
-transposes the antipode, so dualizing twice is the identity on the nose.
+``mult``, ``comult`` and ``antipode`` are dicts from index tuples to scalars;
+``unit`` and ``counit`` are length-d vectors.  Elements of H are coordinate
+tuples over the basis; elements of the dual H* are coordinate tuples over the
+dual basis, paired by the coordinate dot product.  Dualization transposes the
+picture: with these conventions the dual Hopf algebra simply swaps mult with
+comult and unit with counit and transposes the antipode, so dualizing twice is
+the identity on the nose.
 
-Axiom checking is exhaustive over basis tuples; contraction loops skip zero
-entries, which keeps the group-flavored example families (whose structure
-constants are 0/1) fast.  All values are immutable after construction and all
-operations are pure functions.
+Axiom checking is exhaustive over basis tuples; the contraction loops read the
+bucketed views ``mult_nz``, ``comult_nz`` and ``antipode_nz``, which keeps the
+group-flavored example families (whose structure constants are 0/1) fast.
+Operations are pure functions and never modify their inputs.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import ParseError
 from .linalg import Vector, vec_eq
@@ -35,92 +39,69 @@ def format_vector(v: Sequence[CycScalar]) -> str:
     return "(" + ", ".join(format_scalar(as_scalar(e)) for e in v) + ")"
 
 
-class HopfData:
-    """Immutable structure-constant data for a Hopf algebra over Q(zeta_N)."""
+def _sparse(entries: Mapping, arity: int, dim: int, what: str) -> dict:
+    """Index-ordered copy of ``entries`` with scalar values and zeros dropped."""
+    out = {}
+    for key in sorted(entries):
+        if len(key) != arity or not all(0 <= i < dim for i in key):
+            raise ValueError(f"bad {what} key {key!r}: need {arity} indices in 0..{dim - 1}")
+        c = as_scalar(entries[key])
+        if not c.is_zero():
+            out[key] = c
+    return out
 
-    def __init__(self, name: str, dim: int, mult, unit, comult, counit, antipode,
-                 cyclotomic_order: int = 1):
+
+class HopfData:
+    """Structure-constant data for a Hopf algebra over Q(zeta_N).
+
+    ``mult`` and ``comult`` map (i, j, k) and ``antipode`` maps (i, j) to
+    scalars (ints, Fractions or CycScalars); omitted entries are zero.
+    ``unit`` and ``counit`` are length-``dim`` sequences.
+    """
+
+    def __init__(self, name: str, dim: int, mult: Mapping, unit: Sequence, comult: Mapping,
+                 counit: Sequence, antipode: Mapping, cyclotomic_order: int = 1):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.name = name
         self.dim = dim
         self.cyclotomic_order = cyclotomic_order
-        self.mult = tuple(
-            tuple(tuple(as_scalar(c) for c in row) for row in plane) for plane in mult
-        )
+        self.mult = _sparse(mult, 3, dim, "multiplication")
+        self.comult = _sparse(comult, 3, dim, "comultiplication")
+        self.antipode = _sparse(antipode, 2, dim, "antipode")
         self.unit = tuple(as_scalar(c) for c in unit)
-        self.comult = tuple(
-            tuple(tuple(as_scalar(c) for c in row) for row in plane) for plane in comult
-        )
         self.counit = tuple(as_scalar(c) for c in counit)
-        self.antipode = tuple(tuple(as_scalar(c) for c in row) for row in antipode)
-        self._validate_shapes()
-        self._mult_nz: list[list[tuple[tuple[int, CycScalar], ...]]] | None = None
-        self._comult_nz: list[tuple[tuple[int, int, CycScalar], ...]] | None = None
-        self._antipode_nz: list[tuple[tuple[int, CycScalar], ...]] | None = None
-
-    def _validate_shapes(self) -> None:
-        d = self.dim
-        if len(self.mult) != d or any(len(p) != d for p in self.mult) or any(
-            len(r) != d for p in self.mult for r in p
-        ):
-            raise ValueError("dimension mismatch in multiplication tensor")
-        if len(self.comult) != d or any(len(p) != d for p in self.comult) or any(
-            len(r) != d for p in self.comult for r in p
-        ):
-            raise ValueError("dimension mismatch in comultiplication tensor")
-        if len(self.unit) != d or len(self.counit) != d:
+        if len(self.unit) != dim or len(self.counit) != dim:
             raise ValueError("dimension mismatch in unit/counit vector")
-        if len(self.antipode) != d or any(len(r) != d for r in self.antipode):
-            raise ValueError("dimension mismatch in antipode matrix")
 
-    # -- cached sparse views ------------------------------------------------
+    # -- cached bucketed views ------------------------------------------------
 
-    @property
+    @cached_property
     def mult_nz(self) -> list[list[tuple[tuple[int, CycScalar], ...]]]:
-        if self._mult_nz is None:
-            self._mult_nz = [
-                [
-                    tuple((k, c) for k, c in enumerate(self.mult[i][j]) if not c.is_zero())
-                    for j in range(self.dim)
-                ]
-                for i in range(self.dim)
-            ]
-        return self._mult_nz
+        """mult_nz[i][j] = the (k, c) with b_i b_j = sum c b_k."""
+        d = self.dim
+        rows: list[list[list]] = [[[] for _ in range(d)] for _ in range(d)]
+        for (i, j, k), c in self.mult.items():
+            rows[i][j].append((k, c))
+        return [[tuple(cell) for cell in row] for row in rows]
 
-    @property
+    @cached_property
     def comult_nz(self) -> list[tuple[tuple[int, int, CycScalar], ...]]:
-        if self._comult_nz is None:
-            d = self.dim
-            buckets: list[list[tuple[int, int, CycScalar]]] = [[] for _ in range(d)]
-            for i in range(d):
-                plane = self.comult[i]
-                for j in range(d):
-                    row = plane[j]
-                    for k in range(d):
-                        c = row[k]
-                        if not c.is_zero():
-                            buckets[k].append((i, j, c))
-            self._comult_nz = [tuple(b) for b in buckets]
-        return self._comult_nz
+        """comult_nz[k] = the (i, j, c) with Delta(b_k) = sum c b_i (x) b_j."""
+        buckets: list[list] = [[] for _ in range(self.dim)]
+        for (i, j, k), c in self.comult.items():
+            buckets[k].append((i, j, c))
+        return [tuple(b) for b in buckets]
 
-    @property
+    @cached_property
     def antipode_nz(self) -> list[tuple[tuple[int, CycScalar], ...]]:
-        if self._antipode_nz is None:
-            d = self.dim
-            self._antipode_nz = [
-                tuple((i, self.antipode[i][j]) for i in range(d) if not self.antipode[i][j].is_zero())
-                for j in range(d)
-            ]
-        return self._antipode_nz
+        """antipode_nz[j] = the (i, c) with S(b_j) = sum c b_i."""
+        buckets: list[list] = [[] for _ in range(self.dim)]
+        for (i, j), c in self.antipode.items():
+            buckets[j].append((i, c))
+        return [tuple(b) for b in buckets]
 
     # -- element-level helpers -------------------------------------------------
-
-    def unit_vector(self) -> Vector:
-        return self.unit
-
-    def counit_vector(self) -> Vector:
-        return self.counit
 
     def basis_vector(self, k: int) -> Vector:
         return tuple(ONE if i == k else ZERO for i in range(self.dim))
@@ -156,16 +137,12 @@ class HopfData:
         return tuple(out)
 
     def apply_dual_antipode(self, phi: Sequence[CycScalar]) -> Vector:
-        """S* phi = phi o S; coordinates (S*phi)_i = sum_j antipode[j][i] phi_j."""
+        """S* phi = phi o S; coordinates (S*phi)_i = sum_j antipode[j, i] phi_j."""
         out = [ZERO] * self.dim
-        for j, pj in enumerate(phi):
-            if pj.is_zero():
-                continue
-            row = self.antipode[j]
-            for i in range(self.dim):
-                c = row[i]
-                if not c.is_zero():
-                    out[i] = out[i] + pj * c
+        for (j, i), c in self.antipode.items():
+            pj = phi[j]
+            if not pj.is_zero():
+                out[i] = out[i] + pj * c
         return tuple(out)
 
     def counit_of(self, x: Sequence[CycScalar]) -> CycScalar:
@@ -273,16 +250,14 @@ def dualize(H: HopfData) -> HopfData:
     vectors swap, and the antipode transposes; dualize(dualize(H)) == H
     entry-for-entry.
     """
-    d = H.dim
-    antipode_t = tuple(tuple(H.antipode[j][i] for j in range(d)) for i in range(d))
     return HopfData(
         name=f"dual({H.name})",
-        dim=d,
+        dim=H.dim,
         mult=H.comult,
         unit=H.counit,
         comult=H.mult,
         counit=H.unit,
-        antipode=antipode_t,
+        antipode={(j, i): c for (i, j), c in H.antipode.items()},
         cyclotomic_order=H.cyclotomic_order,
     )
 
@@ -487,12 +462,16 @@ def parse_hopf(text: str) -> HopfData:
             continue
         tokens = line.split()
         head = tokens[0]
+        if head in ("hopf", "dim", "cyclotomic") and section is not None:
+            # section data is range-checked against dim and parsed at the
+            # cyclotomic order as it is read, so a later header cannot apply
+            raise ParseError(f"header {head!r} must come before the first section", lineno)
         if head == "hopf":
             name = line[len("hopf"):].strip()
             continue
         if head == "dim":
-            if len(tokens) != 2 or not tokens[1].isdigit():
-                raise ParseError("dim expects one integer", lineno)
+            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+                raise ParseError("dim expects one positive integer", lineno)
             dim = int(tokens[1])
             continue
         if head == "cyclotomic":
@@ -532,72 +511,36 @@ def parse_hopf(text: str) -> HopfData:
     if dim is None:
         raise ParseError("missing 'dim <d>' header")
 
-    d = dim
-    mult = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
-    for (i, j, k), v in entries["MULT"].items():
-        mult[i][j][k] = v
-    comult = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
-    for (i, j, k), v in entries["COMULT"].items():
-        comult[i][j][k] = v
-    unit = [ZERO] * d
+    unit = [ZERO] * dim
     for (k,), v in entries["UNIT"].items():
         unit[k] = v
-    counit = [ZERO] * d
+    counit = [ZERO] * dim
     for (k,), v in entries["COUNIT"].items():
         counit[k] = v
-    antipode = [[ZERO] * d for _ in range(d)]
-    for (i, j), v in entries["ANTIPODE"].items():
-        antipode[i][j] = v
-
-    return HopfData(name, d, mult, unit, comult, counit, antipode, cyclotomic_order=order)
+    return HopfData(name, dim, entries["MULT"], unit, entries["COMULT"], counit,
+                    entries["ANTIPODE"], cyclotomic_order=order)
 
 
 def format_hopf(H: HopfData) -> str:
     """Render to the `.hopf` text format; round-trips exactly."""
     order = H.cyclotomic_order
-    for group in (H.unit, H.counit):
-        for c in group:
-            order = lcm(order, c.order)
-    for plane in (*H.mult, *H.comult):
-        for row in plane:
-            for c in row:
-                order = lcm(order, c.order)
-    for row in H.antipode:
-        for c in row:
-            order = lcm(order, c.order)
+    for c in (*H.unit, *H.counit, *H.mult.values(), *H.comult.values(), *H.antipode.values()):
+        order = lcm(order, c.order)
 
     def lit(c: CycScalar) -> str:
         lifted = CycScalar.from_coords(order, c.lift(order)) if c.order != order else c
         return format_scalar(lifted) if lifted.order != 1 else str(lifted.as_fraction())
 
     lines = [f"hopf {H.name}", f"dim {H.dim}", f"cyclotomic {order}"]
-    d = H.dim
-    lines.append("MULT")
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                c = H.mult[i][j][k]
-                if not c.is_zero():
-                    lines.append(f"{i} {j} {k} {lit(c)}")
-    lines.append("COMULT")
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                c = H.comult[i][j][k]
-                if not c.is_zero():
-                    lines.append(f"{i} {j} {k} {lit(c)}")
-    lines.append("UNIT")
-    for k in range(d):
-        if not H.unit[k].is_zero():
-            lines.append(f"{k} {lit(H.unit[k])}")
-    lines.append("COUNIT")
-    for k in range(d):
-        if not H.counit[k].is_zero():
-            lines.append(f"{k} {lit(H.counit[k])}")
-    lines.append("ANTIPODE")
-    for i in range(d):
-        for j in range(d):
-            c = H.antipode[i][j]
+    for section, entries in (
+        ("MULT", H.mult.items()),
+        ("COMULT", H.comult.items()),
+        ("UNIT", (((k,), c) for k, c in enumerate(H.unit))),
+        ("COUNIT", (((k,), c) for k, c in enumerate(H.counit))),
+        ("ANTIPODE", H.antipode.items()),
+    ):
+        lines.append(section)
+        for idx, c in sorted(entries, key=lambda e: e[0]):
             if not c.is_zero():
-                lines.append(f"{i} {j} {lit(c)}")
+                lines.append(" ".join(map(str, idx)) + f" {lit(c)}")
     return "\n".join(lines) + "\n"

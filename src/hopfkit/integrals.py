@@ -1,10 +1,11 @@
 """Normalized integrals and the semisimplicity certificate.
 
 The left integral space of H is the exact kernel of the stacked system
-h x = eps(h) x over all basis h; the dual side uses the convolution product.
-Both spaces must be 1-dimensional.  Normalization fixes <lambda, 1> = 1 and
-then <lambda, Lambda> = 1; semisimplicity is certified by eps(Lambda) != 0
-and cosemisimplicity by lambda_raw(1) != 0, each a hard error when it fails.
+h x = eps(h) x over all basis h; the same routine on dualize(H) gives the
+left integrals of H*.  Both spaces must be 1-dimensional.  Normalization
+fixes <lambda, 1> = 1 and then <lambda, Lambda> = 1; semisimplicity is
+certified by eps(Lambda) != 0 and cosemisimplicity by lambda_raw(1) != 0,
+each a hard error when it fails.
 After normalization <eps, Lambda> = dim H is asserted.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IntegralSpaceError, NotSemisimpleError
-from .hopf import HopfData, convolve, pair
+from .hopf import HopfData, convolve, dualize, pair
 from .linalg import Matrix, Vector, kernel_basis, vec_eq, vec_scale
 from .report import VerificationReport
 from .scalars import ZERO, as_scalar
@@ -53,30 +54,6 @@ def left_integral_space(H: HopfData) -> list[Vector]:
     return kernel_basis(Matrix(rows))
 
 
-def dual_left_integral_space(H: HopfData) -> list[Vector]:
-    """Kernel basis of {phi : psi * phi = psi(1) phi for all basis psi}."""
-    d = H.dim
-    rows: list[list] = []
-    cnz = H.comult_nz
-    u = H.unit
-    for i in range(d):
-        coeff = [[ZERO] * d for _ in range(d)]  # coeff[r][b]
-        for r in range(d):
-            for a, b, c in cnz[r]:
-                if a == i:
-                    coeff[r][b] = coeff[r][b] + c
-        ui = u[i]
-        if not ui.is_zero():
-            for r in range(d):
-                coeff[r][r] = coeff[r][r] - ui
-        for r in range(d):
-            if any(not c.is_zero() for c in coeff[r]):
-                rows.append(coeff[r])
-    if not rows:
-        return [H.basis_vector(k) for k in range(d)]
-    return kernel_basis(Matrix(rows))
-
-
 def compute_integrals(H: HopfData) -> IntegralPair:
     """Solve, certify, and normalize the integral pair of a semisimple H."""
     space = left_integral_space(H)
@@ -84,7 +61,7 @@ def compute_integrals(H: HopfData) -> IntegralPair:
         raise IntegralSpaceError(
             f"left integral space of {H.name} has dimension {len(space)}, expected 1"
         )
-    dual_space = dual_left_integral_space(H)
+    dual_space = left_integral_space(dualize(H))
     if len(dual_space) != 1:
         raise IntegralSpaceError(
             f"left integral space of {H.name}* has dimension {len(dual_space)}, expected 1"

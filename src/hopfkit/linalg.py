@@ -246,15 +246,6 @@ def rref_solve(a: Matrix, b: Matrix) -> tuple[Matrix, list[Vector]] | None:
     return Matrix(sol), kern
 
 
-def solve_unique(a: Matrix, b: Sequence[CycScalar]) -> Vector:
-    """Solve A x = b when a solution must exist; raises if inconsistent."""
-    res = rref_solve(a, Matrix([[e] for e in b]))
-    if res is None:
-        raise InconsistentSystemError("exact linear system has no solution")
-    sol, _ = res
-    return sol.column(0)
-
-
 class PreparedSolver:
     """RREF of a fixed tall matrix, reused to decompose many right-hand sides
     over the same column family (e.g. coordinates in a character basis)."""
@@ -293,12 +284,6 @@ class PreparedSolver:
                 # zero rows of R witness membership in the column span
                 return None
         return tuple(coeffs)
-
-
-def row_space_contains(rows: Sequence[Sequence[CycScalar]], v: Sequence[CycScalar]) -> bool:
-    base = Matrix(list(rows))
-    extended = Matrix(list(rows) + [list(v)])
-    return rank(base) == rank(extended)
 
 
 def same_span(rows_a: Sequence[Sequence[CycScalar]], rows_b: Sequence[Sequence[CycScalar]]) -> bool:

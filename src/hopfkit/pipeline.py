@@ -14,7 +14,7 @@ from functools import cached_property
 from .characters import CharacterTable, FusionRing, fusion_ring, irreducible_characters
 from .hopf import HopfData, check_axioms, dualize
 from .integrals import IntegralPair, compute_integrals, integrals_report
-from .report import VerificationReport
+from .report import VerificationReport, report_document
 from .theorems import (
     explore_central_fusion,
     kaplansky_report,
@@ -111,11 +111,4 @@ class Pipeline:
 
     def report_document(self) -> dict:
         """The full JSON-ready report: every suite, fixed key set, stable order."""
-        suites = self.all_suites()
-        overall = all(rep.overall for rep in suites if not rep.exploratory)
-        return {
-            "algebra": self.H.name,
-            "dim": self.H.dim,
-            "suites": [rep.to_dict() for rep in suites],
-            "overall": overall,
-        }
+        return report_document(self.H.name, self.H.dim, self.all_suites())

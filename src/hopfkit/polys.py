@@ -230,44 +230,17 @@ def format_poly(p: Poly, var: str = "x") -> str:
 
 
 def min_poly_scalar(a: CycScalar) -> Poly:
-    """Monic minimal polynomial of a cyclotomic scalar over Q, found as the
-    least-degree monic linear dependency among 1, a, a^2, ... by exact
-    Gaussian elimination on the power-basis coordinates."""
-    order = a.order
-    # pivot rows in reduced form together with their expression over the powers
-    rows: list[tuple[list[Fraction], list[Fraction]]] = []
-    pivots: list[int] = []
+    """Monic minimal polynomial of a cyclotomic scalar over Q: the first linear
+    dependency among the power-basis coordinates of 1, a, a^2, ..."""
+    from .linalg import IncrementalDependency  # linalg imports this module
+
+    tracker = IncrementalDependency()
     power = ONE
-    k = 0
     while True:
-        vec = power.lift(order)
-        combo = [Fraction(0)] * (k + 1)
-        combo[k] = Fraction(1)
-        # reduce against existing pivots
-        for (rvec, rcombo), piv in zip(rows, pivots):
-            f = vec[piv]
-            if f:
-                for i, c in enumerate(rvec):
-                    if c:
-                        vec[i] -= f * c
-                for i, c in enumerate(rcombo):
-                    if c:
-                        if i >= len(combo):
-                            combo.extend([Fraction(0)] * (i + 1 - len(combo)))
-                        combo[i] -= f * c
-        piv = next((i for i, c in enumerate(vec) if c), None)
-        if piv is None:
-            # sum_{i<=k} combo[i] a^i = 0 with combo[k] = 1 untouched by the
-            # reductions, so x^k + sum_{i<k} combo[i] x^i annihilates a
-            coeffs = [combo[i] for i in range(k)] + [Fraction(1)]
-            return Poly(coeffs)
-        inv = 1 / vec[piv]
-        vec = [c * inv for c in vec]
-        combo = [c * inv for c in combo]
-        rows.append((vec, combo))
-        pivots.append(piv)
+        dep = tracker.add([as_scalar(c) for c in power.lift(a.order)])
+        if dep is not None:
+            return Poly(list(dep) + [ONE])
         power = power * a
-        k += 1
 
 
 @dataclass(frozen=True)

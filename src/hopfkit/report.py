@@ -56,3 +56,14 @@ class VerificationReport:
         status = "pass" if self.overall else "FAIL"
         lines.append(f"  => {status}" + (" [not counted in overall status]" if self.exploratory else ""))
         return "\n".join(lines)
+
+
+def report_document(algebra: str, dim: int, reports: list[VerificationReport]) -> dict:
+    """The JSON-ready ``{algebra, dim, suites, overall}`` document; exploratory
+    suites never affect ``overall``."""
+    return {
+        "algebra": algebra,
+        "dim": dim,
+        "suites": [rep.to_dict() for rep in reports],
+        "overall": all(rep.overall for rep in reports if not rep.exploratory),
+    }

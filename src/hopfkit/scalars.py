@@ -333,22 +333,7 @@ def as_scalar(value) -> CycScalar:
     return CycScalar(1, (Fraction(value),))
 
 
-def cyc_arith(a: CycScalar, b: CycScalar, op: str) -> CycScalar:
-    """Named dispatch for the four field operations ('add', 'sub', 'mul',
-    'div'); the operators on CycScalar are the usual entry point."""
-    a, b = as_scalar(a), as_scalar(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}; expected add, sub, mul, or div")
-
-
-# -- rational coefficient-list helpers (private, used for field inversion) ----
+# -- rational coefficient-list helpers (private; field inversion, factor.py) ----
 
 def _frac_poly_trim(c: list[Fraction]) -> list[Fraction]:
     n = len(c)

@@ -22,7 +22,7 @@ from .errors import FieldTooSmallError, HopfkitError, RetriesExhaustedError
 from .factor import factor_over_cyclotomic, factor_rational
 from .hopf import HopfData, format_vector
 from .integrals import compute_integrals
-from .linalg import Matrix, Vector, kernel_basis, vec_eq, vec_scale, zero_vector
+from .linalg import IncrementalDependency, Matrix, Vector, kernel_basis, vec_eq, vec_scale, zero_vector
 from .polys import Poly
 from .rng import DeterministicRng
 from .scalars import CycScalar, ONE, ZERO
@@ -68,8 +68,6 @@ def center(H: HopfData) -> list[Vector]:
 def _min_poly_on_center(H: HopfData, z: Vector, bound: int) -> Poly | None:
     """Monic minimal polynomial of multiplication-by-z, via the first linear
     dependency among the powers 1, z, z^2, ... (at most ``bound`` of them)."""
-    from .linalg import IncrementalDependency
-
     tracker = IncrementalDependency()
     cur = H.unit
     for _ in range(bound + 1):
@@ -81,10 +79,10 @@ def _min_poly_on_center(H: HopfData, z: Vector, bound: int) -> Poly | None:
 
 
 def _structure_is_rational(H: HopfData) -> bool:
-    tensors = [c for plane in H.mult for row in plane for c in row]
-    tensors += [c for plane in H.comult for row in plane for c in row]
-    tensors += list(H.unit) + list(H.counit) + [c for row in H.antipode for c in row]
-    return all(c.is_rational() for c in tensors)
+    return all(
+        c.is_rational()
+        for c in (*H.unit, *H.counit, *H.mult.values(), *H.comult.values(), *H.antipode.values())
+    )
 
 
 def primitive_idempotents(H: HopfData, order: int | None = None, seed: int = 0) -> BlockDecomposition:
@@ -201,17 +199,11 @@ def _verify_idempotent_system(H: HopfData, idempotents: list[Vector]) -> None:
 def block_degrees(H: HopfData, idempotents: list[Vector]) -> list[int]:
     """Degrees dim V from the trace of left multiplication by e_V on H, which
     must be the perfect square (dim V)^2."""
-    d = H.dim
-    # diag_contrib[a] = sum_k mult[a][k][k]
-    diag = [ZERO] * d
-    for a in range(d):
-        acc = ZERO
-        plane = H.mult[a]
-        for k in range(d):
-            c = plane[k][k]
-            if not c.is_zero():
-                acc = acc + c
-        diag[a] = acc
+    # diag[a] = sum_k mult[a, k, k], the trace of left multiplication by b_a
+    diag = [ZERO] * H.dim
+    for (a, k, r), c in H.mult.items():
+        if k == r:
+            diag[a] = diag[a] + c
     degrees = []
     for i, e in enumerate(idempotents):
         t = ZERO

@@ -66,36 +66,30 @@ def sweedler_algebra() -> HopfData:
     """The 4-dimensional non-semisimple Hopf algebra on basis {1, g, x, gx}:
     g^2 = 1, x^2 = 0, xg = -gx, Delta(g) = g (x) g, Delta(x) = x (x) 1 + g (x) x,
     S(g) = g, S(x) = -gx.  It passes every axiom but eps(Lambda) = 0."""
-    d = 4
     I, G, X, GX = range(4)
-    mult = [[[0] * d for _ in range(d)] for _ in range(d)]
-
-    def set_prod(a, b, k, c=1):
-        mult[a][b][k] = c
-
-    # multiplication table on {1, g, x, gx}
-    set_prod(I, I, I); set_prod(I, G, G); set_prod(I, X, X); set_prod(I, GX, GX)
-    set_prod(G, I, G); set_prod(G, G, I); set_prod(G, X, GX); set_prod(G, GX, X)
-    set_prod(X, I, X); set_prod(X, G, GX, -1)  # x g = -gx
-    # x x = 0; x gx = x g x = -g x x = 0
-    set_prod(GX, I, GX); set_prod(GX, G, X, -1)  # gx g = g(xg) = -x
-    # gx x = 0; gx gx = g(xg)x = -x x ... = 0
-    unit = [1, 0, 0, 0]
-    comult = [[[0] * d for _ in range(d)] for _ in range(d)]
-    comult[I][I][I] = 1
-    comult[G][G][G] = 1
-    comult[X][I][X] = 1
-    comult[G][X][X] = 1
-    # Delta(gx) = Delta(g)Delta(x) = gx (x) g + 1 (x) gx
-    comult[GX][G][GX] = 1
-    comult[I][GX][GX] = 1
-    counit = [1, 1, 0, 0]
-    antipode = [[0] * d for _ in range(d)]
-    antipode[I][I] = 1
-    antipode[G][G] = 1
-    antipode[GX][X] = -1  # S(x) = -gx
-    antipode[X][GX] = 1   # S(gx) = S(x)S(g) = -gx g = x
-    return HopfData("sweedler4", d, mult, unit, comult, counit, antipode, cyclotomic_order=2)
+    mult = {
+        (I, I, I): 1, (I, G, G): 1, (I, X, X): 1, (I, GX, GX): 1,
+        (G, I, G): 1, (G, G, I): 1, (G, X, GX): 1, (G, GX, X): 1,
+        (X, I, X): 1, (X, G, GX): -1,  # x g = -gx
+        # x x = 0; x gx = x g x = -g x x = 0
+        (GX, I, GX): 1, (GX, G, X): -1,  # gx g = g(xg) = -x
+        # gx x = 0; gx gx = g(xg)x = -x x ... = 0
+    }
+    comult = {
+        (I, I, I): 1,
+        (G, G, G): 1,
+        (X, I, X): 1, (G, X, X): 1,
+        # Delta(gx) = Delta(g)Delta(x) = gx (x) g + 1 (x) gx
+        (GX, G, GX): 1, (I, GX, GX): 1,
+    }
+    antipode = {
+        (I, I): 1,
+        (G, G): 1,
+        (GX, X): -1,  # S(x) = -gx
+        (X, GX): 1,   # S(gx) = S(x)S(g) = -gx g = x
+    }
+    return HopfData("sweedler4", 4, mult, [1, 0, 0, 0], comult, [1, 1, 0, 0], antipode,
+                    cyclotomic_order=2)
 
 
 @pytest.fixture(scope="session")

@@ -109,6 +109,10 @@ def test_parse_error_exits_2(workdir, capsys):
     bad.write_text("group X\norder 2\nelements e g\ntable\ne q\ng e\n")
     assert main(["report", str(bad), "--as", "group-algebra"]) == 2
     assert "error" in capsys.readouterr().err
+    late = workdir / "late.hopf"
+    late.write_text("hopf x\ndim 2\nMULT\n1 1 1 1\ndim 1\n")  # dim redeclared after data
+    assert main(["check-axioms", str(late)]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(capsys):

@@ -33,10 +33,9 @@ def test_axioms_pass_on_group_algebra(examples):
 
 def test_broken_antipode_fails_only_antipode_axioms(examples):
     h = examples["kC2"]
-    broken = HopfData(
-        "broken", h.dim, h.mult, h.unit, h.comult, h.counit,
-        [[0] * h.dim for _ in range(h.dim)],
-    )
+    zero_antipode = {(i, i): 0 for i in range(h.dim)}
+    broken = HopfData("broken", h.dim, h.mult, h.unit, h.comult, h.counit, zero_antipode)
+    assert broken.antipode == {}  # zero entries are not stored
     rep = check_axioms(broken)
     failed = {item.id for item in rep.items if not item.passed}
     assert failed == {"antipode-left", "antipode-right"}
@@ -54,15 +53,21 @@ def test_double_of_s3_axioms_and_defining_relations(examples):
         j = y * n + h2
         conj = g.table[g.table[h][y]][g.inverses[h]]
         expected_index = x * n + g.table[h][h2] if conj == x else None
-        row = ds3.mult[i][j]
         for k in range(ds3.dim):
             expected = ONE if k == expected_index else ZERO
-            assert row[k] == expected
+            assert ds3.mult.get((i, j, k), ZERO) == expected
 
 
 def test_dimension_mismatch_raises():
+    unit, counit = [1, 0], [1, 1]
+    with pytest.raises(ValueError):  # index out of range
+        HopfData("bad", 2, {(0, 0, 2): 1}, unit, {}, counit, {})
+    with pytest.raises(ValueError):  # wrong arity
+        HopfData("bad", 2, {(0, 0): 1}, unit, {}, counit, {})
     with pytest.raises(ValueError):
-        HopfData("bad", 2, [[[1]]], [1, 0], [[[0] * 2] * 2] * 2, [1, 1], [[1, 0], [0, 1]])
+        HopfData("bad", 2, {}, unit, {}, counit, {(0, 0, 0): 1})
+    with pytest.raises(ValueError):
+        HopfData("bad", 2, {}, [1], {}, counit, {})
 
 
 def test_dualize_group_algebra_is_function_algebra(examples):
@@ -216,7 +221,7 @@ def test_hopf_format_cyclotomic_scalars():
     z = CycScalar.zeta(12)
     h = HopfData(
         "synthetic", 1,
-        [[[z + Fraction(3, 2)]]], [ONE], [[[z**7]]], [ONE], [[-z]],
+        {(0, 0, 0): z + Fraction(3, 2)}, [ONE], {(0, 0, 0): z**7}, [ONE], {(0, 0): -z},
         cyclotomic_order=12,
     )
     again = parse_hopf(format_hopf(h))
@@ -234,3 +239,9 @@ def test_parse_hopf_errors():
         parse_hopf("hopf x\ndim 2\nMULT\n0 0 0 1\n0 0 0 1\n")  # duplicate
     with pytest.raises(ParseError):
         parse_hopf("hopf x\ndim 2\nMULT\n0 0 0 3//2\n")  # bad scalar
+    with pytest.raises(ParseError):  # z was already read at order 1
+        parse_hopf("hopf x\ndim 2\nMULT\n0 0 0 z\ncyclotomic 4\n")
+    with pytest.raises(ParseError):  # indices were already checked against dim 2
+        parse_hopf("hopf x\ndim 2\nMULT\n1 1 1 1\ndim 1\n")
+    with pytest.raises(ParseError):
+        parse_hopf("hopf x\ndim 0\n")

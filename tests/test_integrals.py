@@ -50,12 +50,15 @@ def test_ds3_eps_lambda_is_dim(examples):
 
 
 def test_dual_symmetry(examples):
-    for name in ("kC2", "kS3", "kQ8", "D(C2)"):
+    for name in ("kC2", "kS3", "kQ8", "k^Q8", "D(C2)", "D(S3)"):
         h = examples[name]
+        p = compute_integrals(h)
         pd = compute_integrals(dualize(h))
         # roles swap: the dual's Lambda is an integral of H*, its lambda of H
         assert pair(pd.lambda_dual, pd.Lambda) == 1
         assert pair(dualize(h).counit, pd.Lambda) == h.dim
+        assert pd.lambda_dual == p.Lambda_scaled, name
+        assert pd.Lambda == vec_scale(p.lambda_dual, h.dim), name
 
 
 def test_sweedler_not_semisimple(sweedler):

@@ -4,21 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hopfkit import CycScalar, ParseError, cyc_arith, cyclotomic_coeffs, euler_phi, format_scalar, parse_scalar
+from hopfkit import CycScalar, ParseError, cyclotomic_coeffs, euler_phi, format_scalar, parse_scalar
 from hopfkit.rng import DeterministicRng
-
-
-def test_cyc_arith_dispatch():
-    z4 = CycScalar.zeta(4)
-    assert cyc_arith(z4, z4, "mul") == -1
-    z3 = CycScalar.zeta(3)
-    assert cyc_arith(z3, z3 * z3, "add") == -1
-    assert cyc_arith(Fraction(1, 2), Fraction(1, 3), "div") == Fraction(3, 2)
-    assert cyc_arith(1, z4, "sub") == 1 - z4
-    with pytest.raises(ValueError):
-        cyc_arith(z4, z4, "pow")
-    with pytest.raises(ZeroDivisionError):
-        cyc_arith(z4, CycScalar.from_rational(0), "div")
 
 
 def test_euler_phi_small_values():
@@ -37,6 +24,7 @@ def test_cyclotomic_polynomials():
 def test_zeta4_squared_is_minus_one():
     z = CycScalar.zeta(4)
     assert z * z == -1
+    assert CycScalar.from_rational(1) - z == 1 - z  # __sub__ agrees with __rsub__
 
 
 def test_primitive_cube_roots_sum_to_minus_one():
@@ -53,6 +41,8 @@ def test_rational_division():
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         CycScalar.from_rational(1) / CycScalar.from_rational(0)
+    with pytest.raises(ZeroDivisionError):
+        CycScalar.zeta(4) / CycScalar.from_rational(0)
     with pytest.raises(ZeroDivisionError):
         CycScalar.zeta(8).inverse() * CycScalar.from_coords(8, [0, 0, 0, 0]).inverse()
 

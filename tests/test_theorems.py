@@ -219,9 +219,7 @@ def test_axioms_negative_control(examples):
     h = examples["kC2"]
     # break coassociativity: Delta(g) = g (x) e is not coassociative with the
     # counit axiom data
-    comult = [[[0] * 2 for _ in range(2)] for _ in range(2)]
-    comult[0][0][0] = 1
-    comult[1][0][1] = 1
+    comult = {(0, 0, 0): 1, (1, 0, 1): 1}
     bad = HopfData("broken", 2, h.mult, h.unit, comult, h.counit, h.antipode)
     rep = check_axioms(bad)
     assert not rep.overall

@@ -150,8 +150,7 @@ def test_cyclotomic_structure_constants_rejected(examples):
 
     h = examples["kC2"]
     z = CycScalar.zeta(4)
-    mult = [[[z if (i, j, k) == (1, 1, 0) else h.mult[i][j][k] for k in range(2)]
-             for j in range(2)] for i in range(2)]
+    mult = {**h.mult, (1, 1, 0): z}
     twisted = HopfData("twisted", 2, mult, h.unit, h.comult, h.counit, h.antipode,
                        cyclotomic_order=4)
     with pytest.raises(HopfkitError, match="rational structure constants"):
