@@ -44,6 +44,7 @@ from .groups import (
 from .hopf import (
     HopfData,
     check_axioms,
+    commutes_with_basis,
     convolve,
     dualize,
     format_hopf,
@@ -52,7 +53,7 @@ from .hopf import (
     pair,
     parse_hopf,
 )
-from .integrals import IntegralPair, compute_integrals, integrals_report, is_two_sided
+from .integrals import IntegralPair, compute_integrals, dual_integrals, integrals_report, is_two_sided
 from .linalg import Matrix, char_min_poly, kernel_basis, rank, rref_solve, trace
 from .pipeline import SUITES, Pipeline
 from .polys import IntegralityCertificate, Poly, is_algebraic_integer, min_poly_scalar
@@ -103,10 +104,12 @@ __all__ = [
     "central_decomposition",
     "char_min_poly",
     "check_axioms",
+    "commutes_with_basis",
     "compute_integrals",
     "convolve",
     "cyclotomic_coeffs",
     "drinfeld_double",
+    "dual_integrals",
     "dualize",
     "euler_phi",
     "explore_central_fusion",

@@ -18,7 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HopfkitError, InconsistentSystemError
-from .hopf import HopfData, convolve, hit_act_alg_on_dual, hit_act_dual_on_alg, pair
+from .hopf import (
+    HopfData,
+    commutes_with_basis,
+    convolve,
+    hit_act_alg_on_dual,
+    hit_act_dual_on_alg,
+    pair,
+)
 from .integrals import IntegralPair
 from .linalg import Matrix, PreparedSolver, Vector, rank, vec_eq, vec_is_zero, vec_scale
 from .polys import Poly
@@ -99,11 +106,7 @@ def irreducible_characters(H: HopfData, blocks: BlockDecomposition, integrals: I
 
 def is_central_character(chi: Vector, H: HopfData) -> bool:
     """Whether chi commutes with every dual basis vector under convolution."""
-    for j in range(H.dim):
-        phi = H.basis_vector(j)
-        if not vec_eq(convolve(chi, phi, H), convolve(phi, chi, H)):
-            return False
-    return True
+    return commutes_with_basis(chi, H.comult_nz)
 
 
 def fusion_ring(table: CharacterTable, H: HopfData) -> FusionRing:

@@ -119,7 +119,7 @@ def parse_group(text: str) -> GroupTable:
                     raise ParseError("group header needs a name", lineno)
                 name = line[len("group"):].strip()
             elif head == "order":
-                if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+                if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
                     raise ParseError("order expects one positive integer", lineno)
                 order = int(tokens[1])
             elif head == "elements":

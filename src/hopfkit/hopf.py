@@ -86,6 +86,15 @@ class HopfData:
         return [[tuple(cell) for cell in row] for row in rows]
 
     @cached_property
+    def mult_by_output(self) -> list[tuple[tuple[int, int, CycScalar], ...]]:
+        """mult_by_output[k] = the (i, j, c) with c b_k a term of b_i b_j; the
+        same buckets as ``comult_nz`` of the dual."""
+        buckets: list[list] = [[] for _ in range(self.dim)]
+        for (i, j, k), c in self.mult.items():
+            buckets[k].append((i, j, c))
+        return [tuple(b) for b in buckets]
+
+    @cached_property
     def comult_nz(self) -> list[tuple[tuple[int, int, CycScalar], ...]]:
         """comult_nz[k] = the (i, j, c) with Delta(b_k) = sum c b_i (x) b_j."""
         buckets: list[list] = [[] for _ in range(self.dim)]
@@ -198,6 +207,29 @@ def convolve(phi: Sequence[CycScalar], psi: Sequence[CycScalar], H: HopfData) ->
                 acc = acc + c * p * q
         out[k] = acc
     return tuple(out)
+
+
+def commutes_with_basis(
+    x: Sequence[CycScalar], by_output: Sequence[Sequence[tuple[int, int, CycScalar]]]
+) -> bool:
+    """Whether x commutes with every basis vector b_t of the algebra whose
+    products are ``by_output[k]`` = the (i, j, c) with c b_k a term of b_i b_j
+    (``H.mult_by_output`` for H, ``H.comult_nz`` for H* under convolution).
+
+    One sweep over the entries: at each output k, x b_t - b_t x has coefficient
+    sum_{(i, t)} c x_i - sum_{(t, j)} c x_j, which must vanish for every t.
+    """
+    for terms in by_output:
+        diff: dict[int, CycScalar] = {}
+        for i, j, c in terms:
+            xi, xj = x[i], x[j]
+            if not xi.is_zero():
+                _acc_add(diff, j, c * xi)
+            if not xj.is_zero():
+                _acc_add(diff, i, -(c * xj))
+        if any(not v.is_zero() for v in diff.values()):
+            return False
+    return True
 
 
 def hit_act_alg_on_dual(h: Sequence[CycScalar], phi: Sequence[CycScalar], H: HopfData) -> Vector:
@@ -470,12 +502,12 @@ def parse_hopf(text: str) -> HopfData:
             name = line[len("hopf"):].strip()
             continue
         if head == "dim":
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
                 raise ParseError("dim expects one positive integer", lineno)
             dim = int(tokens[1])
             continue
         if head == "cyclotomic":
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
                 raise ParseError("cyclotomic expects one positive integer", lineno)
             order = int(tokens[1])
             continue

@@ -7,6 +7,11 @@ fixes <lambda, 1> = 1 and then <lambda, Lambda> = 1; semisimplicity is
 certified by eps(Lambda) != 0 and cosemisimplicity by lambda_raw(1) != 0,
 each a hard error when it fails.
 After normalization <eps, Lambda> = dim H is asserted.
+
+The pair of H* needs no second solve: with H** = H the roles swap, so H* has
+lambda* = Lambda / dim H (the rescaled Lambda of H) and Lambda* = dim H * lambda;
+:func:`dual_integrals` builds it from the pair of H, and semisimplicity and
+cosemisimplicity trade places.
 """
 
 from __future__ import annotations
@@ -99,6 +104,26 @@ def compute_integrals(H: HopfData) -> IntegralPair:
     )
 
 
+def dual_integrals(p: IntegralPair, dim: int) -> IntegralPair:
+    """The normalized integral pair of H*, read off the pair ``p`` of H."""
+    return IntegralPair(
+        lambda_dual=p.Lambda_scaled,
+        Lambda=vec_scale(p.lambda_dual, dim),
+        Lambda_scaled=p.lambda_dual,
+        semisimple=p.cosemisimple,
+        cosemisimple=p.semisimple,
+    )
+
+
+def left_absorption_failure(H: HopfData, Lambda: Vector) -> int | None:
+    """The first basis index i with b_i Lambda != eps(b_i) Lambda, or None when
+    Lambda is a left integral."""
+    for i in range(H.dim):
+        if not vec_eq(H.multiply(H.basis_vector(i), Lambda), vec_scale(Lambda, H.counit[i])):
+            return i
+    return None
+
+
 def is_two_sided(H: HopfData, pair_: IntegralPair) -> bool:
     """Check Lambda h = eps(h) Lambda for all basis h (unimodularity witness)."""
     for i in range(H.dim):
@@ -127,16 +152,12 @@ def integrals_report(H: HopfData, pair_: IntegralPair | None = None) -> Verifica
     report.add(
         "eps-Lambda", "<eps, Lambda> = dim H", (v - H.dim).is_zero(), f"<eps,Lambda> = {v}, dim = {H.dim}"
     )
-    ok = True
+    i = left_absorption_failure(H, p.Lambda)
     witness = ""
-    for i in range(H.dim):
+    if i is not None:
         lhs = H.multiply(H.basis_vector(i), p.Lambda)
-        rhs = vec_scale(p.Lambda, H.counit[i])
-        if not vec_eq(lhs, rhs):
-            ok = False
-            witness = f"b{i} Lambda = {format_vector(lhs)} != eps(b{i}) Lambda"
-            break
-    report.add("left-absorption", "h Lambda = eps(h) Lambda for all basis h", ok, witness)
+        witness = f"b{i} Lambda = {format_vector(lhs)} != eps(b{i}) Lambda"
+    report.add("left-absorption", "h Lambda = eps(h) Lambda for all basis h", i is None, witness)
     ok = True
     witness = ""
     for i in range(H.dim):

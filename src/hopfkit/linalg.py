@@ -260,23 +260,26 @@ class PreparedSolver:
             [cols[j][i] for j in range(self.n_cols)] + list(unit_vector(self.height, i))
             for i in range(self.height)
         ]
-        self._data, pivots = _rref(aug)
+        data, pivots = _rref(aug)
         self._cpivots = [p for p in pivots if p < self.n_cols]
         if len(self._cpivots) != self.n_cols:
             raise InconsistentSystemError("columns are linearly dependent")
+        # the nonzero (i, e) of each E-block row; E is sparse for the 0/1 families
+        n = self.n_cols
+        self._erows = [
+            tuple((i, e) for i, e in enumerate(row[n:]) if not e.is_zero()) for row in data
+        ]
 
     def decompose(self, v: Sequence) -> Vector | None:
         """Coefficients c with sum_j c_j * column_j == v, or None if v is
         outside the span."""
         w = [as_scalar(e) for e in v]
-        n = self.n_cols
-        coeffs = [ZERO] * n
-        for r in range(self.height):
-            row = self._data[r]
+        coeffs = [ZERO] * self.n_cols
+        for r, erow in enumerate(self._erows):
             acc = ZERO
-            for i, x in enumerate(w):
-                e = row[n + i]
-                if not (e.is_zero() or x.is_zero()):
+            for i, e in erow:
+                x = w[i]
+                if not x.is_zero():
                     acc = acc + e * x
             if r < len(self._cpivots):
                 coeffs[self._cpivots[r]] = acc

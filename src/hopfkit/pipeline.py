@@ -2,7 +2,8 @@
 
 A :class:`Pipeline` lazily computes axioms, integrals, blocks, characters,
 fusion, and the same stack for the dual algebra, so the verification suites
-share work within a process.  Everything downstream is a pure function of
+share work within a process.  The integral pair is solved once, on H; the dual
+pipeline derives its pair from it.  Everything downstream is a pure function of
 (H, cyclotomic order, seed); two pipelines with equal inputs produce
 identical reports.
 """
@@ -13,7 +14,7 @@ from functools import cached_property
 
 from .characters import CharacterTable, FusionRing, fusion_ring, irreducible_characters
 from .hopf import HopfData, check_axioms, dualize
-from .integrals import IntegralPair, compute_integrals, integrals_report
+from .integrals import IntegralPair, compute_integrals, dual_integrals, integrals_report
 from .report import VerificationReport, report_document
 from .theorems import (
     explore_central_fusion,
@@ -25,16 +26,26 @@ from .theorems import (
 )
 from .wedderburn import BlockDecomposition, primitive_idempotents
 
-SUITES = (
-    "axioms",
-    "integrals",
-    "lemma1",
-    "corollary",
-    "proposition",
-    "section4",
-    "kaplansky",
-    "central-fusion",
-)
+# suite name -> its report, read from a pipeline's cached stages
+_SUITE_RUNNERS = {
+    "axioms": lambda p: p.axioms,
+    "integrals": lambda p: integrals_report(p.H, p.integrals),
+    "lemma1": lambda p: verify_lemma1(p.H, p.blocks, p.integrals, p.table),
+    "corollary": lambda p: verify_corollary(
+        p.H, p.dual.blocks, p.integrals, p.dual.table, seed=p.seed
+    ),
+    "proposition": lambda p: verify_proposition(
+        p.H, p.blocks, p.table, p.dual.blocks, p.dual.table, p.integrals
+    ),
+    "section4": lambda p: verify_section4(
+        p.H, p.blocks, p.integrals, p.table, p.dual.blocks, p.dual.table
+    ),
+    "kaplansky": lambda p: kaplansky_report(p.H, p.blocks, p.table),
+    "central-fusion": lambda p: explore_central_fusion(
+        p.H, p.table, p.blocks, p.integrals, p.fusion
+    ),
+}
+SUITES = tuple(_SUITE_RUNNERS)
 
 
 class Pipeline:
@@ -42,6 +53,8 @@ class Pipeline:
         self.H = H
         self.order = order if order is not None else H.cyclotomic_order
         self.seed = seed
+        # the pipeline this one is the dual of; its integral pair gives ours
+        self._primal: Pipeline | None = None
 
     @cached_property
     def axioms(self) -> VerificationReport:
@@ -49,11 +62,15 @@ class Pipeline:
 
     @cached_property
     def integrals(self) -> IntegralPair:
+        if self._primal is not None:
+            return dual_integrals(self._primal.integrals, self.H.dim)
         return compute_integrals(self.H)
 
     @cached_property
     def blocks(self) -> BlockDecomposition:
-        return primitive_idempotents(self.H, order=self.order, seed=self.seed)
+        return primitive_idempotents(
+            self.H, order=self.order, seed=self.seed, integrals=self.integrals
+        )
 
     @cached_property
     def table(self) -> CharacterTable:
@@ -65,46 +82,17 @@ class Pipeline:
 
     @cached_property
     def dual(self) -> "Pipeline":
-        return Pipeline(dualize(self.H), order=self.order, seed=self.seed)
+        dual = Pipeline(dualize(self.H), order=self.order, seed=self.seed)
+        dual._primal = self
+        return dual
 
     # -- suites ----------------------------------------------------------------
 
     def suite(self, name: str) -> VerificationReport:
-        if name == "axioms":
-            return self.axioms
-        if name == "integrals":
-            return integrals_report(self.H, self.integrals)
-        if name == "lemma1":
-            return verify_lemma1(self.H, self.blocks, self.integrals, self.table)
-        if name == "corollary":
-            return verify_corollary(
-                self.H, self.dual.blocks, self.integrals, self.dual.table, seed=self.seed
-            )
-        if name == "proposition":
-            return verify_proposition(
-                self.H,
-                self.blocks,
-                self.table,
-                self.dual.blocks,
-                self.dual.table,
-                self.integrals,
-            )
-        if name == "section4":
-            return verify_section4(
-                self.H,
-                self.blocks,
-                self.integrals,
-                self.table,
-                self.dual.blocks,
-                self.dual.table,
-            )
-        if name == "kaplansky":
-            return kaplansky_report(self.H, self.blocks, self.table)
-        if name == "central-fusion":
-            return explore_central_fusion(
-                self.H, self.table, self.blocks, self.integrals, self.fusion
-            )
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
+        run = _SUITE_RUNNERS.get(name)
+        if run is None:
+            raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
+        return run(self)
 
     def all_suites(self) -> list[VerificationReport]:
         return [self.suite(name) for name in SUITES]

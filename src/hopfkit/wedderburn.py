@@ -5,9 +5,11 @@ combination z of the center basis; accept it when its minimal polynomial on
 Z(H) is squarefree of degree dim Z(H); factor that polynomial over Q and push
 each irreducible factor to linear factors over Q(zeta_N); the Lagrange
 interpolation idempotents of z at the resulting eigenvalues are the centrally
-primitive idempotents.  Every claimed property (orthogonality, idempotence,
-sum = 1, centrality, square block traces) is then verified exactly; a
-non-splitting factor is the hard error "field too small".
+primitive idempotents, formed as combinations of the powers 1, z, ...,
+z^(r-1) that the minimal-polynomial search has already computed.  Every
+claimed property (orthogonality, idempotence, sum = 1, centrality, square
+block traces) is then verified exactly; a non-splitting factor is the hard
+error "field too small".
 
 Blocks are ordered by degree, then lexicographically by idempotent
 coordinates, so labels are stable for a given seed.
@@ -18,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt, lcm
 
-from .errors import FieldTooSmallError, HopfkitError, RetriesExhaustedError
+from .errors import FieldTooSmallError, HopfkitError, NotSemisimpleError, RetriesExhaustedError
 from .factor import factor_over_cyclotomic, factor_rational
-from .hopf import HopfData, format_vector
-from .integrals import compute_integrals
-from .linalg import IncrementalDependency, Matrix, Vector, kernel_basis, vec_eq, vec_scale, zero_vector
+from .hopf import HopfData, commutes_with_basis, format_vector
+from .integrals import IntegralPair, compute_integrals, left_absorption_failure
+from .linalg import IncrementalDependency, Matrix, Vector, kernel_basis, vec_eq, zero_vector
 from .polys import Poly
 from .rng import DeterministicRng
 from .scalars import CycScalar, ONE, ZERO
@@ -65,15 +67,18 @@ def center(H: HopfData) -> list[Vector]:
     return kernel_basis(Matrix(rows))
 
 
-def _min_poly_on_center(H: HopfData, z: Vector, bound: int) -> Poly | None:
-    """Monic minimal polynomial of multiplication-by-z, via the first linear
-    dependency among the powers 1, z, z^2, ... (at most ``bound`` of them)."""
+def _min_poly_on_center(H: HopfData, z: Vector, bound: int) -> tuple[Poly, list[Vector]] | None:
+    """Monic minimal polynomial m of multiplication-by-z, via the first linear
+    dependency among the powers 1, z, z^2, ... (at most ``bound`` of them),
+    together with the independent powers 1, z, ..., z^(deg m - 1)."""
     tracker = IncrementalDependency()
+    powers: list[Vector] = []
     cur = H.unit
     for _ in range(bound + 1):
         dep = tracker.add(cur)
         if dep is not None:
-            return Poly(list(dep) + [ONE])
+            return Poly(list(dep) + [ONE]), powers
+        powers.append(cur)
         cur = H.multiply(cur, z)
     return None
 
@@ -85,13 +90,17 @@ def _structure_is_rational(H: HopfData) -> bool:
     )
 
 
-def primitive_idempotents(H: HopfData, order: int | None = None, seed: int = 0) -> BlockDecomposition:
+def primitive_idempotents(
+    H: HopfData, order: int | None = None, seed: int = 0, *, integrals: IntegralPair | None = None
+) -> BlockDecomposition:
     """Split Z(H) into centrally primitive idempotents over Q(zeta_order).
 
     Requires semisimple H with rational structure constants (all built-in
-    families).  Raises FieldTooSmallError when an eigenvalue of the splitting
-    element lives outside Q(zeta_order), RetriesExhaustedError when no good
-    splitting element is found.
+    families).  Semisimplicity is certified from the integral Lambda of
+    ``integrals`` (solved here when absent): Lambda must be a left integral
+    with eps(Lambda) != 0 (Maschke).  Raises FieldTooSmallError when an
+    eigenvalue of the splitting element lives outside Q(zeta_order),
+    RetriesExhaustedError when no good splitting element is found.
     """
     if order is None:
         order = H.cyclotomic_order
@@ -100,7 +109,7 @@ def primitive_idempotents(H: HopfData, order: int | None = None, seed: int = 0) 
             "primitive_idempotents needs rational structure constants; "
             "rebase the input or split by other means"
         )
-    compute_integrals(H)  # certifies semisimplicity (raises otherwise)
+    _certify_semisimple(H, integrals if integrals is not None else compute_integrals(H))
 
     zbasis = center(H)
     r = len(zbasis)
@@ -109,7 +118,7 @@ def primitive_idempotents(H: HopfData, order: int | None = None, seed: int = 0) 
 
     rng = DeterministicRng(seed)
     min_poly: Poly | None = None
-    z: Vector | None = None
+    powers: list[Vector] = []
     for attempt in range(_RETRY_LIMIT):
         # start from the documented {-3..3} range and widen on misses: the
         # splitting element needs r distinct eigenvalues, and for large
@@ -120,11 +129,11 @@ def primitive_idempotents(H: HopfData, order: int | None = None, seed: int = 0) 
         for c, vec in zip(coeffs, zbasis):
             if c:
                 cand = tuple(x + c * y for x, y in zip(cand, vec))
-        m = _min_poly_on_center(H, cand, r)
-        if m is not None and m.degree == r and m.is_squarefree():
-            min_poly, z = m, cand
+        found = _min_poly_on_center(H, cand, r)
+        if found is not None and found[0].degree == r and found[0].is_squarefree():
+            min_poly, powers = found
             break
-    if min_poly is None or z is None:
+    if min_poly is None:
         raise RetriesExhaustedError(
             f"no splitting element found for {H.name} in {_RETRY_LIMIT} draws"
         )
@@ -143,18 +152,12 @@ def primitive_idempotents(H: HopfData, order: int | None = None, seed: int = 0) 
                 )
             eigenvalues.append(-linear[0])
 
-    # Lagrange idempotents e_i = prod_{j != i} (z - mu_j) / (mu_i - mu_j), evaluated in H
-    idempotents: list[Vector] = []
-    for i, mu_i in enumerate(eigenvalues):
-        num = H.unit
-        denom = ONE
-        for j, mu_j in enumerate(eigenvalues):
-            if j == i:
-                continue
-            shifted = tuple(x - mu_j * u for x, u in zip(z, H.unit))
-            num = H.multiply(num, shifted)
-            denom = denom * (mu_i - mu_j)
-        idempotents.append(vec_scale(num, denom.inverse()))
+    # Lagrange idempotents e_i = q_i(z) / q_i(mu_i) with q_i = m / (x - mu_i),
+    # which is prod_{j != i} (z - mu_j) / (mu_i - mu_j); q_i(z) is a combination
+    # of the powers 1, z, ..., z^(r-1)
+    idempotents = [
+        _combine(_deflate(min_poly, mu), powers, H.dim) for mu in eigenvalues
+    ]
 
     _verify_idempotent_system(H, idempotents)
     degrees = block_degrees(H, idempotents)
@@ -176,6 +179,45 @@ def primitive_idempotents(H: HopfData, order: int | None = None, seed: int = 0) 
     )
 
 
+def _certify_semisimple(H: HopfData, integrals: IntegralPair) -> None:
+    """Maschke's criterion on the held integral: Lambda is a left integral and
+    eps(Lambda) != 0."""
+    i = left_absorption_failure(H, integrals.Lambda)
+    if i is not None:
+        raise HopfkitError(
+            f"{H.name}: the given Lambda is not a left integral (b{i} Lambda != eps(b{i}) Lambda)"
+        )
+    if H.counit_of(integrals.Lambda).is_zero():
+        raise NotSemisimpleError(f"{H.name} is not semisimple: eps(Lambda) = 0")
+
+
+def _deflate(m: Poly, mu: CycScalar) -> list[CycScalar]:
+    """Coefficients, low to high, of q(x) / q(mu) for q = m / (x - mu), where
+    mu is a simple root of m (synthetic division; q(mu) = m'(mu) != 0)."""
+    q = [ZERO] * m.degree
+    carry = ZERO
+    for k in range(m.degree, 0, -1):
+        carry = m[k] + mu * carry
+        q[k - 1] = carry
+    value = ZERO
+    for c in reversed(q):
+        value = value * mu + c
+    inv = value.inverse()
+    return [c * inv for c in q]
+
+
+def _combine(coeffs: list[CycScalar], vectors: list[Vector], dim: int) -> Vector:
+    """sum_k coeffs[k] vectors[k]."""
+    out = [ZERO] * dim
+    for c, vec in zip(coeffs, vectors):
+        if c.is_zero():
+            continue
+        for a, x in enumerate(vec):
+            if not x.is_zero():
+                out[a] = out[a] + c * x
+    return tuple(out)
+
+
 def _verify_idempotent_system(H: HopfData, idempotents: list[Vector]) -> None:
     total = zero_vector(H.dim)
     for i, e in enumerate(idempotents):
@@ -190,10 +232,8 @@ def _verify_idempotent_system(H: HopfData, idempotents: list[Vector]) -> None:
     if not vec_eq(total, H.unit):
         raise HopfkitError("idempotents do not sum to the unit")
     for i, e in enumerate(idempotents):
-        for k in range(H.dim):
-            bk = H.basis_vector(k)
-            if not vec_eq(H.multiply(e, bk), H.multiply(bk, e)):
-                raise HopfkitError(f"idempotent {i} is not central")
+        if not commutes_with_basis(e, H.mult_by_output):
+            raise HopfkitError(f"idempotent {i} is not central")
 
 
 def block_degrees(H: HopfData, idempotents: list[Vector]) -> list[int]:

@@ -230,3 +230,36 @@ def test_f_matrix_invertible_everywhere(examples, pipelines):
     for name in ("kC2", "kS3", "k^S3", "kQ8", "D(C2)", "kS3(x)k^C2", "D(S3)"):
         pipe = pipelines(name)
         assert rank(f_matrix(pipe.integrals, pipe.H)) == pipe.H.dim, name
+
+
+def test_commutes_with_basis_matches_products(examples, pipelines):
+    from hopfkit import commutes_with_basis, convolve
+    from hopfkit.rng import DeterministicRng
+
+    def central_in_dual(x, h):  # oracle: x phi_j == phi_j x under convolution
+        return all(
+            vec_eq(convolve(x, h.basis_vector(j), h), convolve(h.basis_vector(j), x, h))
+            for j in range(h.dim)
+        )
+
+    def central_in_algebra(x, h):  # oracle: x b_k == b_k x in H
+        return all(
+            vec_eq(h.multiply(x, h.basis_vector(k)), h.multiply(h.basis_vector(k), x))
+            for k in range(h.dim)
+        )
+
+    rng = DeterministicRng(7)
+    seen = {True: 0, False: 0}
+    for name in ("kS3", "k^S3", "kQ8", "D(S3)"):
+        h = examples[name]
+        vectors = list(pipelines(name).table.characters)
+        vectors += [h.basis_vector(k) for k in range(h.dim)]
+        vectors += [tuple(rng.randint(-2, 2) * ONE for _ in range(h.dim)) for _ in range(3)]
+        for x in vectors:
+            got_dual = commutes_with_basis(x, h.comult_nz)
+            assert got_dual == central_in_dual(x, h) == is_central_character(x, h), name
+            got_alg = commutes_with_basis(x, h.mult_by_output)
+            assert got_alg == central_in_algebra(x, h), name
+            seen[got_dual] += 1
+            seen[got_alg] += 1
+    assert seen[True] and seen[False]

@@ -113,6 +113,10 @@ def test_parse_error_exits_2(workdir, capsys):
     late.write_text("hopf x\ndim 2\nMULT\n1 1 1 1\ndim 1\n")  # dim redeclared after data
     assert main(["check-axioms", str(late)]) == 2
     assert "error" in capsys.readouterr().err
+    superscript = workdir / "superscript.hopf"
+    superscript.write_text("hopf x\ndim \u00b2\n", encoding="utf-8")
+    assert main(["check-axioms", str(superscript)]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(capsys):

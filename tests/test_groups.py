@@ -86,6 +86,13 @@ def test_row_length_error_has_line():
     assert excinfo.value.line == 5
 
 
+def test_order_header_errors():
+    for order in ("0", "-2", "two", "\u00b2"):  # \u00b2 is a digit that int() rejects
+        with pytest.raises(ParseError) as excinfo:
+            parse_group(f"group X\norder {order}\nelements e g\ntable\ne g\ng e\n")
+        assert excinfo.value.line == 2
+
+
 def test_builtins_all_valid():
     assert set(builtin_names()) == {"C2", "C3", "C4", "C2xC2", "S3", "D4", "Q8"}
     expected = {

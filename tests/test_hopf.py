@@ -245,3 +245,7 @@ def test_parse_hopf_errors():
         parse_hopf("hopf x\ndim 2\nMULT\n1 1 1 1\ndim 1\n")
     with pytest.raises(ParseError):
         parse_hopf("hopf x\ndim 0\n")
+    with pytest.raises(ParseError):  # a digit that int() rejects
+        parse_hopf("hopf x\ndim \u00b2\n")
+    with pytest.raises(ParseError):
+        parse_hopf("hopf x\ndim 2\ncyclotomic \u00b2\n")

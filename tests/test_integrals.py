@@ -82,3 +82,35 @@ def test_integral_space_dimension_error(examples):
     broken = HopfData("broken", 2, h.mult, h.unit, h.comult, [0, 0], h.antipode)
     with pytest.raises((IntegralSpaceError, NotSemisimpleError)):
         compute_integrals(broken)
+
+
+def test_dual_pipeline_pair_matches_direct_solve(examples):
+    from dataclasses import fields
+
+    from hopfkit import Pipeline
+
+    for name, h in examples.items():
+        got = Pipeline(h).dual.integrals
+        # oracle: solve the integral systems of H* from scratch
+        want = compute_integrals(dualize(h))
+        for f in fields(want):
+            assert getattr(got, f.name) == getattr(want, f.name), (name, f.name)
+
+
+def test_report_solves_integrals_once(examples, monkeypatch):
+    import hopfkit.integrals
+    import hopfkit.pipeline
+    import hopfkit.wedderburn
+    from hopfkit import Pipeline
+
+    calls = []
+
+    def counted(H):
+        calls.append(H.name)
+        return compute_integrals(H)
+
+    for module in (hopfkit.pipeline, hopfkit.wedderburn, hopfkit.integrals):
+        monkeypatch.setattr(module, "compute_integrals", counted)
+    doc = Pipeline(examples["kS3"]).report_document()
+    assert doc["overall"]
+    assert calls == [examples["kS3"].name]

@@ -155,3 +155,53 @@ def test_cyclotomic_structure_constants_rejected(examples):
                        cyclotomic_order=4)
     with pytest.raises(HopfkitError, match="rational structure constants"):
         primitive_idempotents(twisted)
+
+
+def test_bad_integral_certificate_rejected(examples):
+    from dataclasses import replace
+
+    from hopfkit import HopfkitError, compute_integrals
+
+    for name in ("kS3", "D(C2)"):
+        h = examples[name]
+        good = compute_integrals(h)
+        bad = replace(good, Lambda=tuple(x + y for x, y in zip(good.Lambda, h.basis_vector(1))))
+        with pytest.raises(HopfkitError, match="not a left integral"):
+            primitive_idempotents(h, integrals=bad)
+        assert primitive_idempotents(h, integrals=good).degrees == DEGREES[name]
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_idempotents_equal_lagrange_product(examples, monkeypatch, dual):
+    import hopfkit.wedderburn as wedderburn
+
+    h = examples["D(S3)"]
+    if dual:
+        h = dualize(h)
+    draws = []
+    original = wedderburn._min_poly_on_center
+
+    def recorded(H, z, bound):
+        draws.append(z)
+        return original(H, z, bound)
+
+    monkeypatch.setattr(wedderburn, "_min_poly_on_center", recorded)
+    blocks = primitive_idempotents(h)
+    z = draws[-1]  # the accepted splitting element
+    # the eigenvalue of z on each block: z e = mu e
+    mus = []
+    for e in blocks.idempotents:
+        ze = h.multiply(z, e)
+        k = next(k for k, c in enumerate(e) if not c.is_zero())
+        mu = ze[k] / e[k]
+        assert vec_eq(ze, tuple(mu * c for c in e))
+        mus.append(mu)
+    # oracle: e_i = prod_{j != i} (z - mu_j) / (mu_i - mu_j), multiplied out in H
+    for i, (e, mu_i) in enumerate(zip(blocks.idempotents, mus)):
+        num = h.unit
+        denom = 1
+        for j, mu_j in enumerate(mus):
+            if j != i:
+                num = h.multiply(num, tuple(x - mu_j * u for x, u in zip(z, h.unit)))
+                denom = denom * (mu_i - mu_j)
+        assert vec_eq(e, tuple(c / denom for c in num))
