@@ -27,7 +27,7 @@ from .hopf import (
     pair,
 )
 from .integrals import IntegralPair
-from .linalg import Matrix, PreparedSolver, Vector, rank, vec_eq, vec_is_zero, vec_scale
+from .linalg import Matrix, PreparedSolver, Vector, combine, rank, vec_eq, vec_is_zero, vec_scale
 from .polys import Poly
 from .scalars import CycScalar, ZERO, as_scalar
 from .wedderburn import BlockDecomposition
@@ -190,11 +190,8 @@ def central_decomposition(zeta: Vector, dual_blocks: BlockDecomposition) -> Cent
         raise InconsistentSystemError(
             "central vector is not in the span of the dual primitive idempotents"
         )
-    recon = [ZERO] * len(zeta)
-    for c, delta in zip(coeffs, dual_blocks.idempotents):
-        if not c.is_zero():
-            recon = [a + c * d for a, d in zip(recon, delta)]
-    if not vec_eq(tuple(recon), tuple(zeta)):
+    recon = combine(coeffs, dual_blocks.idempotents, len(zeta))
+    if not vec_eq(recon, tuple(zeta)):
         raise HopfkitError("central decomposition failed to reconstruct its input")
     return CentralDecomposition(delta=list(dual_blocks.idempotents), values=list(coeffs))
 

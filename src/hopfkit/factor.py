@@ -13,6 +13,11 @@ Factorization over Q(zeta_N) uses Trager's norm method: shift by an integer
 multiple of zeta_N until the resultant norm is squarefree, factor the norm
 over Q, and pull the factors back through gcds over the cyclotomic field.
 Everything is exact; returned factors are monic.
+
+Arithmetic on integer, rational and cyclotomic coefficient lists uses the one
+coefficient-list kit, the ``_poly_*`` routines of :mod:`hopfkit.scalars`
+(which :class:`~hopfkit.polys.Poly` also wraps).  Only GF(p) arithmetic has
+its own routines here, because they reduce mod p at every step.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from math import gcd, isqrt, lcm
 
 from .polys import Poly
 from .rng import DeterministicRng
-from .scalars import CycScalar, _frac_poly_divmod, _frac_poly_mul
+from .scalars import CycScalar, cyclotomic_coeffs, euler_phi
+from .scalars import _poly_add, _poly_derivative, _poly_divmod, _poly_gcd, _poly_mul, _poly_sub, _poly_trim
 
 # ---------------------------------------------------------------------------
 # rational reconstruction
@@ -96,32 +102,13 @@ def _next_prime(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer / rational coefficient-list helpers (low-to-high)
-
-
-def _trim(c: list) -> list:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _q_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _frac_poly_divmod(a, b)[1]
-    if a:
-        inv = 1 / a[-1]
-        a = [c * inv for c in a]
-    return a
-
-
-def _q_derivative(a: list[Fraction]) -> list[Fraction]:
-    return _trim([k * c for k, c in enumerate(a)][1:])
+# resultants over Q
 
 
 def resultant_q(a: list[Fraction], b: list[Fraction]) -> Fraction:
-    """Resultant of two rational polynomials via the Euclidean remainder chain."""
-    a, b = _trim(list(a)), _trim(list(b))
+    """Resultant of two polynomials over Q (or Q(zeta_N)) via the Euclidean
+    remainder chain."""
+    a, b = _poly_trim(a), _poly_trim(b)
     if not a or not b:
         return Fraction(0)
     res = Fraction(1)
@@ -129,7 +116,7 @@ def resultant_q(a: list[Fraction], b: list[Fraction]) -> Fraction:
         da, db = len(a) - 1, len(b) - 1
         if db == 0:
             return res * b[0] ** da
-        r = _frac_poly_divmod(a, b)[1]
+        r = _poly_divmod(a, b)[1]
         dr = len(r) - 1 if r else -1
         if not r:
             return Fraction(0)
@@ -141,12 +128,6 @@ def resultant_q(a: list[Fraction], b: list[Fraction]) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # GF(p) polynomial arithmetic (coefficient lists of ints in [0, p))
-
-
-def _gf_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 def _gf_monic(a: list[int], p: int) -> list[int]:
@@ -165,7 +146,7 @@ def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
             for j, y in enumerate(b):
                 if y:
                     out[i + j] = (out[i + j] + x * y) % p
-    return _gf_trim(out)
+    return _poly_trim(out)
 
 
 def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -179,11 +160,11 @@ def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
             q[i - db] = c
             for j in range(db + 1):
                 r[i - db + j] = (r[i - db + j] - c * b[j]) % p
-    return _gf_trim(q), _gf_trim(r)
+    return _poly_trim(q), _poly_trim(r)
 
 
 def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _gf_trim(list(a)), _gf_trim(list(b))
+    a, b = _poly_trim(a), _poly_trim(b)
     while b:
         a, b = b, _gf_divmod(a, b, p)[1]
     return _gf_monic(a, p)
@@ -208,13 +189,11 @@ def _gf_ext_inverse(a: list[int], mod: list[int], p: int) -> list[int]:
     while r1:
         q, r = _gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        qt = _gf_mul(q, t1, p)
-        t = [(x - y) % p for x, y in zip(t0 + [0] * max(0, len(qt) - len(t0)), qt + [0] * max(0, len(t0) - len(qt)))]
-        t0, t1 = t1, _gf_trim(t)
+        t0, t1 = t1, _poly_trim([c % p for c in _poly_sub(t0, _gf_mul(q, t1, p))])
     if len(r0) != 1:
         raise ArithmeticError("elements not coprime in GF(p)[x]")
     inv = pow(r0[0], -1, p)
-    return _gf_trim([c * inv % p for c in t0])
+    return _poly_trim([c * inv % p for c in t0])
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +214,7 @@ def _gf_factor_squarefree(f: list[int], p: int, rng: DeterministicRng) -> list[l
         if len(diff) < 2:
             diff = diff + [0] * (2 - len(diff))
         diff[1] = (diff[1] - 1) % p
-        g = _gf_gcd(_gf_trim(diff), v, p)
+        g = _gf_gcd(diff, v, p)
         if len(g) - 1 > 0:
             factors.extend(_gf_equal_degree(g, d, p, rng))
             v = _gf_divmod(v, g, p)[0]
@@ -253,14 +232,13 @@ def _gf_equal_degree(g: list[int], d: int, p: int, rng: DeterministicRng) -> lis
         return [_gf_monic(g, p)]
     e = (p**d - 1) // 2
     while True:
-        r = [rng.below(p) for _ in range(n)]
-        _gf_trim(r)
+        r = _poly_trim([rng.below(p) for _ in range(n)])
         if len(r) < 2:
             continue
         s = _gf_powmod(r, e, g, p)
         s = list(s) if s else [0]
         s[0] = (s[0] - 1) % p
-        t = _gf_gcd(_gf_trim(s), g, p)
+        t = _gf_gcd(s, g, p)
         if 0 < len(t) - 1 < n:
             rest = _gf_divmod(g, t, p)[0]
             return _gf_equal_degree(t, d, p, rng) + _gf_equal_degree(rest, d, p, rng)
@@ -273,31 +251,6 @@ def _gf_equal_degree(g: list[int], d: int, p: int, rng: DeterministicRng) -> lis
 def _balanced(c: int, m: int) -> int:
     c %= m
     return c - m if c > m // 2 else c
-
-
-def _z_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _trim(out)
-
-
-def _z_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    r = list(a)
-    db = len(b) - 1
-    q = [0] * max(0, len(r) - db)
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i]
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                r[i - db + j] -= c * b[j]
-    return _trim(q), _trim(r)
 
 
 def _hensel_lift(f: list[int], factors_p: list[list[int]], p: int, bound: int) -> tuple[list[list[int]], int]:
@@ -320,18 +273,12 @@ def _hensel_lift(f: list[int], factors_p: list[list[int]], p: int, bound: int) -
     while pk <= 2 * bound:
         prod = [1]
         for g in lifted:
-            prod = _z_mul(prod, g)
-        defect = [x - y for x, y in zip(f + [0] * max(0, len(prod) - len(f)), prod + [0] * max(0, len(f) - len(prod)))]
-        e = [(c // pk) % p for c in defect]
-        _gf_trim(e)
-        new = []
-        for g0, g, sigma in zip(factors_p, lifted, sigmas):
-            delta = _gf_divmod(_gf_mul(e, sigma, p), g0, p)[1]
-            gg = list(g) + [0] * max(0, len(delta) - len(g))
-            for idx, c in enumerate(delta):
-                gg[idx] += pk * _balanced(c, p)
-            new.append(gg)
-        lifted = new
+            prod = _poly_mul(prod, g)
+        e = _poly_trim([(c // pk) % p for c in _poly_sub(f, prod)])
+        lifted = [
+            _poly_add(g, [pk * _balanced(c, p) for c in _gf_divmod(_gf_mul(e, sigma, p), g0, p)[1]])
+            for g0, g, sigma in zip(factors_p, lifted, sigmas)
+        ]
         pk *= p
     # keep coefficients balanced mod p^k
     return [[_balanced(c, pk) for c in g] for g in lifted], pk
@@ -348,7 +295,8 @@ def _factor_squarefree_monic_z(f: list[int]) -> list[list[int]]:
     n = len(f) - 1
     if n <= 1:
         return [list(f)] if n == 1 else []
-    disc = resultant_q([Fraction(c) for c in f], [Fraction(c) for c in _q_derivative([Fraction(c) for c in f])])
+    f_rat = [Fraction(c) for c in f]
+    disc = resultant_q(f_rat, _poly_derivative(f_rat))
     disc_int = disc.numerator  # denominator is 1 for integer input
     p = 1 << 30
     while True:
@@ -373,10 +321,9 @@ def _factor_squarefree_monic_z(f: list[int]) -> list[list[int]]:
             for subset in combinations(pool, size):
                 prod = [1]
                 for i in subset:
-                    prod = _z_mul(prod, lifted[i])
-                cand = [_balanced(c, pk) for c in prod]
-                _trim(cand)
-                quot, rem = _z_divmod_monic(remaining, cand)
+                    prod = _poly_mul(prod, lifted[i])
+                cand = _poly_trim([_balanced(c, pk) for c in prod])
+                quot, rem = _poly_divmod(remaining, cand)
                 if not rem:
                     result.append(cand)
                     remaining = quot
@@ -400,21 +347,20 @@ def _yun(f: list[Fraction]) -> list[tuple[list[Fraction], int]]:
     """Monic squarefree decomposition: f = prod a_i^i with the a_i pairwise
     coprime and squarefree; constant parts dropped."""
     parts: list[tuple[list[Fraction], int]] = []
-    g = _q_gcd(f, _q_derivative(f))
+    df = _poly_derivative(f)
+    g = _poly_gcd(f, df)
     if len(g) - 1 == 0:
         return [(list(f), 1)]
-    w = _frac_poly_divmod(f, g)[0]
-    y = _frac_poly_divmod(_q_derivative(f), g)[0]
+    w = _poly_divmod(f, g)[0]
+    y = _poly_divmod(df, g)[0]
     i = 1
     while len(w) - 1 > 0:
-        z = [a - b for a, b in zip(y + [Fraction(0)] * max(0, len(_q_derivative(w)) - len(y)),
-                                   _q_derivative(w) + [Fraction(0)] * max(0, len(y) - len(_q_derivative(w))))]
-        _trim(z)
-        a = _q_gcd(w, z)
+        z = _poly_sub(y, _poly_derivative(w))
+        a = _poly_gcd(w, z)
         if len(a) - 1 > 0:
             parts.append((a, i))
-        w = _frac_poly_divmod(w, a)[0]
-        y = _frac_poly_divmod(z, a)[0]
+        w = _poly_divmod(w, a)[0]
+        y = _poly_divmod(z, a)[0]
         i += 1
     return parts
 
@@ -464,8 +410,6 @@ def _norm_by_interpolation(p_rat: list[Fraction], shift: int, order: int) -> lis
     evaluation at deg(p)*phi + 1 integer points and Lagrange interpolation.
     The y-leading coefficient of p(x - s y) is a nonzero constant, so no
     evaluation point degenerates."""
-    from .scalars import cyclotomic_coeffs, euler_phi
-
     phi = euler_phi(order)
     mod = [Fraction(c) for c in cyclotomic_coeffs(order)]
     n = len(p_rat) - 1
@@ -473,23 +417,17 @@ def _norm_by_interpolation(p_rat: list[Fraction], shift: int, order: int) -> lis
     xs = range(degree + 1)
     values = []
     for t in xs:
-        # q_t(y) = p(t - shift*y)
-        q = [Fraction(0)]
+        # q_t(y) = p(t - shift*y), by Horner
+        q: list[Fraction] = []
         base = [Fraction(t), Fraction(-shift)]
         for c in reversed(p_rat):
-            q = _frac_poly_mul(q, base)
-            if not q:
-                q = [Fraction(0)]
-            q[0] += c
-            _trim(q)
-        if not q:
-            q = []
+            q = _poly_add(_poly_mul(q, base), [c])
         values.append(resultant_q(mod, q))
     return _lagrange(list(xs), values)
 
 
 def _lagrange(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
-    acc = [Fraction(0)]
+    acc: list[Fraction] = []
     for i, (xi, yi) in enumerate(zip(xs, ys)):
         if not yi:
             continue
@@ -497,12 +435,10 @@ def _lagrange(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
         den = Fraction(1)
         for j, xj in enumerate(xs):
             if j != i:
-                num = _frac_poly_mul(num, [Fraction(-xj), Fraction(1)])
+                num = _poly_mul(num, [Fraction(-xj), Fraction(1)])
                 den *= xi - xj
-        term = [c / den for c in num]
-        acc = [a + b for a, b in zip(acc + [Fraction(0)] * max(0, len(term) - len(acc)),
-                                     term + [Fraction(0)] * max(0, len(acc) - len(term)))]
-    return _trim(acc)
+        acc = _poly_add(acc, [c / den for c in num])
+    return acc
 
 
 def factor_over_cyclotomic(p: Poly, order: int) -> list[Poly]:
@@ -519,8 +455,6 @@ def factor_over_cyclotomic(p: Poly, order: int) -> list[Poly]:
         return [monic]
     if not monic.is_squarefree():
         raise ValueError("factor_over_cyclotomic expects squarefree input")
-    from .scalars import euler_phi
-
     if euler_phi(order) == 1:
         return [f for f, _ in factor_rational(monic)]
 
@@ -528,7 +462,7 @@ def factor_over_cyclotomic(p: Poly, order: int) -> list[Poly]:
     monic_rat = monic.rational_coeffs()
     for shift in _shift_candidates():
         norm = _norm_by_interpolation(monic_rat, shift, order)
-        if len(_q_gcd(norm, _q_derivative(norm))) - 1 == 0:
+        if len(_poly_gcd(norm, _poly_derivative(norm))) - 1 == 0:
             break
     else:  # pragma: no cover - candidate stream is unbounded
         raise ArithmeticError("no squarefree norm shift found")

@@ -542,6 +542,9 @@ def parse_hopf(text: str) -> HopfData:
         raise ParseError("missing 'hopf <name>' header")
     if dim is None:
         raise ParseError("missing 'dim <d>' header")
+    if dim > len(entries["MULT"]):
+        # 1 b_k = b_k: every basis index is the output of some MULT entry
+        raise ParseError(f"dim {dim} exceeds the number of MULT entries ({len(entries['MULT'])})")
 
     unit = [ZERO] * dim
     for (k,), v in entries["UNIT"].items():

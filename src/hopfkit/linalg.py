@@ -38,6 +38,17 @@ def vec_is_zero(a: Sequence[CycScalar]) -> bool:
 def vec_eq(a: Sequence[CycScalar], b: Sequence[CycScalar]) -> bool:
     return len(a) == len(b) and all(x == y for x, y in zip(a, b))
 
+def combine(coeffs: Sequence, vectors: Sequence[Sequence[CycScalar]], dim: int) -> Vector:
+    """sum_k coeffs[k] vectors[k], a vector of length dim; coefficients may be
+    ints or scalars."""
+    out = [ZERO] * dim
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            for a, x in enumerate(vec):
+                if x:
+                    out[a] = out[a] + c * x
+    return tuple(out)
+
 def zero_vector(n: int) -> Vector:
     return (ZERO,) * n
 
@@ -209,7 +220,12 @@ def rank(a: Matrix) -> int:
 def kernel_basis(a: Matrix) -> list[Vector]:
     """Exact basis of the right null space {v : A v = 0}."""
     data, pivots = _rref([list(row) for row in a._rows])
-    n_cols = a.cols
+    return _rref_kernel(data, pivots, a.cols)
+
+
+def _rref_kernel(data: list[list[CycScalar]], pivots: list[int], n_cols: int) -> list[Vector]:
+    """Kernel basis read off an RREF whose first n_cols columns hold the
+    matrix (one vector per free column)."""
     pivot_set = set(pivots)
     free = [c for c in range(n_cols) if c not in pivot_set]
     basis: list[Vector] = []
@@ -242,8 +258,8 @@ def rref_solve(a: Matrix, b: Matrix) -> tuple[Matrix, list[Vector]] | None:
     for r, pc in enumerate(pivots):
         for j in range(b.cols):
             sol[pc][j] = data[r][n + j]
-    kern = kernel_basis(a)
-    return Matrix(sol), kern
+    # the A block of rref([A | B]) is rref(A)
+    return Matrix(sol), _rref_kernel(data, pivots, n)
 
 
 class PreparedSolver:

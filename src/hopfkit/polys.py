@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .scalars import CycScalar, ONE, ZERO, as_scalar
+from .scalars import _poly_add, _poly_derivative, _poly_divmod, _poly_gcd, _poly_monic, _poly_mul, _poly_sub
 
 
 class Poly:
@@ -82,34 +83,17 @@ class Poly:
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+        return Poly(_poly_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        out = list(self.coeffs) + [ZERO] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] = out[i] - c
-        return Poly(out)
+        return Poly(_poly_sub(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Poly":
         return Poly([-c for c in self.coeffs])
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly(())
-            out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, x in enumerate(self.coeffs):
-                if not x.is_zero():
-                    for j, y in enumerate(other.coeffs):
-                        if not y.is_zero():
-                            out[i + j] = out[i + j] + x * y
-            return Poly(out)
+            return Poly(_poly_mul(self.coeffs, other.coeffs))
         s = as_scalar(other)
         return Poly([c * s for c in self.coeffs])
 
@@ -127,18 +111,7 @@ class Poly:
         return result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        db = other.degree
-        q = [ZERO] * max(0, len(r) - db)
-        inv_lead = other.coeffs[-1].inverse()
-        for i in range(len(r) - 1, db - 1, -1):
-            c = r[i] * inv_lead
-            if not c.is_zero():
-                q[i - db] = c
-                for j, bc in enumerate(other.coeffs):
-                    r[i - db + j] = r[i - db + j] - c * bc
+        q, r = _poly_divmod(self.coeffs, other.coeffs)
         return Poly(q), Poly(r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -154,15 +127,10 @@ class Poly:
         return q
 
     def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        if self.is_monic():
-            return self
-        inv = self.coeffs[-1].inverse()
-        return Poly([c * inv for c in self.coeffs])
+        return Poly(_poly_monic(self.coeffs)) if self.coeffs else self
 
     def derivative(self) -> "Poly":
-        return Poly([c * k for k, c in enumerate(self.coeffs)][1:])
+        return Poly(_poly_derivative(self.coeffs))
 
     def evaluate(self, x) -> CycScalar:
         acc = ZERO
@@ -178,11 +146,7 @@ class Poly:
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor (Euclid over the coefficient field)."""
-        a, b = self, other
-        while not b.is_zero():
-            b = b.monic()
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        return Poly(_poly_gcd(self.coeffs, other.coeffs))
 
     def is_squarefree(self) -> bool:
         if self.degree <= 1:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .errors import ParseError
 
@@ -46,20 +46,89 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _int_poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # exact long division of integer polynomials; den is monic
-    num = list(num)
-    dd = len(den) - 1
-    quot = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
+# -- the coefficient-list kit --------------------------------------------------
+# Polynomials as low-to-high coefficient lists over int, Fraction or CycScalar.
+# The routines use only + - *, truthiness and, in division, 1 / (leading
+# coefficient of the divisor), skipped when that coefficient is 1, so division
+# by a monic integer list stays in int.  Results carry no trailing zeros.
+# polys.Poly wraps this kit; factor.py runs it on raw lists.
+
+
+def _poly_trim(c):
+    n = len(c)
+    while n > 0 and not c[n - 1]:
+        n -= 1
+    return c[:n]
+
+
+def _poly_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _poly_trim(out)
+
+
+def _poly_sub(a, b):
+    out = list(a) + [-c for c in b[len(a):]]
+    for i, c in enumerate(b[:len(a)]):
+        out[i] -= c
+    return _poly_trim(out)
+
+
+def _poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0 * a[0]] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return _poly_trim(out)
+
+
+def _poly_divmod(a, b):
+    b = _poly_trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    r = list(a)
+    q = [0 * b[0]] * max(0, len(r) - db)
+    lead = b[-1]
+    inv = lead if lead == 1 else 1 / lead
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] * inv
         if c:
-            quot[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    if any(num):
-        raise ArithmeticError("division was not exact")
-    return quot
+            q[i - db] = c
+            for j, bc in enumerate(b):
+                r[i - db + j] -= c * bc
+    return _poly_trim(q), _poly_trim(r)
+
+
+def _poly_derivative(a):
+    return _poly_trim([k * c for k, c in enumerate(a)][1:])
+
+
+def _poly_monic(a):
+    """a divided by its leading coefficient; a must be nonzero."""
+    lead = a[-1]
+    if lead == 1:
+        return list(a)
+    inv = 1 / lead
+    return [c * inv for c in a]
+
+
+def _poly_gcd(a, b):
+    """Monic greatest common divisor (Euclid); [] when both are zero.  Each
+    divisor is made monic first: over Q that keeps the remainders' coefficients
+    small, which decides the cost of the degree-40 gcds in factor.py."""
+    a, b = _poly_trim(a), _poly_trim(b)
+    while b:
+        b = _poly_monic(b)
+        a, b = b, _poly_divmod(a, b)[1]
+    return _poly_monic(a) if a else a
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +142,9 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly = _int_poly_exact_div(poly, cyclotomic_coeffs(d))
+            poly, rem = _poly_divmod(poly, cyclotomic_coeffs(d))
+            if rem:
+                raise ArithmeticError("division was not exact")
     return tuple(poly)
 
 
@@ -251,14 +322,14 @@ class CycScalar:
         # extended Euclid against Phi_order: t * self == gcd (a nonzero constant)
         n = self.order
         r0 = [Fraction(c) for c in cyclotomic_coeffs(n)]
-        r1 = list(self.coords)
-        t0: list[Fraction] = [_ZERO]
+        r1 = _poly_trim(self.coords)
+        t0: list[Fraction] = []
         t1: list[Fraction] = [_ONE]
-        while any(r1):
-            q, r = _frac_poly_divmod(r0, r1)
+        while r1:
+            q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
-            t0, t1 = t1, _frac_poly_sub(t0, _frac_poly_mul(q, t1))
-        g = _frac_poly_trim(r0)
+            t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
+        g = _poly_trim(r0)
         if len(g) != 1:
             raise ArithmeticError("cyclotomic modulus not coprime to element")
         inv_g = 1 / g[0]
@@ -331,52 +402,6 @@ def as_scalar(value) -> CycScalar:
     if isinstance(value, CycScalar):
         return value
     return CycScalar(1, (Fraction(value),))
-
-
-# -- rational coefficient-list helpers (private; field inversion, factor.py) ----
-
-def _frac_poly_trim(c: list[Fraction]) -> list[Fraction]:
-    n = len(c)
-    while n > 0 and not c[n - 1]:
-        n -= 1
-    return c[:n]
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if len(a) < len(b):
-        a = a + [_ZERO] * (len(b) - len(a))
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _frac_poly_trim(out)
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _frac_poly_trim(out)
-
-
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    b = _frac_poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [_ZERO] * max(0, len(r) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(r) - 1, len(b) - 2, -1):
-        c = r[i] * inv_lead
-        if c:
-            q[i - len(b) + 1] = c
-            for j in range(len(b)):
-                r[i - len(b) + 1 + j] -= c * b[j]
-    return _frac_poly_trim(q), _frac_poly_trim(r)
 
 
 # -- literal grammar -----------------------------------------------------------

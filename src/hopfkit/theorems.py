@@ -36,11 +36,11 @@ from .characters import (
 )
 from .hopf import HopfData, format_vector, hit_act_alg_on_dual, hit_act_dual_on_alg
 from .integrals import IntegralPair
-from .linalg import Matrix, PreparedSolver, kernel_basis, same_span, vec_eq, vec_scale
+from .linalg import Matrix, PreparedSolver, combine, kernel_basis, same_span, vec_eq, vec_scale
 from .polys import format_poly, is_algebraic_integer
 from .report import VerificationReport
 from .rng import DeterministicRng
-from .scalars import ZERO, as_scalar
+from .scalars import as_scalar
 from .wedderburn import BlockDecomposition
 
 _SUBSET_BUDGET = 256
@@ -125,10 +125,8 @@ def verify_corollary(
     witness = ""
     checked = 0
     for subset in subsets:
-        delta = [ZERO] * H.dim
-        for m in subset:
-            delta = [a + b for a, b in zip(delta, dual_blocks.idempotents[m])]
-        image = hit_act_dual_on_alg(tuple(delta), integrals.Lambda, H)
+        delta = combine([1] * len(subset), [dual_blocks.idempotents[m] for m in subset], H.dim)
+        image = hit_act_dual_on_alg(delta, integrals.Lambda, H)
         coords = solver.decompose(image)
         if coords is None:
             ok = False
@@ -361,11 +359,8 @@ def explore_central_fusion(
 
     idem_solver = PreparedSolver(blocks.idempotents)
     for t, ints in enumerate(central_elements):
-        xi = [ZERO] * H.dim
-        for coeff, chi in zip(ints, table.characters):
-            if coeff:
-                xi = [a + coeff * c for a, c in zip(xi, chi)]
-        image = f_map(tuple(xi), integrals, H)
+        xi = combine(ints, table.characters, H.dim)
+        image = f_map(xi, integrals, H)
         coords = idem_solver.decompose(image)
         if coords is None:
             report.add(

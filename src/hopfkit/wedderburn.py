@@ -24,7 +24,7 @@ from .errors import FieldTooSmallError, HopfkitError, NotSemisimpleError, Retrie
 from .factor import factor_over_cyclotomic, factor_rational
 from .hopf import HopfData, commutes_with_basis, format_vector
 from .integrals import IntegralPair, compute_integrals, left_absorption_failure
-from .linalg import IncrementalDependency, Matrix, Vector, kernel_basis, vec_eq, zero_vector
+from .linalg import IncrementalDependency, Matrix, Vector, combine, kernel_basis, vec_eq, zero_vector
 from .polys import Poly
 from .rng import DeterministicRng
 from .scalars import CycScalar, ONE, ZERO
@@ -125,10 +125,7 @@ def primitive_idempotents(
         # commutative centers a 7-value coefficient range cannot deliver that
         width = _COEFF_RANGE[1] if attempt < 2 else _COEFF_RANGE[1] + r * attempt
         coeffs = [rng.randint(-width, width) for _ in range(r)]
-        cand = zero_vector(H.dim)
-        for c, vec in zip(coeffs, zbasis):
-            if c:
-                cand = tuple(x + c * y for x, y in zip(cand, vec))
+        cand = combine(coeffs, zbasis, H.dim)
         found = _min_poly_on_center(H, cand, r)
         if found is not None and found[0].degree == r and found[0].is_squarefree():
             min_poly, powers = found
@@ -155,9 +152,7 @@ def primitive_idempotents(
     # Lagrange idempotents e_i = q_i(z) / q_i(mu_i) with q_i = m / (x - mu_i),
     # which is prod_{j != i} (z - mu_j) / (mu_i - mu_j); q_i(z) is a combination
     # of the powers 1, z, ..., z^(r-1)
-    idempotents = [
-        _combine(_deflate(min_poly, mu), powers, H.dim) for mu in eigenvalues
-    ]
+    idempotents = [combine(_deflate(min_poly, mu), powers, H.dim) for mu in eigenvalues]
 
     _verify_idempotent_system(H, idempotents)
     degrees = block_degrees(H, idempotents)
@@ -193,29 +188,10 @@ def _certify_semisimple(H: HopfData, integrals: IntegralPair) -> None:
 
 def _deflate(m: Poly, mu: CycScalar) -> list[CycScalar]:
     """Coefficients, low to high, of q(x) / q(mu) for q = m / (x - mu), where
-    mu is a simple root of m (synthetic division; q(mu) = m'(mu) != 0)."""
-    q = [ZERO] * m.degree
-    carry = ZERO
-    for k in range(m.degree, 0, -1):
-        carry = m[k] + mu * carry
-        q[k - 1] = carry
-    value = ZERO
-    for c in reversed(q):
-        value = value * mu + c
-    inv = value.inverse()
-    return [c * inv for c in q]
-
-
-def _combine(coeffs: list[CycScalar], vectors: list[Vector], dim: int) -> Vector:
-    """sum_k coeffs[k] vectors[k]."""
-    out = [ZERO] * dim
-    for c, vec in zip(coeffs, vectors):
-        if c.is_zero():
-            continue
-        for a, x in enumerate(vec):
-            if not x.is_zero():
-                out[a] = out[a] + c * x
-    return tuple(out)
+    mu is a simple root of m (so q(mu) = m'(mu) != 0)."""
+    q, _ = divmod(m, Poly([-mu, 1]))
+    inv = q.evaluate(mu).inverse()
+    return [c * inv for c in q.coeffs]
 
 
 def _verify_idempotent_system(H: HopfData, idempotents: list[Vector]) -> None:

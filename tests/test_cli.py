@@ -117,6 +117,10 @@ def test_parse_error_exits_2(workdir, capsys):
     superscript.write_text("hopf x\ndim \u00b2\n", encoding="utf-8")
     assert main(["check-axioms", str(superscript)]) == 2
     assert "error" in capsys.readouterr().err
+    oversized = workdir / "oversized.hopf"
+    oversized.write_text("hopf x\ndim 1000000\nMULT\n0 0 0 1\n")  # dim beyond the data
+    assert main(["check-axioms", str(oversized)]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(capsys):

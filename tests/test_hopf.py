@@ -249,3 +249,5 @@ def test_parse_hopf_errors():
         parse_hopf("hopf x\ndim \u00b2\n")
     with pytest.raises(ParseError):
         parse_hopf("hopf x\ndim 2\ncyclotomic \u00b2\n")
+    with pytest.raises(ParseError):  # fewer MULT entries than 1 b_k = b_k needs
+        parse_hopf("hopf x\ndim 1000000\nMULT\n0 0 0 1\n")

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from hopfkit import CycScalar, Poly, euler_phi, is_algebraic_integer, min_poly_scalar
+from hopfkit import CycScalar, Matrix, Poly, char_min_poly, euler_phi, is_algebraic_integer, min_poly_scalar
+from hopfkit.factor import resultant_q
 from hopfkit.rng import DeterministicRng
+from hopfkit.scalars import _poly_add, _poly_derivative, _poly_divmod, _poly_gcd, _poly_mul, _poly_trim
 
 
 def test_poly_basics():
@@ -100,3 +102,80 @@ def test_integrality_brute_force_oracle(order):
                 cert = is_algebraic_integer(a)
                 expected = all(q.denominator == 1 for q in a.coords)
                 assert cert.is_integer == expected, (order, k, m, n)
+
+
+# -- the coefficient-list kit beyond 0/1 coefficients ---------------------------
+
+
+def _draw_monic_int(rng, deg):
+    return [rng.randint(-9, 9) for _ in range(deg)] + [1]
+
+
+def _draw_fraction(rng, deg):
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(deg + 1)]
+    coeffs[-1] = coeffs[-1] or Fraction(7, 3)
+    return coeffs
+
+
+def _draw_cyc8(rng, deg):
+    def scalar():
+        return CycScalar.from_coords(8, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)])
+
+    coeffs = [scalar() for _ in range(deg + 1)]
+    coeffs[-1] = coeffs[-1] or 2 - 3 * CycScalar.zeta(8, 3)
+    return coeffs
+
+
+def _sylvester_det(a, b):
+    """Res(a, b) as the determinant of the Sylvester matrix, det S = (-1)^n charpoly_S(0)."""
+    m, n = len(a) - 1, len(b) - 1
+    size = m + n
+    rows = [[0] * k + a[::-1] + [0] * (n - 1 - k) for k in range(n)]
+    rows += [[0] * k + b[::-1] + [0] * (m - 1 - k) for k in range(m)]
+    char, _ = char_min_poly(Matrix(rows))
+    return (-1) ** size * char[0]
+
+
+# family -> (draw a polynomial of a given degree, map its coefficients into a
+# field); gcd and resultants divide by non-monic remainders, so integer lists
+# are compared over Q there
+_KIT_FAMILIES = {
+    "monic-int": (_draw_monic_int, Fraction),
+    "fraction": (_draw_fraction, Fraction),
+    "cyc8": (_draw_cyc8, lambda c: c),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_KIT_FAMILIES))
+def test_coefficient_kit_identities(family):
+    draw, to_field = _KIT_FAMILIES[family]
+    rng = DeterministicRng(31)
+    for trial in range(4):
+        # division with remainder: a = q b + r, deg r < deg b
+        a, b = draw(rng, 5), draw(rng, 2)
+        q, r = _poly_divmod(a, b)
+        assert _poly_add(_poly_mul(q, b), r) == _poly_trim(a)
+        assert len(r) < len(b)
+        if family == "monic-int":
+            assert all(type(c) is int for c in q + r)  # monic division stays in int
+
+        # product rule
+        f, g = draw(rng, 3), draw(rng, 2)
+        lhs = _poly_derivative(_poly_mul(f, g))
+        rhs = _poly_add(_poly_mul(_poly_derivative(f), g), _poly_mul(f, _poly_derivative(g)))
+        assert lhs == rhs
+
+        # resultant by the remainder chain against the Sylvester determinant;
+        # the degrees vary so that odd deg a * deg b steps (a sign flip) occur
+        a = [to_field(c) for c in draw(rng, 3)]
+        b = [to_field(c) for c in draw(rng, 1 + trial % 3)]
+        assert resultant_q(a, b) == _sylvester_det(a, b)
+
+        # gcd(f g, f h) = f / lc(f) for coprime g, h (nonzero resultant)
+        f = [to_field(c) for c in draw(rng, 2)]
+        g, h = [to_field(c) for c in draw(rng, 2)], [to_field(c) for c in draw(rng, 1)]
+        while not _sylvester_det(g, h):
+            h = [to_field(c) for c in draw(rng, 1)]
+        expected = [c / f[-1] for c in f]
+        assert _poly_gcd(_poly_mul(f, g), _poly_mul(f, h)) == expected
+        assert _poly_gcd(f, []) == _poly_gcd([], f) == expected
