@@ -16,6 +16,7 @@ span); its matrix is invertible for every semisimple input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import HopfkitError, InconsistentSystemError
 from .hopf import (
@@ -45,6 +46,10 @@ class CharacterTable:
     @property
     def count(self) -> int:
         return len(self.characters)
+
+    @cached_property
+    def solver(self) -> PreparedSolver:
+        return PreparedSolver(self.characters)
 
 
 @dataclass
@@ -113,12 +118,11 @@ def fusion_ring(table: CharacterTable, H: HopfData) -> FusionRing:
     """Decompose all character products, certify integrality and the monic
     annihilating polynomial of every chi_V."""
     r = table.count
-    solver = PreparedSolver(table.characters)
     tensor: list[list[list[int]]] = [[[0] * r for _ in range(r)] for _ in range(r)]
     for v in range(r):
         for w in range(r):
             product = convolve(table.characters[v], table.characters[w], H)
-            coeffs = solver.decompose(product)
+            coeffs = table.solver.decompose(product)
             if coeffs is None:
                 raise HopfkitError(
                     f"chi_{table.labels[v]} chi_{table.labels[w]} left the character span"
@@ -184,8 +188,7 @@ def convolution_poly_eval(p: Poly, chi: Vector, H: HopfData) -> Vector:
 def central_decomposition(zeta: Vector, dual_blocks: BlockDecomposition) -> CentralDecomposition:
     """Coordinates of a central dual vector over the primitive idempotents of
     Z(H*); the reconstruction identity is asserted exactly."""
-    solver = PreparedSolver(dual_blocks.idempotents)
-    coeffs = solver.decompose(zeta)
+    coeffs = dual_blocks.solver.decompose(zeta)
     if coeffs is None:
         raise InconsistentSystemError(
             "central vector is not in the span of the dual primitive idempotents"

@@ -180,7 +180,9 @@ def trace(a: Matrix) -> CycScalar:
 
 
 def _rref(data: list[list[CycScalar]]) -> tuple[list[list[CycScalar]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+    """Reduced row echelon form, computed in place: the row lists are the
+    caller's to give up (never a Matrix's own rows).  Returns (rows, pivot
+    column list)."""
     if not data:
         return data, []
     n_rows, n_cols = len(data), len(data[0])
@@ -195,16 +197,20 @@ def _rref(data: list[list[CycScalar]]) -> tuple[list[list[CycScalar]], list[int]
         if pivot_row is None:
             continue
         data[r], data[pivot_row] = data[pivot_row], data[r]
-        inv = data[r][c].inverse()
-        data[r] = [e * inv for e in data[r]]
         prow = data[r]
+        # rows r.. are zero left of c, so the pivot row's support starts at c
+        support = [j for j in range(c, n_cols) if not prow[j].is_zero()]
+        if prow[c] != ONE:
+            inv = prow[c].inverse()
+            for j in support:
+                prow[j] = prow[j] * inv
+        pairs = [(j, prow[j]) for j in support]
         for i in range(n_rows):
-            if i == r:
-                continue
-            f = data[i][c]
-            if not f.is_zero():
-                row = data[i]
-                data[i] = [x - f * y for x, y in zip(row, prow)]
+            row = data[i]
+            f = row[c]
+            if i != r and not f.is_zero():
+                for j, y in pairs:
+                    row[j] = row[j] - f * y
         pivots.append(c)
         r += 1
         if r == n_rows:

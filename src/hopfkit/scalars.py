@@ -1,12 +1,15 @@
 """Exact scalars: arbitrary-precision rationals and cyclotomic field elements.
 
-Rationals are plain ``fractions.Fraction``.  A :class:`CycScalar` of order N is
-an element of Q(zeta_N), stored by its coordinates over the power basis
-{1, z, z^2, ..., z^(phi(N)-1)} with z a fixed primitive N-th root of unity;
-coordinates are kept reduced modulo the N-th cyclotomic polynomial.  All
-arithmetic is exact.  Scalars of different orders combine by lifting both into
-Q(zeta_lcm); a value whose non-constant coordinates vanish is normalized down
-to order 1, so purely rational work never pays the cyclotomic overhead.
+A :class:`CycScalar` of order N is an element of Q(zeta_N), stored by its
+rational coordinates over the power basis {1, z, z^2, ..., z^(phi(N)-1)} with z
+a fixed primitive N-th root of unity; coordinates are kept reduced modulo the
+N-th cyclotomic polynomial.  A coordinate is a plain ``int`` when it is
+integral and a ``fractions.Fraction`` (denominator > 1) otherwise, never a
+``float``: most values the checks touch are integers, and int arithmetic skips
+the gcd that every Fraction operation pays.  All arithmetic is exact.  Scalars
+of different orders combine by lifting both into Q(zeta_lcm); a value whose
+non-constant coordinates vanish is normalized down to order 1, so purely
+rational work never pays the cyclotomic overhead.
 
 The scalar literal grammar used by file formats and reports:
 
@@ -26,8 +29,10 @@ from math import lcm
 
 from .errors import ParseError
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _coord(x):
+    """The canonical coordinate of an int or Fraction x: int when integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 @lru_cache(maxsize=None)
@@ -48,9 +53,10 @@ def euler_phi(n: int) -> int:
 
 # -- the coefficient-list kit --------------------------------------------------
 # Polynomials as low-to-high coefficient lists over int, Fraction or CycScalar.
-# The routines use only + - *, truthiness and, in division, 1 / (leading
-# coefficient of the divisor), skipped when that coefficient is 1, so division
-# by a monic integer list stays in int.  Results carry no trailing zeros.
+# The routines use only + - *, truthiness and, in division, the reciprocal of
+# the divisor's leading coefficient (_poly_inv: exact, and an int for a lead of
+# +-1, so division by a monic integer list stays in int).  Results carry no
+# trailing zeros.
 # polys.Poly wraps this kit; factor.py runs it on raw lists.
 
 
@@ -89,6 +95,14 @@ def _poly_mul(a, b):
     return _poly_trim(out)
 
 
+def _poly_inv(lead):
+    """1 / lead, exact: a canonical int or Fraction for a rational lead, never
+    a float."""
+    if isinstance(lead, (int, Fraction)):
+        return _coord(Fraction(1, lead))
+    return 1 / lead
+
+
 def _poly_divmod(a, b):
     b = _poly_trim(b)
     if not b:
@@ -96,8 +110,7 @@ def _poly_divmod(a, b):
     db = len(b) - 1
     r = list(a)
     q = [0 * b[0]] * max(0, len(r) - db)
-    lead = b[-1]
-    inv = lead if lead == 1 else 1 / lead
+    inv = _poly_inv(b[-1])
     for i in range(len(r) - 1, db - 1, -1):
         c = r[i] * inv
         if c:
@@ -113,11 +126,8 @@ def _poly_derivative(a):
 
 def _poly_monic(a):
     """a divided by its leading coefficient; a must be nonzero."""
-    lead = a[-1]
-    if lead == 1:
-        return list(a)
-    inv = 1 / lead
-    return [c * inv for c in a]
+    inv = _poly_inv(a[-1])
+    return list(a) if inv == 1 else [c * inv for c in a]
 
 
 def _poly_gcd(a, b):
@@ -148,7 +158,7 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce_mod_cyclotomic(coeffs: list[Fraction], order: int) -> list[Fraction]:
+def _reduce_mod_cyclotomic(coeffs: list, order: int) -> list:
     """Remainder of a coefficient list (low-to-high) modulo Phi_order,
     padded/truncated to exactly phi(order) coordinates."""
     phi = euler_phi(order)
@@ -157,13 +167,13 @@ def _reduce_mod_cyclotomic(coeffs: list[Fraction], order: int) -> list[Fraction]
     for i in range(len(c) - 1, phi - 1, -1):
         t = c[i]
         if t:
-            c[i] = _ZERO
+            c[i] = 0
             for j in range(phi):
                 if mod[j]:
                     c[i - phi + j] -= t * mod[j]
     del c[phi:]
     while len(c) < phi:
-        c.append(_ZERO)
+        c.append(0)
     return c
 
 
@@ -172,26 +182,26 @@ class CycScalar:
 
     __slots__ = ("order", "coords")
 
-    def __init__(self, order: int, coords: tuple[Fraction, ...]):
-        # trusted constructor: length must already equal phi(order) and a
-        # rational value must already have been collapsed to order 1
+    def __init__(self, order: int, coords: tuple[int | Fraction, ...]):
+        # trusted constructor: length must already equal phi(order), a
+        # rational value must already have been collapsed to order 1, and
+        # every coordinate must already be canonical (see _coord)
         self.order = order
         self.coords = coords
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def _make(order: int, coords: list[Fraction]) -> "CycScalar":
+    def _make(order: int, coords: list) -> "CycScalar":
         if order > 1:
             for c in coords[1:]:
                 if c:
-                    return CycScalar(order, tuple(coords))
-            return CycScalar(1, (coords[0],))
-        return CycScalar(1, (coords[0],))
+                    return CycScalar(order, tuple(map(_coord, coords)))
+        return CycScalar(1, (_coord(coords[0]),))
 
     @classmethod
     def from_rational(cls, value: Fraction | int) -> "CycScalar":
-        return cls(1, (Fraction(value),))
+        return cls(1, (_coord(Fraction(value)),))
 
     @classmethod
     def from_coords(cls, order: int, coords) -> "CycScalar":
@@ -199,7 +209,7 @@ class CycScalar:
         (arbitrary length; reduced modulo the cyclotomic polynomial)."""
         if order < 1:
             raise ValueError("order must be >= 1")
-        cs = [Fraction(c) for c in coords]
+        cs = [_coord(Fraction(c)) for c in coords]
         return cls._make(order, _reduce_mod_cyclotomic(cs, order))
 
     @classmethod
@@ -208,7 +218,7 @@ class CycScalar:
         if order < 1:
             raise ValueError("order must be >= 1")
         power %= order
-        coeffs = [_ZERO] * power + [_ONE]
+        coeffs = [0] * power + [1]
         return cls._make(order, _reduce_mod_cyclotomic(coeffs, order))
 
     # -- predicates and conversions ---------------------------------------
@@ -222,7 +232,7 @@ class CycScalar:
     def as_fraction(self) -> Fraction:
         if self.order != 1:
             raise ValueError(f"{self!r} is not rational")
-        return self.coords[0]
+        return Fraction(self.coords[0])
 
     def is_integer(self) -> bool:
         return self.order == 1 and self.coords[0].denominator == 1
@@ -232,20 +242,20 @@ class CycScalar:
 
     # -- order lifting ------------------------------------------------------
 
-    def lift(self, order: int) -> list[Fraction]:
+    def lift(self, order: int) -> list:
         """Coordinates of this value in Q(zeta_order); self.order must divide order."""
         if order == self.order:
             return list(self.coords)
         if order % self.order != 0:
             raise ValueError(f"cannot lift order {self.order} into order {order}")
         k = order // self.order
-        out = [_ZERO] * ((len(self.coords) - 1) * k + 1)
+        out = [0] * ((len(self.coords) - 1) * k + 1)
         for i, c in enumerate(self.coords):
             if c:
                 out[i * k] = c
-        return _reduce_mod_cyclotomic(out, order)
+        return [_coord(c) for c in _reduce_mod_cyclotomic(out, order)]
 
-    def _common(self, other: "CycScalar") -> tuple[int, list[Fraction], list[Fraction]]:
+    def _common(self, other: "CycScalar") -> tuple[int, list, list]:
         if self.order == other.order:
             return self.order, list(self.coords), list(other.coords)
         n = lcm(self.order, other.order)
@@ -258,7 +268,7 @@ class CycScalar:
         if isinstance(value, CycScalar):
             return value
         if isinstance(value, (int, Fraction)):
-            return CycScalar(1, (Fraction(value),))
+            return CycScalar(1, (_coord(value),))
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other) -> "CycScalar":
@@ -266,7 +276,7 @@ class CycScalar:
         if other is NotImplemented:
             return NotImplemented
         if self.order == 1 and other.order == 1:
-            return CycScalar(1, (self.coords[0] + other.coords[0],))
+            return CycScalar(1, (_coord(self.coords[0] + other.coords[0]),))
         n, a, b = self._common(other)
         return self._make(n, [x + y for x, y in zip(a, b)])
 
@@ -280,7 +290,7 @@ class CycScalar:
         if other is NotImplemented:
             return NotImplemented
         if self.order == 1 and other.order == 1:
-            return CycScalar(1, (self.coords[0] - other.coords[0],))
+            return CycScalar(1, (_coord(self.coords[0] - other.coords[0]),))
         n, a, b = self._common(other)
         return self._make(n, [x - y for x, y in zip(a, b)])
 
@@ -292,19 +302,19 @@ class CycScalar:
         if other is NotImplemented:
             return NotImplemented
         if self.order == 1 and other.order == 1:
-            return CycScalar(1, (self.coords[0] * other.coords[0],))
+            return CycScalar(1, (_coord(self.coords[0] * other.coords[0]),))
         if self.order == 1:
             q = self.coords[0]
             if not q:
-                return CycScalar(1, (_ZERO,))
+                return ZERO
             return self._make(other.order, [q * c for c in other.coords])
         if other.order == 1:
             q = other.coords[0]
             if not q:
-                return CycScalar(1, (_ZERO,))
+                return ZERO
             return self._make(self.order, [q * c for c in self.coords])
         n, a, b = self._common(other)
-        prod = [_ZERO] * (len(a) + len(b) - 1)
+        prod = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -318,13 +328,13 @@ class CycScalar:
         if self.is_zero():
             raise ZeroDivisionError("division by zero cyclotomic scalar")
         if self.order == 1:
-            return CycScalar(1, (1 / self.coords[0],))
+            return CycScalar(1, (_coord(Fraction(1, self.coords[0])),))
         # extended Euclid against Phi_order: t * self == gcd (a nonzero constant)
         n = self.order
-        r0 = [Fraction(c) for c in cyclotomic_coeffs(n)]
+        r0 = list(cyclotomic_coeffs(n))
         r1 = _poly_trim(self.coords)
-        t0: list[Fraction] = []
-        t1: list[Fraction] = [_ONE]
+        t0: list = []
+        t1: list = [1]
         while r1:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
@@ -332,7 +342,7 @@ class CycScalar:
         g = _poly_trim(r0)
         if len(g) != 1:
             raise ArithmeticError("cyclotomic modulus not coprime to element")
-        inv_g = 1 / g[0]
+        inv_g = Fraction(1, g[0])
         coeffs = _reduce_mod_cyclotomic([c * inv_g for c in t0], n)
         return self._make(n, coeffs)
 
@@ -343,7 +353,7 @@ class CycScalar:
         if self.order == 1 and other.order == 1:
             if not other.coords[0]:
                 raise ZeroDivisionError("division by zero cyclotomic scalar")
-            return CycScalar(1, (self.coords[0] / other.coords[0],))
+            return CycScalar(1, (_coord(Fraction(self.coords[0], other.coords[0])),))
         return self * other.inverse()
 
     def __rtruediv__(self, other) -> "CycScalar":
@@ -355,7 +365,7 @@ class CycScalar:
     def __pow__(self, exponent: int) -> "CycScalar":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = CycScalar(1, (_ONE,))
+        result = ONE
         base = self
         e = exponent
         while e:
@@ -378,7 +388,7 @@ class CycScalar:
 
     __hash__ = None  # type: ignore[assignment]  # values of equal worth may live at different orders
 
-    def sort_key(self, order: int) -> tuple[Fraction, ...]:
+    def sort_key(self, order: int) -> tuple:
         """Deterministic comparison key: coordinates lifted to a common order."""
         return tuple(self.lift(order))
 
@@ -393,15 +403,17 @@ class CycScalar:
         return format_scalar(self)
 
 
-ZERO = CycScalar(1, (_ZERO,))
-ONE = CycScalar(1, (_ONE,))
+ZERO = CycScalar(1, (0,))
+ONE = CycScalar(1, (1,))
 
 
 def as_scalar(value) -> CycScalar:
     """Coerce an int / Fraction / CycScalar to a CycScalar."""
     if isinstance(value, CycScalar):
         return value
-    return CycScalar(1, (Fraction(value),))
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return CycScalar(1, (_coord(value),))
 
 
 # -- literal grammar -----------------------------------------------------------
@@ -473,11 +485,11 @@ def parse_scalar(text: str, order: int) -> CycScalar:
             den = int(m.group(2)) if m.group(2) else 1
             if den == 0:
                 raise ParseError(f"zero denominator in scalar literal {text!r}")
-            accum[0] = accum.get(0, _ZERO) + sgn * Fraction(num, den)
+            accum[0] = accum.get(0, 0) + sgn * Fraction(num, den)
             continue
         m = _TERM_RE.match(term)
         if m:
-            coeff = _ONE
+            coeff = 1
             if m.group(1):
                 if "/" in m.group(1):
                     n_, d_ = m.group(1).split("/")
@@ -488,10 +500,10 @@ def parse_scalar(text: str, order: int) -> CycScalar:
                     coeff = Fraction(int(m.group(1)))
             k = int(m.group(2)) if m.group(2) else 1
             k %= order
-            accum[k] = accum.get(k, _ZERO) + sgn * coeff
+            accum[k] = accum.get(k, 0) + sgn * coeff
             continue
         raise ParseError(f"bad term {term!r} in scalar literal {text!r}")
 
     top = max(accum) if accum else 0
-    coeffs = [accum.get(k, _ZERO) for k in range(top + 1)]
+    coeffs = [accum.get(k, 0) for k in range(top + 1)]
     return CycScalar.from_coords(order, coeffs)

@@ -36,7 +36,7 @@ from .characters import (
 )
 from .hopf import HopfData, format_vector, hit_act_alg_on_dual, hit_act_dual_on_alg
 from .integrals import IntegralPair
-from .linalg import Matrix, PreparedSolver, combine, kernel_basis, same_span, vec_eq, vec_scale
+from .linalg import Matrix, combine, kernel_basis, same_span, vec_eq, vec_scale
 from .polys import format_poly, is_algebraic_integer
 from .report import VerificationReport
 from .rng import DeterministicRng
@@ -110,7 +110,6 @@ def verify_corollary(
             f"delta Lambda = {format_vector(lhs)}" if ok else f"expected {format_vector(rhs)}, got {format_vector(lhs)}",
         )
 
-    solver = PreparedSolver(dual_table.characters)
     if (1 << r) <= _SUBSET_BUDGET:
         subsets = [
             tuple(m for m in range(r) if mask >> m & 1) for mask in range(1 << r)
@@ -127,7 +126,7 @@ def verify_corollary(
     for subset in subsets:
         delta = combine([1] * len(subset), [dual_blocks.idempotents[m] for m in subset], H.dim)
         image = hit_act_dual_on_alg(delta, integrals.Lambda, H)
-        coords = solver.decompose(image)
+        coords = dual_table.solver.decompose(image)
         if coords is None:
             ok = False
             witness = f"delta Lambda left the character span for T = {subset}"
@@ -167,7 +166,6 @@ def verify_proposition(
     integrals: IntegralPair,
 ) -> VerificationReport:
     report = VerificationReport(subject=H.name, dim=H.dim, suite="proposition")
-    solver = PreparedSolver(dual_table.characters)
     for label, deg, chi in zip(blocks.labels, blocks.degrees, table.characters):
         if not is_central_character(chi, H):
             report.add(
@@ -201,7 +199,7 @@ def verify_proposition(
         )
 
         image = hit_act_dual_on_alg(zeta, integrals.Lambda, H)
-        coords = solver.decompose(image)
+        coords = dual_table.solver.decompose(image)
         if coords is None:
             report.add(
                 f"{label}-coordinates",
@@ -261,10 +259,9 @@ def verify_section4(
         f"rank {len(dual_blocks.center_basis)} witnessed on both sides" if ok else "span mismatch",
     )
 
-    idem_solver = PreparedSolver(blocks.idempotents)
     for label, deg, chi in zip(blocks.labels, blocks.degrees, table.characters):
         image = f_map(H.apply_dual_antipode(chi), integrals, H)
-        coords = idem_solver.decompose(image)
+        coords = blocks.solver.decompose(image)
         if coords is None:
             report.add(
                 f"{label}-closure",
@@ -357,11 +354,10 @@ def explore_central_fusion(
         "; ".join(str(v) for v in central_elements),
     )
 
-    idem_solver = PreparedSolver(blocks.idempotents)
     for t, ints in enumerate(central_elements):
         xi = combine(ints, table.characters, H.dim)
         image = f_map(xi, integrals, H)
-        coords = idem_solver.decompose(image)
+        coords = blocks.solver.decompose(image)
         if coords is None:
             report.add(
                 f"xi{t}",

@@ -18,13 +18,14 @@ coordinates, so labels are stable for a given seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt, lcm
 
 from .errors import FieldTooSmallError, HopfkitError, NotSemisimpleError, RetriesExhaustedError
 from .factor import factor_over_cyclotomic, factor_rational
 from .hopf import HopfData, commutes_with_basis, format_vector
 from .integrals import IntegralPair, compute_integrals, left_absorption_failure
-from .linalg import IncrementalDependency, Matrix, Vector, combine, kernel_basis, vec_eq, zero_vector
+from .linalg import IncrementalDependency, Matrix, PreparedSolver, Vector, combine, kernel_basis, vec_eq, zero_vector
 from .polys import Poly
 from .rng import DeterministicRng
 from .scalars import CycScalar, ONE, ZERO
@@ -45,6 +46,10 @@ class BlockDecomposition:
     @property
     def count(self) -> int:
         return len(self.idempotents)
+
+    @cached_property
+    def solver(self) -> PreparedSolver:
+        return PreparedSolver(self.idempotents)
 
 
 def center(H: HopfData) -> list[Vector]:

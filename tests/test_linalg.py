@@ -1,5 +1,7 @@
 """Exact linear algebra: solving, kernels, characteristic/minimal polynomials."""
 
+from fractions import Fraction
+
 import pytest
 
 from hopfkit import CycScalar, Matrix, Poly, char_min_poly, kernel_basis, rank, rref_solve, trace
@@ -105,3 +107,52 @@ def test_cyclotomic_entries():
     kern = kernel_basis(Matrix([[z, 1]]))
     assert len(kern) == 1
     assert (z * kern[0][0] + kern[0][1]).is_zero()
+
+
+def _random_rational_matrix(rng, rows, cols, zeta=None):
+    """Sparse-ish entries with denominators up to 4 (pivots are rarely 1), one
+    zero row and one row that is a combination of two others (so elimination
+    fills in and leaves a dependent row); entries pick up powers of zeta when
+    one is given."""
+    data = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            x = Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.below(3) else 0
+            row.append(x * zeta ** rng.below(3) if zeta is not None and x else x)
+        data.append(row)
+    if rows >= 3:
+        i, j, k = rng.below(rows), rng.below(rows), rng.below(rows)
+        data[k] = [x - Fraction(3, 2) * y for x, y in zip(data[i], data[j])]
+        data[rng.below(rows)] = [0] * cols
+    return Matrix(data)
+
+
+def _coords(m: Matrix):
+    return [[m[i, j].coords for j in range(m.cols)] for i in range(m.rows)]
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_rref_oracle_on_rational_matrices(order):
+    rng = DeterministicRng(400 + order)
+    zeta = CycScalar.zeta(order) if order > 1 else None
+    for _ in range(25):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        a = _random_rational_matrix(rng, rows, cols, zeta)
+        x = _random_rational_matrix(rng, cols, 2, zeta)
+        b = a * x
+        a_before, b_before = _coords(a), _coords(b)
+
+        kern = kernel_basis(a)
+        for v in kern:
+            assert vec_is_zero(a.apply(v))
+        assert rank(a) + len(kern) == cols
+
+        res = rref_solve(a, b)
+        assert res is not None
+        sol, kern_solve = res
+        assert a * sol == b
+        assert len(kern_solve) == len(kern)
+
+        # elimination works on copies: the inputs are untouched
+        assert _coords(a) == a_before and _coords(b) == b_before

@@ -111,6 +111,10 @@ def _draw_monic_int(rng, deg):
     return [rng.randint(-9, 9) for _ in range(deg)] + [1]
 
 
+def _draw_nonmonic_int(rng, deg):
+    return [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(2, 6) * (-1) ** rng.randint(0, 1)]
+
+
 def _draw_fraction(rng, deg):
     coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(deg + 1)]
     coeffs[-1] = coeffs[-1] or Fraction(7, 3)
@@ -137,10 +141,12 @@ def _sylvester_det(a, b):
 
 
 # family -> (draw a polynomial of a given degree, map its coefficients into a
-# field); gcd and resultants divide by non-monic remainders, so integer lists
-# are compared over Q there
+# field); gcd and resultants divide by non-monic remainders, so monic integer
+# lists are compared over Q there, while non-monic ones go in raw to check that
+# the kit's reciprocals stay exact
 _KIT_FAMILIES = {
     "monic-int": (_draw_monic_int, Fraction),
+    "nonmonic-int": (_draw_nonmonic_int, lambda c: c),
     "fraction": (_draw_fraction, Fraction),
     "cyc8": (_draw_cyc8, lambda c: c),
 }
@@ -158,6 +164,7 @@ def test_coefficient_kit_identities(family):
         assert len(r) < len(b)
         if family == "monic-int":
             assert all(type(c) is int for c in q + r)  # monic division stays in int
+        assert not any(isinstance(c, float) for c in q + r)
 
         # product rule
         f, g = draw(rng, 3), draw(rng, 2)
@@ -176,6 +183,8 @@ def test_coefficient_kit_identities(family):
         g, h = [to_field(c) for c in draw(rng, 2)], [to_field(c) for c in draw(rng, 1)]
         while not _sylvester_det(g, h):
             h = [to_field(c) for c in draw(rng, 1)]
-        expected = [c / f[-1] for c in f]
-        assert _poly_gcd(_poly_mul(f, g), _poly_mul(f, h)) == expected
+        expected = [Fraction(1) * c / f[-1] for c in f]  # exact for int lists too
+        gcd = _poly_gcd(_poly_mul(f, g), _poly_mul(f, h))
+        assert gcd == expected
+        assert not any(isinstance(c, float) for c in gcd)
         assert _poly_gcd(f, []) == _poly_gcd([], f) == expected

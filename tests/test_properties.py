@@ -1,0 +1,95 @@
+"""Property tests beyond the 0/1 structure constants of the builders.
+
+A random invertible rational change of basis P turns H into an isomorphic
+Hopf algebra P.H.P^-1 whose structure constants are general rationals.  The
+block degrees and the outcome of every suite are invariants of the
+isomorphism class, so they must not move; getting there runs the
+Fraction-coordinate paths of the scalars, the elimination and the
+factorisation that the builders never reach.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st
+
+from hopfkit import HopfData, Matrix, Pipeline, builtin_group, function_algebra, group_algebra, rref_solve
+
+_DIM = 6  # S3
+_ALGEBRAS = {"kS3": group_algebra(builtin_group("S3")), "k^S3": function_algebra(builtin_group("S3"))}
+
+_scale = st.sampled_from([Fraction(1, 2), Fraction(-1), Fraction(2), Fraction(-3, 2), Fraction(2, 3)])
+_shear = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+_pair = st.tuples(st.integers(0, _DIM - 1), st.integers(0, _DIM - 1)).filter(lambda t: t[0] != t[1])
+
+
+@st.composite
+def _change_of_basis(draw):
+    """P = (scaled permutation) (I + t E_ij) ...: invertible by construction.
+    At most three shears keep the structure constants sparse; a dense P makes
+    them dense, and the bialgebra axiom check then costs d^8 products."""
+    n = _DIM
+    perm = draw(st.permutations(range(n)))
+    p = [[draw(_scale) if perm[i] == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(_pair)
+        t = draw(_shear)
+        for row in p:  # column j += t * column i
+            row[j] += t * row[i]
+    return p
+
+
+def _rebase(H: HopfData, p: list[list[Fraction]]) -> HopfData:
+    """H in the basis b'_i = sum_a p[a][i] b_a; q = p^-1 gives b_a = sum_k q[k][a] b'_k."""
+    n = H.dim
+    sol, _ = rref_solve(Matrix(p), Matrix.identity(n))
+    q = [[sol[i, j].as_fraction() for j in range(n)] for i in range(n)]
+    mult: dict = {}
+    for (a, b, c), s in H.mult.items():
+        s = s.as_fraction()
+        for i in range(n):
+            for j in range(n):
+                f = p[a][i] * p[b][j] * s
+                if f:
+                    for k in range(n):
+                        mult[i, j, k] = mult.get((i, j, k), 0) + f * q[k][c]
+    comult: dict = {}
+    for (x, y, a), s in H.comult.items():
+        s = s.as_fraction()
+        for i in range(n):
+            f = p[a][i] * s
+            if f:
+                for k in range(n):
+                    for l in range(n):
+                        comult[k, l, i] = comult.get((k, l, i), 0) + f * q[k][x] * q[l][y]
+    antipode: dict = {}
+    for (c, a), s in H.antipode.items():
+        s = s.as_fraction()
+        for i in range(n):
+            for k in range(n):
+                antipode[k, i] = antipode.get((k, i), 0) + p[a][i] * s * q[k][c]
+    unit = [sum(q[k][c] * H.unit[c].as_fraction() for c in range(n)) for k in range(n)]
+    counit = [sum(p[a][i] * H.counit[a].as_fraction() for a in range(n)) for i in range(n)]
+    return HopfData(f"{H.name}-rebased", n, mult, unit, comult, counit, antipode, H.cyclotomic_order)
+
+
+def _invariants(H: HopfData):
+    pipe = Pipeline(H)
+    return sorted(pipe.blocks.degrees), [(rep.suite, rep.overall) for rep in pipe.all_suites()]
+
+
+@lru_cache(maxsize=None)
+def _expected(name: str):
+    return _invariants(_ALGEBRAS[name])
+
+
+@pytest.mark.parametrize("name", sorted(_ALGEBRAS))
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(p=_change_of_basis())
+def test_change_of_basis_keeps_degrees_and_suite_status(name, p):
+    rebased = _rebase(_ALGEBRAS[name], p)
+    assume(any(not s.is_integer() for s in (*rebased.mult.values(), *rebased.comult.values())))
+    assert _invariants(rebased) == _expected(name)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hopfkit import CycScalar, ParseError, cyclotomic_coeffs, euler_phi, format_scalar, parse_scalar
+from hopfkit.scalars import ONE, as_scalar
 from hopfkit.rng import DeterministicRng
 
 
@@ -124,3 +125,61 @@ def test_parse_reduces_high_powers():
     assert parse_scalar("z^4", 4) == 1
     assert parse_scalar("z^2 + 1", 4) == 0
     assert parse_scalar("2*z + z", 4) == 3 * CycScalar.zeta(4)
+
+
+# -- canonical coordinates: int when integral, Fraction otherwise, never float --
+
+
+def _canonical(coords) -> bool:
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in coords
+    )
+
+
+def test_canonical_coordinate_pins():
+    assert (ONE / 2).coords == (Fraction(1, 2),)
+    assert type(as_scalar(Fraction(4, 2)).coords[0]) is int
+    assert type(CycScalar.from_rational(Fraction(6, 3)).coords[0]) is int
+    assert type(as_scalar(3).as_fraction()) is Fraction
+    assert type((ONE / 2).as_fraction()) is Fraction
+    assert (ONE / 2 + ONE / 2).coords == (1,) and type((ONE / 2 * 2).coords[0]) is int
+
+
+@pytest.mark.parametrize("order", [1, 3, 4, 6, 8, 12])
+def test_operations_keep_coordinates_canonical(order):
+    rng = DeterministicRng(order * 7 + 3)
+    phi = euler_phi(order)
+
+    def draw():
+        # denominators 1 and 2 make integral sums and products of Fractions common
+        return CycScalar.from_coords(
+            order, [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(phi)]
+        )
+
+    for _ in range(25):
+        a, b = draw(), draw()
+        results = [a, b, a + b, a - b, a * b, -a, a + 1, 2 - a, a * Fraction(2, 4), a**3]
+        if not b.is_zero():
+            results += [a / b, a / 2, 3 / b, b.inverse(), b**-2]
+        for v in results:
+            assert _canonical(v.coords), (v, v.coords)
+            assert _canonical(v.lift(order * 2)), (v, order)
+            assert parse_scalar(format_scalar(v), v.order).coords == v.coords
+
+
+def test_parse_and_coords_constructors_are_canonical():
+    for text in ("4/2", "-6/3 + 1/2*z", "2*z^2 - 2/2", "0", "3/4*z^3", "z^4"):
+        assert _canonical(parse_scalar(text, 8).coords), text
+    assert CycScalar.from_coords(4, [Fraction(2, 2), Fraction(6, 4)]).coords == (1, Fraction(3, 2))
+    assert CycScalar.from_coords(6, [Fraction(1, 2), 1, 1]).coords == (Fraction(-1, 2), 2)
+
+
+def test_pipeline_vectors_are_canonical(pipelines):
+    p = pipelines("D(S3)")
+    ip = p.integrals
+    vectors = [ip.lambda_dual, ip.Lambda, ip.Lambda_scaled]
+    for side in (p, p.dual):
+        vectors += side.blocks.idempotents + side.table.characters
+    for vec in vectors:
+        for x in vec:
+            assert _canonical(x.coords), x.coords

@@ -223,3 +223,27 @@ def test_axioms_negative_control(examples):
     bad = HopfData("broken", 2, h.mult, h.unit, comult, h.counit, h.antipode)
     rep = check_axioms(bad)
     assert not rep.overall
+
+
+def test_report_prepares_one_solver_per_family(examples, monkeypatch):
+    # the character tables and block decompositions of H and H* are the four
+    # column families the suites decompose over; each is prepared at most once
+    import hopfkit.linalg
+
+    prepared = []
+    init = hopfkit.linalg.PreparedSolver.__init__
+
+    def counted(self, columns):
+        prepared.append(id(columns))
+        init(self, columns)
+
+    monkeypatch.setattr(hopfkit.linalg.PreparedSolver, "__init__", counted)
+    p = Pipeline(examples["D(S3)"])
+    assert p.report_document()["overall"]
+    families = {
+        id(f)
+        for side in (p, p.dual)
+        for f in (side.table.characters, side.blocks.idempotents)
+    }
+    assert prepared and set(prepared) <= families
+    assert len(prepared) == len(set(prepared))
