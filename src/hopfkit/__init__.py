@@ -29,7 +29,6 @@ from .errors import (
     InconsistentSystemError,
     NotSemisimpleError,
     ParseError,
-    RetriesExhaustedError,
 )
 from .factor import factor_over_cyclotomic, factor_rational, rational_reconstruction
 from .groups import (
@@ -92,7 +91,6 @@ __all__ = [
     "Pipeline",
     "Poly",
     "ReportItem",
-    "RetriesExhaustedError",
     "SUITES",
     "SessionConfig",
     "VerificationReport",

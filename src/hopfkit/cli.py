@@ -12,7 +12,10 @@
 Exit codes: 0 success, 1 verification failure (or a semantic error such as a
 non-semisimple input), 2 usage or parse error.  Scalars in files and reports
 always use the exact literal grammar; identical inputs and seed give
-byte-identical output.
+byte-identical output.  ``--seed`` (accepted by every subcommand but
+``build``) only chooses the sample of subset idempotents that the corollary
+suite checks when there are more than it can check exhaustively; the blocks
+and everything else do not depend on it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ _BUILDERS = {
 @dataclass(frozen=True)
 class SessionConfig:
     """One invocation's knobs: splitting-field order (None = derive from the
-    input), deterministic seed, output format, and output path."""
+    input), the seed of the corollary suite's subset sample, output format,
+    and output path."""
 
     cyclotomic: int | None = None
     seed: int = 0

@@ -37,13 +37,9 @@ class IntegralSpaceError(HopfkitError):
 
 
 class FieldTooSmallError(HopfkitError):
-    """A central splitting polynomial has an irreducible factor that does not
-    split over the configured Q(zeta_N); rerun with a larger cyclotomic order."""
-
-
-class RetriesExhaustedError(HopfkitError):
-    """No splitting element with squarefree minimal polynomial of full degree
-    was found within the retry budget."""
+    """The minimal polynomial of a center basis element has an irreducible
+    factor that does not split over the configured Q(zeta_N); rerun with a
+    larger cyclotomic order."""
 
 
 class InconsistentSystemError(HopfkitError):

@@ -4,8 +4,8 @@ A :class:`Pipeline` lazily computes axioms, integrals, blocks, characters,
 fusion, and the same stack for the dual algebra, so the verification suites
 share work within a process.  The integral pair is solved once, on H; the dual
 pipeline derives its pair from it.  Everything downstream is a pure function of
-(H, cyclotomic order, seed); two pipelines with equal inputs produce
-identical reports.
+(H, cyclotomic order, seed), and the seed only chooses the corollary suite's
+subset sample; two pipelines with equal inputs produce identical reports.
 """
 
 from __future__ import annotations
@@ -68,9 +68,7 @@ class Pipeline:
 
     @cached_property
     def blocks(self) -> BlockDecomposition:
-        return primitive_idempotents(
-            self.H, order=self.order, seed=self.seed, integrals=self.integrals
-        )
+        return primitive_idempotents(self.H, order=self.order, integrals=self.integrals)
 
     @cached_property
     def table(self) -> CharacterTable:

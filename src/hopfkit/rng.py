@@ -1,9 +1,9 @@
 """A tiny fixed pseudo-random generator.
 
-Splitting-element draws and equal-degree polynomial splitting need a stream of
-small integers that is reproducible byte-for-byte across platforms and Python
-versions (reports must be identical for identical seeds), so we avoid the
-stdlib `random` module and use an xorshift64* generator.
+Equal-degree polynomial splitting and the corollary's subset sample need a
+stream of small integers that is reproducible byte-for-byte across platforms
+and Python versions (reports must be identical for identical seeds), so we
+avoid the stdlib `random` module and use an xorshift64* generator.
 """
 
 from __future__ import annotations

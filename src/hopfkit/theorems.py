@@ -97,10 +97,14 @@ def verify_corollary(
     report = VerificationReport(subject=H.name, dim=H.dim, suite="corollary")
     r = dual_blocks.count
 
+    # delta_m Lambda per dual block; delta -> delta Lambda is linear, so each
+    # subset idempotent's image is the sum of these
+    images = []
     for label, delta_m, deg, chi_m in zip(
         dual_blocks.labels, dual_blocks.idempotents, dual_blocks.degrees, dual_table.characters
     ):
         lhs = hit_act_dual_on_alg(delta_m, integrals.Lambda, H)
+        images.append(lhs)
         rhs = vec_scale(chi_m, as_scalar(deg))
         ok = vec_eq(lhs, rhs)
         report.add(
@@ -124,8 +128,7 @@ def verify_corollary(
     witness = ""
     checked = 0
     for subset in subsets:
-        delta = combine([1] * len(subset), [dual_blocks.idempotents[m] for m in subset], H.dim)
-        image = hit_act_dual_on_alg(delta, integrals.Lambda, H)
+        image = combine([1] * len(subset), [images[m] for m in subset], H.dim)
         coords = dual_table.solver.decompose(image)
         if coords is None:
             ok = False

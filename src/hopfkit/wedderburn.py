@@ -1,18 +1,20 @@
 """The center, centrally primitive idempotents, and block degrees.
 
-The splitting runs entirely over Q(zeta_N): draw a small random integer
-combination z of the center basis; accept it when its minimal polynomial on
-Z(H) is squarefree of degree dim Z(H); factor that polynomial over Q and push
-each irreducible factor to linear factors over Q(zeta_N); the Lagrange
-interpolation idempotents of z at the resulting eigenvalues are the centrally
-primitive idempotents, formed as combinations of the powers 1, z, ...,
-z^(r-1) that the minimal-polynomial search has already computed.  Every
-claimed property (orthogonality, idempotence, sum = 1, centrality, square
-block traces) is then verified exactly; a non-splitting factor is the hard
-error "field too small".
+The splitting runs entirely over Q(zeta_N) and refines by the center basis
+(the eigenspace splitting of Dixon, Numer. Math. 10, 1967).  Start from the
+one idempotent 1.  For each basis vector z_k of Z(H), take its minimal
+polynomial m on Z(H), factor it over Q and push each irreducible factor to
+linear factors over Q(zeta_N); the spectral projectors q(z_k) / q(mu) with
+q = m / (x - mu), one per root mu, are combinations of the powers 1, z_k,
+..., z_k^(deg m - 1) that the minimal-polynomial search has already
+computed.  Each current idempotent e is replaced by the nonzero products
+e P.  Once there are dim Z(H) idempotents they are the centrally primitive
+ones.  Every claimed property (orthogonality, idempotence, sum = 1,
+centrality, square block traces) is then verified exactly; a non-splitting
+factor is the hard error "field too small".
 
 Blocks are ordered by degree, then lexicographically by idempotent
-coordinates, so labels are stable for a given seed.
+coordinates, so labels are stable.
 """
 
 from __future__ import annotations
@@ -21,17 +23,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt, lcm
 
-from .errors import FieldTooSmallError, HopfkitError, NotSemisimpleError, RetriesExhaustedError
+from .errors import FieldTooSmallError, HopfkitError, NotSemisimpleError
 from .factor import factor_over_cyclotomic, factor_rational
 from .hopf import HopfData, commutes_with_basis, format_vector
 from .integrals import IntegralPair, compute_integrals, left_absorption_failure
 from .linalg import IncrementalDependency, Matrix, PreparedSolver, Vector, combine, kernel_basis, vec_eq, zero_vector
-from .polys import Poly
-from .rng import DeterministicRng
+from .polys import Poly, format_poly
 from .scalars import CycScalar, ONE, ZERO
-
-_RETRY_LIMIT = 32
-_COEFF_RANGE = (-3, 3)
 
 
 @dataclass
@@ -96,7 +94,7 @@ def _structure_is_rational(H: HopfData) -> bool:
 
 
 def primitive_idempotents(
-    H: HopfData, order: int | None = None, seed: int = 0, *, integrals: IntegralPair | None = None
+    H: HopfData, order: int | None = None, *, integrals: IntegralPair | None = None
 ) -> BlockDecomposition:
     """Split Z(H) into centrally primitive idempotents over Q(zeta_order).
 
@@ -104,8 +102,7 @@ def primitive_idempotents(
     families).  Semisimplicity is certified from the integral Lambda of
     ``integrals`` (solved here when absent): Lambda must be a left integral
     with eps(Lambda) != 0 (Maschke).  Raises FieldTooSmallError when an
-    eigenvalue of the splitting element lives outside Q(zeta_order),
-    RetriesExhaustedError when no good splitting element is found.
+    eigenvalue of a center basis element lives outside Q(zeta_order).
     """
     if order is None:
         order = H.cyclotomic_order
@@ -121,43 +118,29 @@ def primitive_idempotents(
     if r == 0:
         raise HopfkitError("empty center; input is corrupt")
 
-    rng = DeterministicRng(seed)
-    min_poly: Poly | None = None
-    powers: list[Vector] = []
-    for attempt in range(_RETRY_LIMIT):
-        # start from the documented {-3..3} range and widen on misses: the
-        # splitting element needs r distinct eigenvalues, and for large
-        # commutative centers a 7-value coefficient range cannot deliver that
-        width = _COEFF_RANGE[1] if attempt < 2 else _COEFF_RANGE[1] + r * attempt
-        coeffs = [rng.randint(-width, width) for _ in range(r)]
-        cand = combine(coeffs, zbasis, H.dim)
-        found = _min_poly_on_center(H, cand, r)
-        if found is not None and found[0].degree == r and found[0].is_squarefree():
-            min_poly, powers = found
+    idempotents = [H.unit]
+    for k, z in enumerate(zbasis):
+        if len(idempotents) == r:
             break
-    if min_poly is None:
-        raise RetriesExhaustedError(
-            f"no splitting element found for {H.name} in {_RETRY_LIMIT} draws"
+        min_poly, powers = _min_poly_on_center(H, z, r)
+        # spectral projectors q(z) / q(mu) with q = m / (x - mu), combinations
+        # of the powers 1, z, ..., z^(deg m - 1); they refine every e into the
+        # nonzero products e P
+        projectors = [
+            combine(_deflate(min_poly, mu), powers, H.dim)
+            for mu in _eigenvalues(H, min_poly, order, k)
+        ]
+        idempotents = [
+            prod
+            for e in idempotents
+            for prod in (H.multiply(e, P) for P in projectors)
+            if any(prod)
+        ]
+    if len(idempotents) != r:
+        raise HopfkitError(
+            f"{H.name}: refining by center basis elements z0..z{r - 1} gave "
+            f"{len(idempotents)} idempotents, not dim Z(H) = {r}"
         )
-
-    # eigenvalues of z in Q(zeta_order)
-    eigenvalues: list[CycScalar] = []
-    for factor, _ in factor_rational(min_poly):
-        if factor.degree == 1:
-            eigenvalues.append(-factor[0])
-            continue
-        for linear in factor_over_cyclotomic(factor, order):
-            if linear.degree != 1:
-                raise FieldTooSmallError(
-                    f"a degree-{factor.degree} central eigenvalue of {H.name} does not split "
-                    f"over Q(zeta_{order}); increase the cyclotomic order"
-                )
-            eigenvalues.append(-linear[0])
-
-    # Lagrange idempotents e_i = q_i(z) / q_i(mu_i) with q_i = m / (x - mu_i),
-    # which is prod_{j != i} (z - mu_j) / (mu_i - mu_j); q_i(z) is a combination
-    # of the powers 1, z, ..., z^(r-1)
-    idempotents = [combine(_deflate(min_poly, mu), powers, H.dim) for mu in eigenvalues]
 
     _verify_idempotent_system(H, idempotents)
     degrees = block_degrees(H, idempotents)
@@ -189,6 +172,22 @@ def _certify_semisimple(H: HopfData, integrals: IntegralPair) -> None:
         )
     if H.counit_of(integrals.Lambda).is_zero():
         raise NotSemisimpleError(f"{H.name} is not semisimple: eps(Lambda) = 0")
+
+
+def _eigenvalues(H: HopfData, m: Poly, order: int, k: int) -> list[CycScalar]:
+    """The roots in Q(zeta_order) of the minimal polynomial m of center basis
+    element z_k."""
+    roots: list[CycScalar] = []
+    for factor, _ in factor_rational(m):
+        linears = [factor] if factor.degree == 1 else factor_over_cyclotomic(factor, order)
+        if any(linear.degree != 1 for linear in linears):
+            raise FieldTooSmallError(
+                f"{H.name}: the minimal polynomial of center basis element z{k} has the "
+                f"irreducible factor {format_poly(factor)}, which does not split over "
+                f"Q(zeta_{order}); increase the cyclotomic order"
+            )
+        roots.extend(-linear[0] for linear in linears)
+    return roots
 
 
 def _deflate(m: Poly, mu: CycScalar) -> list[CycScalar]:

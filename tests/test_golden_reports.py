@@ -1,0 +1,51 @@
+"""Byte identity of `report --json` across changes to the implementation.
+
+Primitive central idempotents are unique and blocks are sorted by (degree,
+coordinates), so a change to how the center is split, or to how any suite is
+computed, must leave every report document byte-identical.  The digests below
+were recorded from the report of each algebra before the center split was
+changed from one random splitting element to refinement by the center basis.
+"""
+
+import hashlib
+
+import pytest
+
+from hopfkit import builtin_group, builtin_grp_text, drinfeld_double, dualize, format_hopf
+from hopfkit.cli import main
+
+GOLDEN = {
+    ("C2", "group-algebra"): "fddd52cc388cffa74d7119896418d430d9986c2a15f7e568a945fc2b08f7b9ca",
+    ("C2", "function-algebra"): "5d0410c868a896e48ca20875b3950bbb20c51f1216887233be06707c24a4baa9",
+    ("C3", "group-algebra"): "b0ccc45b0a3c4d1f528bb04091d3801a5ee9567734774520bb46013310915b1f",
+    ("C3", "function-algebra"): "29361561e7469f78fd137be02adb933569346fd6a630f038d04225d969eac9fc",
+    ("C4", "group-algebra"): "a0db2f014fc9d7a7c76cd4c3cf6106268f7610c6c54c3c54bd1e68826f5dbd27",
+    ("C4", "function-algebra"): "4f7afba0a532f0ea49ac0b15f36d6fc2a1b7f7ef13350dd1cc691fa9461e97d8",
+    ("C2xC2", "group-algebra"): "b33a2bee59b5e6328118f6618d04fdd57c3e835e3bb94ea56814811e3a05266c",
+    ("C2xC2", "function-algebra"): "c98029f1cdb4a49a600cb3e90cdb440d2ec83fbf8d82a4291fc70b6ebdc56cda",
+    ("S3", "group-algebra"): "7eb798734b834c039ca343eddae8ae87f4910d4263d124f2086d99adae398249",
+    ("S3", "function-algebra"): "2265f640b110b5e6bdd866424c50b6fac177bc96352e94679e9de46de21f5fa0",
+    ("D4", "group-algebra"): "aa87b9c8e66871386455e662db2cd4d9a5f6c94d47253b7b002eaa9e2896f33f",
+    ("D4", "function-algebra"): "7f5904f9f4c6392edb80ce44d29a912b2bba27299db110721f1a518cc66ad7c6",
+    ("Q8", "group-algebra"): "0f32e69b8e7bb47df6ecc88c72a94b7a9f044d7e6f307e9100cc3e6f4c95340c",
+    ("Q8", "function-algebra"): "8f508e5e5681161942b63ddcb2f745b27b560ecd3714fa5c59bd4e2006f4c5c3",
+    ("C2", "double"): "6e72cbefff114a0c95a54cef5b4cd8c9693c1a68883acde0477a6b91bfb157f0",
+    ("C2", "double-dual"): "b7be73872b38d3f64e38c8b6f7c65ac66dfaa9cd935a0a2cd034ffa543a101cc",
+    ("C3", "double"): "fa3d39a02623f48c6ab604a9cb28a5e022a4916c2f73034f688097a8a374f9a9",
+    ("C3", "double-dual"): "60511dbebd3d26c22f11376963d40c225bd217bd5e9133b12a364c2301fd15b8",
+}
+
+
+@pytest.mark.parametrize("group,kind", sorted(GOLDEN), ids=lambda v: str(v))
+def test_report_json_bytes(group, kind, tmp_path, capsys):
+    if kind == "double-dual":
+        path = tmp_path / f"D{group}-dual.hopf"
+        path.write_text(format_hopf(dualize(drinfeld_double(builtin_group(group)))))
+        args = [str(path)]
+    else:
+        path = tmp_path / f"{group}.grp"
+        path.write_text(builtin_grp_text(group))
+        args = [str(path), "--as", kind]
+    assert main(["report", *args, "--json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN[group, kind]

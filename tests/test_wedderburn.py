@@ -6,8 +6,11 @@ import pytest
 
 from hopfkit import (
     FieldTooSmallError,
+    HopfkitError,
+    Pipeline,
     builtin_group,
     center,
+    drinfeld_double,
     dualize,
     group_algebra,
     primitive_idempotents,
@@ -92,14 +95,26 @@ def test_kc3_discrete_fourier_idempotents():
 
 def test_kc3_field_too_small():
     h = group_algebra(builtin_group("C3"))
-    with pytest.raises(FieldTooSmallError, match="increase"):
+    # z0 = 1 has minimal polynomial x - 1; z1 = g has x^3 - 1
+    with pytest.raises(
+        FieldTooSmallError, match=r"element z1 .* factor x\^2 \+ x \+ 1, .* Q\(zeta_1\); increase"
+    ):
         primitive_idempotents(h, order=1)
+
+
+def test_refinement_short_of_center_dimension_raises(examples, monkeypatch):
+    import hopfkit.wedderburn as wedderburn
+
+    # r copies of the unit cannot split anything: the refinement stays at [1]
+    monkeypatch.setattr(wedderburn, "center", lambda H: [H.unit] * 3)
+    with pytest.raises(HopfkitError, match=r"z0\.\.z2 gave 1 idempotents, not dim Z\(H\) = 3"):
+        primitive_idempotents(examples["kS3"])
 
 
 def test_same_seed_is_deterministic(examples):
     h = examples["D(S3)"]
-    a = primitive_idempotents(h, seed=0)
-    b = primitive_idempotents(h, seed=0)
+    a = Pipeline(h, seed=0).blocks
+    b = Pipeline(h, seed=0).blocks
     assert a.degrees == b.degrees and a.labels == b.labels
     for x, y in zip(a.idempotents, b.idempotents):
         assert vec_eq(x, y)
@@ -107,8 +122,8 @@ def test_same_seed_is_deterministic(examples):
 
 def test_different_seeds_same_idempotent_set(examples):
     h = examples["kQ8"]
-    a = primitive_idempotents(h, seed=0)
-    b = primitive_idempotents(h, seed=12345)
+    a = Pipeline(h, seed=0).blocks
+    b = Pipeline(h, seed=12345).blocks
     assert len(a.idempotents) == len(b.idempotents)
     for e in a.idempotents:
         assert any(vec_eq(e, f) for f in b.idempotents)
@@ -137,8 +152,6 @@ def test_dim_64_envelope():
     # and degrees follow from the conjugacy classes of D4 and their
     # centralizers ({e} and {r^2} contribute the five D4 irreps each, the
     # three 2-element classes contribute four degree-2 blocks each)
-    from hopfkit import drinfeld_double
-
     h = drinfeld_double(builtin_group("D4"))
     blocks = primitive_idempotents(h)
     assert sorted(blocks.degrees) == [1] * 8 + [2] * 14
@@ -146,7 +159,7 @@ def test_dim_64_envelope():
 
 
 def test_cyclotomic_structure_constants_rejected(examples):
-    from hopfkit import HopfData, HopfkitError
+    from hopfkit import HopfData
 
     h = examples["kC2"]
     z = CycScalar.zeta(4)
@@ -160,7 +173,7 @@ def test_cyclotomic_structure_constants_rejected(examples):
 def test_bad_integral_certificate_rejected(examples):
     from dataclasses import replace
 
-    from hopfkit import HopfkitError, compute_integrals
+    from hopfkit import compute_integrals
 
     for name in ("kS3", "D(C2)"):
         h = examples[name]
@@ -171,31 +184,60 @@ def test_bad_integral_certificate_rejected(examples):
         assert primitive_idempotents(h, integrals=good).degrees == DEGREES[name]
 
 
+GROUP_DEGREES = {
+    "C2": [1, 1],
+    "C3": [1, 1, 1],
+    "C4": [1, 1, 1, 1],
+    "C2xC2": [1, 1, 1, 1],
+    "S3": [1, 1, 2],
+    "D4": [1, 1, 1, 1, 2],
+    "Q8": [1, 1, 1, 1, 2],
+}
+
+
+@pytest.mark.parametrize("group", sorted(GROUP_DEGREES))
+def test_double_dual_blocks_are_group_blocks_repeated(group):
+    # D(G) is the tensor coalgebra k^G (x) kG, so D(G)* is the algebra
+    # kG (x) k^G: each block degree of kG, repeated |G| times
+    g = builtin_group(group)
+    blocks = primitive_idempotents(dualize(drinfeld_double(g)))
+    assert blocks.degrees == sorted(GROUP_DEGREES[group] * g.order)
+
+
 @pytest.mark.parametrize("dual", [False, True])
-def test_idempotents_equal_lagrange_product(examples, monkeypatch, dual):
-    import hopfkit.wedderburn as wedderburn
+def test_idempotents_equal_lagrange_product(examples, dual):
+    from hopfkit.linalg import combine
+    from hopfkit.rng import DeterministicRng
 
     h = examples["D(S3)"]
     if dual:
         h = dualize(h)
-    draws = []
-    original = wedderburn._min_poly_on_center
-
-    def recorded(H, z, bound):
-        draws.append(z)
-        return original(H, z, bound)
-
-    monkeypatch.setattr(wedderburn, "_min_poly_on_center", recorded)
     blocks = primitive_idempotents(h)
-    z = draws[-1]  # the accepted splitting element
-    # the eigenvalue of z on each block: z e = mu e
-    mus = []
-    for e in blocks.idempotents:
-        ze = h.multiply(z, e)
-        k = next(k for k, c in enumerate(e) if not c.is_zero())
-        mu = ze[k] / e[k]
-        assert vec_eq(ze, tuple(mu * c for c in e))
-        mus.append(mu)
+    zbasis = center(h)
+    r = len(zbasis)
+
+    def eigenvalues(z):
+        # z e = mu e on each block e
+        mus = []
+        for e in blocks.idempotents:
+            ze = h.multiply(z, e)
+            k = next(k for k, c in enumerate(e) if not c.is_zero())
+            mu = ze[k] / e[k]
+            assert vec_eq(ze, tuple(mu * c for c in e))
+            mus.append(mu)
+        return mus
+
+    # a splitting element: a seeded combination of the center basis whose
+    # minimal polynomial has degree r, that is, whose r block eigenvalues are
+    # pairwise distinct
+    rng = DeterministicRng(7)
+    for _ in range(20):
+        z = combine([rng.randint(-r, r) for _ in range(r)], zbasis, h.dim)
+        mus = eigenvalues(z)
+        if all(not (a - b).is_zero() for i, a in enumerate(mus) for b in mus[i + 1:]):
+            break
+    else:
+        pytest.fail("no splitting element in 20 draws")
     # oracle: e_i = prod_{j != i} (z - mu_j) / (mu_i - mu_j), multiplied out in H
     for i, (e, mu_i) in enumerate(zip(blocks.idempotents, mus)):
         num = h.unit
