@@ -17,9 +17,19 @@ picture: with these conventions the dual Hopf algebra simply swaps mult with
 comult and unit with counit and transposes the antipode, so dualizing twice is
 the identity on the nose.
 
-Axiom checking is exhaustive over basis tuples; the contraction loops read the
-bucketed views ``mult_nz``, ``comult_nz`` and ``antipode_nz``, which keeps the
-group-flavored example families (whose structure constants are 0/1) fast.
+The contraction loops read cached bucketed views that hold only the stored
+entries, in index order: ``mult_nz[i]`` is a dict ``{j: ((k, c), ...)}`` with a
+key only for each nonzero product b_i b_j, ``mult_by_output[k]`` lists the
+products with a b_k term, ``comult_nz[k]`` the terms of Delta(b_k) and
+``antipode_nz[j]`` those of S(b_j).  They take O(d + nnz) memory.
+
+Axiom checking is exhaustive and exact, and its cost follows the nonzero
+entries, not d.  Each loop visits, in index order, only the basis tuples on
+which one side of its identity can be nonzero (both sides vanish on the
+others), so the first failing tuple, the witness, is the one an exhaustive
+sweep over all tuples finds.  ``comult-alg-map`` is staged: per i it contracts
+Delta(b_i) with m once, then with Delta(b_j), then applies m on the second
+leg, which is O(d^6) on dense constants instead of O(d^8).
 Operations are pure functions and never modify their inputs.
 """
 
@@ -30,7 +40,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import ParseError
-from .linalg import Vector, vec_eq
+from .linalg import Vector
 from .report import VerificationReport
 from .scalars import CycScalar, ONE, ZERO, as_scalar, format_scalar, parse_scalar
 
@@ -47,7 +57,8 @@ def _sparse(entries: Mapping, arity: int, dim: int, what: str) -> dict:
             raise ValueError(f"bad {what} key {key!r}: need {arity} indices in 0..{dim - 1}")
         c = as_scalar(entries[key])
         if not c.is_zero():
-            out[key] = c
+            # the shared ONE lets the contractions skip unit factors by identity
+            out[key] = ONE if c == ONE else c
     return out
 
 
@@ -77,13 +88,13 @@ class HopfData:
     # -- cached bucketed views ------------------------------------------------
 
     @cached_property
-    def mult_nz(self) -> list[list[tuple[tuple[int, CycScalar], ...]]]:
-        """mult_nz[i][j] = the (k, c) with b_i b_j = sum c b_k."""
-        d = self.dim
-        rows: list[list[list]] = [[[] for _ in range(d)] for _ in range(d)]
+    def mult_nz(self) -> list[dict[int, tuple[tuple[int, CycScalar], ...]]]:
+        """mult_nz[i] = {j: the (k, c) with b_i b_j = sum c b_k}, holding only
+        the nonzero products, in index order."""
+        rows: list[dict[int, list]] = [{} for _ in range(self.dim)]
         for (i, j, k), c in self.mult.items():
-            rows[i][j].append((k, c))
-        return [[tuple(cell) for cell in row] for row in rows]
+            rows[i].setdefault(j, []).append((k, c))
+        return [{j: tuple(terms) for j, terms in row.items()} for row in rows]
 
     @cached_property
     def mult_by_output(self) -> list[tuple[tuple[int, int, CycScalar], ...]]:
@@ -116,18 +127,12 @@ class HopfData:
         return tuple(ONE if i == k else ZERO for i in range(self.dim))
 
     def multiply(self, x: Sequence[CycScalar], y: Sequence[CycScalar]) -> Vector:
-        d = self.dim
-        out = [ZERO] * d
-        nz = self.mult_nz
-        for i in range(d):
+        out = [ZERO] * self.dim
+        for i, row in enumerate(self.mult_nz):
             xi = x[i]
             if xi.is_zero():
                 continue
-            row = nz[i]
-            for j in range(d):
-                terms = row[j]
-                if not terms:
-                    continue
+            for j, terms in row.items():
                 yj = y[j]
                 if yj.is_zero():
                     continue
@@ -236,17 +241,14 @@ def hit_act_alg_on_dual(h: Sequence[CycScalar], phi: Sequence[CycScalar], H: Hop
     """The action of H on H* defined by <h phi, h'> = <phi, h' h>."""
     if len(h) != H.dim or len(phi) != H.dim:
         raise ValueError("dimension mismatch in hit action")
-    d = H.dim
-    out = [ZERO] * d
-    nz = H.mult_nz
-    for r in range(d):
+    out = [ZERO] * H.dim
+    for r, row in enumerate(H.mult_nz):
         acc = ZERO
-        row = nz[r]
-        for i in range(d):
+        for i, terms in row.items():
             hi = h[i]
             if hi.is_zero():
                 continue
-            for k, c in row[i]:
+            for k, c in terms:
                 pk = phi[k]
                 if not pk.is_zero():
                     acc = acc + hi * c * pk
@@ -309,7 +311,7 @@ def _acc_equal(a: dict, b: dict) -> bool:
         if other is None:
             if not value.is_zero():
                 return False
-        elif not (value - other).is_zero():
+        elif value != other:
             return False
     for key, value in b.items():
         if key not in a and not value.is_zero():
@@ -326,24 +328,26 @@ def check_axioms(H: HopfData) -> VerificationReport:
     comult_nz = H.comult_nz
     anti_nz = H.antipode_nz
 
-    # associativity: (b_i b_j) b_k == b_i (b_j b_k)
+    # associativity: (b_i b_j) b_k == b_i (b_j b_k).  The left side vanishes
+    # unless some b_l of b_i b_j has b_l b_k != 0, the right side unless some
+    # b_l of b_j b_k has b_i b_l != 0; per i only those pairs (j, k) are
+    # visited, in lexicographic order
     failure = ""
-    for i in range(d):
-        for j in range(d):
-            left_ij = mult_nz[i][j]
-            for k in range(d):
-                lhs: dict[int, CycScalar] = {}
-                for l, c in left_ij:
-                    for r, c2 in mult_nz[l][k]:
-                        _acc_add(lhs, r, c * c2)
-                rhs: dict[int, CycScalar] = {}
-                for l, c in mult_nz[j][k]:
-                    for r, c2 in mult_nz[i][l]:
-                        _acc_add(rhs, r, c * c2)
-                if not _acc_equal(lhs, rhs):
-                    failure = f"(b{i} b{j}) b{k} != b{i} (b{j} b{k})"
-                    break
-            if failure:
+    by_output = H.mult_by_output
+    for i, row_i in enumerate(mult_nz):
+        pairs = {(j, k) for l in row_i for j, k, _ in by_output[l]}
+        pairs.update((j, k) for j, terms in row_i.items() for l, _ in terms for k in mult_nz[l])
+        for j, k in sorted(pairs):
+            lhs: dict[int, CycScalar] = {}
+            for l, c in row_i.get(j, ()):
+                for r, c2 in mult_nz[l].get(k, ()):
+                    _acc_add(lhs, r, c2 if c is ONE else c * c2)
+            rhs: dict[int, CycScalar] = {}
+            for l, c in mult_nz[j].get(k, ()):
+                for r, c2 in row_i.get(l, ()):
+                    _acc_add(rhs, r, c2 if c is ONE else c * c2)
+            if not _acc_equal(lhs, rhs):
+                failure = f"(b{i} b{j}) b{k} != b{i} (b{j} b{k})"
                 break
         if failure:
             break
@@ -351,10 +355,16 @@ def check_axioms(H: HopfData) -> VerificationReport:
 
     # unit: 1 b_j == b_j == b_j 1
     failure = ""
-    one = H.unit
+    unit_support = [(a, u) for a, u in enumerate(H.unit) if not u.is_zero()]
     for j in range(d):
-        bj = H.basis_vector(j)
-        if not vec_eq(H.multiply(one, bj), bj) or not vec_eq(H.multiply(bj, one), bj):
+        left: dict[int, CycScalar] = {}
+        right: dict[int, CycScalar] = {}
+        for a, u in unit_support:
+            for r, c in mult_nz[a].get(j, ()):
+                _acc_add(left, r, u * c)
+            for r, c in mult_nz[j].get(a, ()):
+                _acc_add(right, r, u * c)
+        if not (_acc_equal(left, {j: ONE}) and _acc_equal(right, {j: ONE})):
             failure = f"unit fails on b{j}"
             break
     report.add("unit", "the unit vector is a two-sided multiplicative identity", not failure, failure)
@@ -378,34 +388,51 @@ def check_axioms(H: HopfData) -> VerificationReport:
     failure = ""
     eps = H.counit
     for k in range(d):
-        left = [ZERO] * d
-        right = [ZERO] * d
+        left = {}
+        right = {}
         for a, b, c in comult_nz[k]:
             if not eps[a].is_zero():
-                left[b] = left[b] + eps[a] * c
+                _acc_add(left, b, eps[a] * c)
             if not eps[b].is_zero():
-                right[a] = right[a] + eps[b] * c
-        target = H.basis_vector(k)
-        if not (vec_eq(tuple(left), target) and vec_eq(tuple(right), target)):
+                _acc_add(right, a, eps[b] * c)
+        if not (_acc_equal(left, {k: ONE}) and _acc_equal(right, {k: ONE})):
             failure = f"counit fails on b{k}"
             break
     report.add("counit", "the counit is a two-sided counit for the comultiplication", not failure, failure)
 
-    # Delta is an algebra map: Delta(b_i b_j) == Delta(b_i) Delta(b_j), Delta(1) = 1 (x) 1
+    # Delta is an algebra map: Delta(b_i b_j) == Delta(b_i) Delta(b_j), Delta(1) = 1 (x) 1.
+    # Delta(b_i) Delta(b_j) is contracted in stages, O(d^6) on dense data:
+    # X[a2][b1][p] = sum_{a1} Delta_i[a1, b1] m[a1, a2, p] once per i, then
+    # Y[b1, b2][p] = sum_{a2} X[a2][b1][p] Delta_j[a2, b2], then m on the second leg.
+    # Both sides vanish unless b_i b_j != 0 or X and Delta(b_j) are nonzero
     failure = ""
-    for i in range(d):
-        for j in range(d):
+    comult_support = {j for j, terms in enumerate(comult_nz) if terms}
+    for i, row_i in enumerate(mult_nz):
+        X: dict[int, dict[int, dict[int, CycScalar]]] = {}
+        for a1, b1, c1 in comult_nz[i]:
+            for a2, terms in mult_nz[a1].items():
+                xb = X.setdefault(a2, {}).setdefault(b1, {})
+                for p, cp in terms:
+                    _acc_add(xb, p, c1 if cp is ONE else c1 * cp)
+        for j in sorted(comult_support.union(row_i)) if X else row_i:
             lhs2: dict[tuple[int, int], CycScalar] = {}
-            for k, c in mult_nz[i][j]:
+            for k, c in row_i.get(j, ()):
                 for a, b, c2 in comult_nz[k]:
                     _acc_add(lhs2, (a, b), c * c2)
+            Y: dict[tuple[int, int], dict[int, CycScalar]] = {}
+            for a2, b2, c2 in comult_nz[j]:
+                for b1, xb in X.get(a2, {}).items():
+                    if b2 not in mult_nz[b1]:
+                        continue
+                    y = Y.setdefault((b1, b2), {})
+                    for p, x in xb.items():
+                        _acc_add(y, p, x if c2 is ONE else x * c2)
             rhs2: dict[tuple[int, int], CycScalar] = {}
-            for a1, b1, c1 in comult_nz[i]:
-                for a2, b2, c2 in comult_nz[j]:
-                    f = c1 * c2
-                    for p, cp in mult_nz[a1][a2]:
-                        for q, cq in mult_nz[b1][b2]:
-                            _acc_add(rhs2, (p, q), f * cp * cq)
+            for (b1, b2), y in Y.items():
+                terms = mult_nz[b1][b2]
+                for p, yp in y.items():
+                    for q, cq in terms:
+                        _acc_add(rhs2, (p, q), yp if cq is ONE else yp * cq)
             if not _acc_equal(lhs2, rhs2):
                 failure = f"Delta(b{i} b{j}) != Delta(b{i}) Delta(b{j})"
                 break
@@ -429,15 +456,17 @@ def check_axioms(H: HopfData) -> VerificationReport:
             failure = "Delta(1) != 1 (x) 1"
     report.add("comult-alg-map", "comultiplication is an algebra map", not failure, failure)
 
-    # eps is an algebra map: eps(b_i b_j) == eps(b_i) eps(b_j), eps(1) = 1
+    # eps is an algebra map: eps(b_i b_j) == eps(b_i) eps(b_j), eps(1) = 1; where
+    # b_i b_j = 0 only a pair with eps(b_i) eps(b_j) != 0 can fail
     failure = ""
-    for i in range(d):
-        for j in range(d):
+    eps_support = {k for k, e in enumerate(eps) if not e.is_zero()}
+    for i, row_i in enumerate(mult_nz):
+        for j in sorted(eps_support.union(row_i)) if i in eps_support else row_i:
             acc = ZERO
-            for k, c in mult_nz[i][j]:
+            for k, c in row_i.get(j, ()):
                 if not eps[k].is_zero():
                     acc = acc + c * eps[k]
-            if not (acc - eps[i] * eps[j]).is_zero():
+            if acc != eps[i] * eps[j]:
                 failure = f"eps(b{i} b{j}) != eps(b{i}) eps(b{j})"
                 break
         if failure:
@@ -450,19 +479,19 @@ def check_axioms(H: HopfData) -> VerificationReport:
     left_fail = ""
     right_fail = ""
     for k in range(d):
-        left = [ZERO] * d
-        right = [ZERO] * d
+        left = {}
+        right = {}
         for a, b, c in comult_nz[k]:
             for i, cs in anti_nz[a]:
-                for r, cm in mult_nz[i][b]:
-                    left[r] = left[r] + c * cs * cm
+                for r, cm in mult_nz[i].get(b, ()):
+                    _acc_add(left, r, c * cs * cm)
             for i, cs in anti_nz[b]:
-                for r, cm in mult_nz[a][i]:
-                    right[r] = right[r] + c * cs * cm
-        target = tuple(eps[k] * u for u in H.unit)
-        if not left_fail and not vec_eq(tuple(left), target):
+                for r, cm in mult_nz[a].get(i, ()):
+                    _acc_add(right, r, c * cs * cm)
+        target = {} if eps[k].is_zero() else {r: eps[k] * u for r, u in unit_support}
+        if not left_fail and not _acc_equal(left, target):
             left_fail = f"sum S(b{k}_(1)) b{k}_(2) != eps(b{k}) 1"
-        if not right_fail and not vec_eq(tuple(right), target):
+        if not right_fail and not _acc_equal(right, target):
             right_fail = f"sum b{k}_(1) S(b{k}_(2)) != eps(b{k}) 1"
         if left_fail and right_fail:
             break

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import IntegralSpaceError, NotSemisimpleError
 from .hopf import HopfData, convolve, dualize, pair
-from .linalg import Matrix, Vector, kernel_basis, vec_eq, vec_scale
+from .linalg import Vector, sparse_kernel_basis, vec_eq, vec_scale
 from .report import VerificationReport
 from .scalars import ZERO, as_scalar
 
@@ -37,26 +37,18 @@ class IntegralPair:
 
 
 def left_integral_space(H: HopfData) -> list[Vector]:
-    """Kernel basis of {x : b_i x = eps(b_i) x for all i}."""
-    d = H.dim
-    rows: list[list] = []
-    nz = H.mult_nz
-    eps = H.counit
-    for i in range(d):
-        coeff = [[ZERO] * d for _ in range(d)]  # coeff[r][k]
-        for k in range(d):
-            for r, c in nz[i][k]:
-                coeff[r][k] = coeff[r][k] + c
-        ei = eps[i]
-        if not ei.is_zero():
-            for r in range(d):
-                coeff[r][r] = coeff[r][r] - ei
-        for r in range(d):
-            if any(not c.is_zero() for c in coeff[r]):
-                rows.append(coeff[r])
-    if not rows:
-        return [H.basis_vector(k) for k in range(d)]
-    return kernel_basis(Matrix(rows))
+    """Kernel basis of {x : b_i x = eps(b_i) x for all i}: row (i, r) holds
+    the coefficients of (b_i x - eps(b_i) x)_r."""
+
+    def entries():
+        for (i, k, r), c in H.mult.items():
+            yield (i, r), k, c
+        for i, e in enumerate(H.counit):
+            if not e.is_zero():
+                for r in range(H.dim):
+                    yield (i, r), r, -e
+
+    return sparse_kernel_basis(H.dim, entries())
 
 
 def compute_integrals(H: HopfData) -> IntegralPair:
@@ -115,22 +107,41 @@ def dual_integrals(p: IntegralPair, dim: int) -> IntegralPair:
     )
 
 
-def left_absorption_failure(H: HopfData, Lambda: Vector) -> int | None:
-    """The first basis index i with b_i Lambda != eps(b_i) Lambda, or None when
-    Lambda is a left integral."""
-    for i in range(H.dim):
-        if not vec_eq(H.multiply(H.basis_vector(i), Lambda), vec_scale(Lambda, H.counit[i])):
+def _times_basis(H: HopfData, x: Vector, i: int, left: bool) -> Vector:
+    """b_i x when ``left``, else x b_i, read straight from the product rows."""
+    if left:
+        pairs = ((x[k], terms) for k, terms in H.mult_nz[i].items())
+    else:
+        pairs = ((xk, H.mult_nz[k].get(i, ())) for k, xk in enumerate(x))
+    out = [ZERO] * H.dim
+    for xk, terms in pairs:
+        if not xk.is_zero():
+            for r, c in terms:
+                out[r] = out[r] + xk * c
+    return tuple(out)
+
+
+def _absorption_failure(H: HopfData, x: Vector, left: bool) -> int | None:
+    """The first basis index i with b_i x (``left``) or x b_i != eps(b_i) x."""
+    scaled: dict[tuple, Vector] = {}  # eps(b_i) x, once per distinct counit value
+    for i, e in enumerate(H.counit):
+        key = (e.order, e.coords)
+        if key not in scaled:
+            scaled[key] = vec_scale(x, e)
+        if not vec_eq(_times_basis(H, x, i, left), scaled[key]):
             return i
     return None
 
 
+def left_absorption_failure(H: HopfData, Lambda: Vector) -> int | None:
+    """The first basis index i with b_i Lambda != eps(b_i) Lambda, or None when
+    Lambda is a left integral."""
+    return _absorption_failure(H, Lambda, True)
+
+
 def is_two_sided(H: HopfData, pair_: IntegralPair) -> bool:
     """Check Lambda h = eps(h) Lambda for all basis h (unimodularity witness)."""
-    for i in range(H.dim):
-        expected = vec_scale(pair_.Lambda, H.counit[i])
-        if not vec_eq(H.multiply(pair_.Lambda, H.basis_vector(i)), expected):
-            return False
-    return True
+    return _absorption_failure(H, pair_.Lambda, False) is None
 
 
 def integrals_report(H: HopfData, pair_: IntegralPair | None = None) -> VerificationReport:
@@ -155,7 +166,7 @@ def integrals_report(H: HopfData, pair_: IntegralPair | None = None) -> Verifica
     i = left_absorption_failure(H, p.Lambda)
     witness = ""
     if i is not None:
-        lhs = H.multiply(H.basis_vector(i), p.Lambda)
+        lhs = _times_basis(H, p.Lambda, i, True)
         witness = f"b{i} Lambda = {format_vector(lhs)} != eps(b{i}) Lambda"
     report.add("left-absorption", "h Lambda = eps(h) Lambda for all basis h", i is None, witness)
     ok = True

@@ -229,6 +229,33 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     return _rref_kernel(data, pivots, a.cols)
 
 
+def sparse_kernel_basis(n_cols: int, entries: Iterable[tuple[object, int, CycScalar]]) -> list[Vector]:
+    """Exact basis of {v : A v = 0} for the A whose rows are given sparsely as
+    (row key, column, coefficient) entries, summed per cell.  Rows come in
+    row-key order; zero and repeated rows are dropped before the elimination,
+    which leaves the row space, hence the reduced form and the kernel basis,
+    unchanged."""
+    cells: dict[object, dict[int, CycScalar]] = {}
+    for key, col, c in entries:
+        row = cells.setdefault(key, {})
+        cur = row.get(col)
+        row[col] = c if cur is None else cur + c
+    rows: list[list[CycScalar]] = []
+    seen: set[tuple] = set()
+    for key in sorted(cells):
+        support = [(k, c) for k, c in sorted(cells[key].items()) if not c.is_zero()]
+        signature = tuple((k, c.order, c.coords) for k, c in support)
+        if support and signature not in seen:
+            seen.add(signature)
+            row = [ZERO] * n_cols
+            for k, c in support:
+                row[k] = c
+            rows.append(row)
+    if not rows:
+        return [unit_vector(n_cols, k) for k in range(n_cols)]
+    return kernel_basis(Matrix(rows))
+
+
 def _rref_kernel(data: list[list[CycScalar]], pivots: list[int], n_cols: int) -> list[Vector]:
     """Kernel basis read off an RREF whose first n_cols columns hold the
     matrix (one vector per free column)."""

@@ -27,7 +27,7 @@ from .errors import FieldTooSmallError, HopfkitError, NotSemisimpleError
 from .factor import factor_over_cyclotomic, factor_rational
 from .hopf import HopfData, commutes_with_basis, format_vector
 from .integrals import IntegralPair, compute_integrals, left_absorption_failure
-from .linalg import IncrementalDependency, Matrix, PreparedSolver, Vector, combine, kernel_basis, vec_eq, zero_vector
+from .linalg import IncrementalDependency, PreparedSolver, Vector, combine, sparse_kernel_basis, vec_eq, zero_vector
 from .polys import Poly, format_poly
 from .scalars import CycScalar, ONE, ZERO
 
@@ -51,23 +51,15 @@ class BlockDecomposition:
 
 
 def center(H: HopfData) -> list[Vector]:
-    """Exact basis of Z(H) = {z : z b_i = b_i z for all i}."""
-    d = H.dim
-    nz = H.mult_nz
-    rows: list[list[CycScalar]] = []
-    for i in range(d):
-        coeff = [[ZERO] * d for _ in range(d)]  # coeff[r][k] for z b_i - b_i z
-        for k in range(d):
-            for r, c in nz[k][i]:
-                coeff[r][k] = coeff[r][k] + c
-            for r, c in nz[i][k]:
-                coeff[r][k] = coeff[r][k] - c
-        for r in range(d):
-            if any(not c.is_zero() for c in coeff[r]):
-                rows.append(coeff[r])
-    if not rows:
-        return [H.basis_vector(k) for k in range(d)]
-    return kernel_basis(Matrix(rows))
+    """Exact basis of Z(H) = {z : z b_i = b_i z for all i}: row (i, r) holds
+    the coefficients of (z b_i - b_i z)_r."""
+
+    def entries():
+        for (a, b, r), c in H.mult.items():
+            yield (b, r), a, c
+            yield (a, r), b, -c
+
+    return sparse_kernel_basis(H.dim, entries())
 
 
 def _min_poly_on_center(H: HopfData, z: Vector, bound: int) -> tuple[Poly, list[Vector]] | None:

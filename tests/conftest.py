@@ -62,6 +62,19 @@ def pipelines():
     return pipeline_for
 
 
+def perturbed(H: HopfData, **changes: dict) -> HopfData:
+    """H with some structure constants replaced: each keyword names a section
+    (``mult``, ``comult`` or ``antipode``) and maps index tuples to new values;
+    a key that is not stored adds an entry and the value 0 removes one, e.g.
+    ``perturbed(H, comult={(1, 1, 1): 0, (1, 0, 1): 1})``."""
+    sections = {"mult": H.mult, "comult": H.comult, "antipode": H.antipode}
+    if not set(changes) <= set(sections):
+        raise ValueError(f"unknown sections {sorted(set(changes) - set(sections))}")
+    entries = {name: {**stored, **changes.get(name, {})} for name, stored in sections.items()}
+    return HopfData(f"{H.name}-perturbed", H.dim, entries["mult"], H.unit, entries["comult"],
+                    H.counit, entries["antipode"], cyclotomic_order=H.cyclotomic_order)
+
+
 def sweedler_algebra() -> HopfData:
     """The 4-dimensional non-semisimple Hopf algebra on basis {1, g, x, gx}:
     g^2 = 1, x^2 = 0, xg = -gx, Delta(g) = g (x) g, Delta(x) = x (x) 1 + g (x) x,

@@ -5,13 +5,16 @@ coordinates), so a change to how the center is split, or to how any suite is
 computed, must leave every report document byte-identical.  The digests below
 were recorded from the report of each algebra before the center split was
 changed from one random splitting element to refinement by the center basis.
+The `check-axioms --json` and `integrals --json` digests of the certify path
+were recorded before the axiom loops and the integral system were driven by
+the stored structure constants.
 """
 
 import hashlib
 
 import pytest
 
-from hopfkit import builtin_group, builtin_grp_text, drinfeld_double, dualize, format_hopf
+from hopfkit import builtin_group, builtin_grp_text, drinfeld_double, dualize, format_hopf, tensor_product
 from hopfkit.cli import main
 
 GOLDEN = {
@@ -49,3 +52,26 @@ def test_report_json_bytes(group, kind, tmp_path, capsys):
     assert main(["report", *args, "--json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == GOLDEN[group, kind]
+
+
+CERTIFY_GOLDEN = {
+    ("D(C2xC2)(x)D(C2)*", "check-axioms"): "f6f4438f4fc9813f56f89e0973bbfda9b70a641837e8b3ed7a7a3512dac7bba2",
+    ("D(C2xC2)(x)D(C2)*", "integrals"): "012e2d488af19c0be8fda90b13320c182090e52a53e7cf13ef4006042d8e75a3",
+    ("D(S3)", "check-axioms"): "e4552072560f2101ada0b4724502452e331119e6de7d9376ef389305e9578c29",
+    ("D(S3)", "integrals"): "02021c2b3bf55ac9c2b18046156fe3c1581a992864c58d4cdfb1f5fe3c9a970d",
+}
+
+
+def _certify_algebra(name):
+    if name == "D(S3)":
+        return drinfeld_double(builtin_group("S3"))
+    return tensor_product(drinfeld_double(builtin_group("C2xC2")), dualize(drinfeld_double(builtin_group("C2"))))
+
+
+@pytest.mark.parametrize("name,command", sorted(CERTIFY_GOLDEN), ids=lambda v: str(v))
+def test_certify_json_bytes(name, command, tmp_path, capsys):
+    path = tmp_path / "algebra.hopf"
+    path.write_text(format_hopf(_certify_algebra(name)))
+    assert main([command, str(path), "--json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CERTIFY_GOLDEN[name, command]

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from conftest import perturbed
 
 from hopfkit import (
     CycScalar,
@@ -33,8 +34,7 @@ def test_axioms_pass_on_group_algebra(examples):
 
 def test_broken_antipode_fails_only_antipode_axioms(examples):
     h = examples["kC2"]
-    zero_antipode = {(i, i): 0 for i in range(h.dim)}
-    broken = HopfData("broken", h.dim, h.mult, h.unit, h.comult, h.counit, zero_antipode)
+    broken = perturbed(h, antipode={(i, i): 0 for i in range(h.dim)})
     assert broken.antipode == {}  # zero entries are not stored
     rep = check_axioms(broken)
     failed = {item.id for item in rep.items if not item.passed}
@@ -251,3 +251,23 @@ def test_parse_hopf_errors():
         parse_hopf("hopf x\ndim 2\ncyclotomic \u00b2\n")
     with pytest.raises(ParseError):  # fewer MULT entries than 1 b_k = b_k needs
         parse_hopf("hopf x\ndim 1000000\nMULT\n0 0 0 1\n")
+
+
+def test_mult_nz_memory_follows_entries():
+    # 500 entries b_0 b_k = b_k declare dim 500: the product rows must hold
+    # only the stored products, not a dim x dim grid of buckets
+    import tracemalloc
+
+    text = "hopf x\ndim 500\nMULT\n" + "".join(f"0 {k} {k} 1\n" for k in range(500))
+    tracemalloc.start()
+    try:
+        h = parse_hopf(text)
+        rows = h.mult_nz
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert len(rows[0]) == 500 and not any(rows[1:])
+    failed = [(item.id, item.witness) for item in check_axioms(h).items if not item.passed]
+    assert failed == [("unit", "unit fails on b0"), ("counit", "counit fails on b0"),
+                      ("counit-alg-map", "eps(1) != 1")]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hopfkit import CycScalar, Matrix, Poly, char_min_poly, kernel_basis, rank, rref_solve, trace
-from hopfkit.linalg import vec_is_zero, same_span
+from hopfkit.linalg import same_span, sparse_kernel_basis, vec_is_zero
 from hopfkit.rng import DeterministicRng
 
 
@@ -34,6 +34,22 @@ def test_kernel_basis_cases():
     assert len(kernel_basis(Matrix.zeros(2, 2))) == 2
     k = kernel_basis(Matrix([[1, -1]]))
     assert len(k) == 1 and k[0][0] == k[0][1]
+
+
+def test_sparse_kernel_basis_matches_dense():
+    one, two = CycScalar.from_rational(1), CycScalar.from_rational(2)
+    # row "b" is twice row "a" summed from two entries, "c" repeats "a" and
+    # "d" cancels to zero: the kernel is that of the one row [1, -1, 0]
+    entries = [("a", 0, one), ("a", 1, -one), ("b", 0, two), ("b", 1, -one), ("b", 1, -one),
+               ("c", 1, -one), ("c", 0, one), ("d", 2, one), ("d", 2, -one)]
+    assert sparse_kernel_basis(3, entries) == kernel_basis(Matrix([[1, -1, 0]]))
+    assert sparse_kernel_basis(2, []) == kernel_basis(Matrix.zeros(1, 2))
+    rng = DeterministicRng(11)
+    for _ in range(10):
+        dense = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(rng.randint(1, 6))]
+        dense += dense[: rng.randint(0, len(dense))]
+        entries = [((r,), c, CycScalar.from_rational(x)) for r, row in enumerate(dense) for c, x in enumerate(row)]
+        assert sparse_kernel_basis(4, entries) == kernel_basis(Matrix(dense))
 
 
 def test_kernel_vectors_annihilate_and_rank_nullity():

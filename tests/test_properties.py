@@ -16,7 +16,18 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from hopfkit import HopfData, Matrix, Pipeline, builtin_group, function_algebra, group_algebra, rref_solve
+from conftest import perturbed
+
+from hopfkit import (
+    HopfData,
+    Matrix,
+    Pipeline,
+    builtin_group,
+    check_axioms,
+    function_algebra,
+    group_algebra,
+    rref_solve,
+)
 
 _DIM = 6  # S3
 _ALGEBRAS = {"kS3": group_algebra(builtin_group("S3")), "k^S3": function_algebra(builtin_group("S3"))}
@@ -29,8 +40,10 @@ _pair = st.tuples(st.integers(0, _DIM - 1), st.integers(0, _DIM - 1)).filter(lam
 @st.composite
 def _change_of_basis(draw):
     """P = (scaled permutation) (I + t E_ij) ...: invertible by construction.
-    At most three shears keep the structure constants sparse; a dense P makes
-    them dense, and the bialgebra axiom check then costs d^8 products."""
+    At most three shears keep the structure constants sparse, so the whole
+    pipeline stays quick on every draw; a dense P makes all d^3 constants of
+    each tensor nonzero, and the staged bialgebra check then costs about d^6
+    products (see test_dense_change_of_basis_axioms)."""
     n = _DIM
     perm = draw(st.permutations(range(n)))
     p = [[draw(_scale) if perm[i] == j else Fraction(0) for j in range(n)] for i in range(n)]
@@ -93,3 +106,38 @@ def test_change_of_basis_keeps_degrees_and_suite_status(name, p):
     rebased = _rebase(_ALGEBRAS[name], p)
     assume(any(not s.is_integer() for s in (*rebased.mult.values(), *rebased.comult.values())))
     assert _invariants(rebased) == _expected(name)
+
+
+# a fixed dense change of basis: every entry is nonzero, and so is every one of
+# the 6^3 MULT and 6^3 COMULT constants of the rebased kS3 and k^S3
+_DENSE_P = [[Fraction(e) for e in row.split()] for row in (
+    "3 3 1 1/2 2/3 3",
+    "1/2 2/3 -1/2 -2 2 1/2",
+    "2 -1 1/2 2 1/2 -1",
+    "-1 -1/2 2/3 -1 -1/2 3",
+    "-1/2 -2 2/3 2/3 1/2 1",
+    "1 -1 3 1 2/3 -1/2",
+)]
+
+# the items that fail once the middle COMULT entry gets its value plus 1 (the
+# same for both algebras), recorded from the check that summed over every pair
+# of Delta(b_i) and Delta(b_j) terms
+_DENSE_PERTURBED_FAILURES = {
+    "coassoc": "coassociativity fails on b0",
+    "counit": "counit fails on b0",
+    "comult-alg-map": "Delta(b0 b0) != Delta(b0) Delta(b0)",
+    "antipode-left": "sum S(b0_(1)) b0_(2) != eps(b0) 1",
+    "antipode-right": "sum b0_(1) S(b0_(2)) != eps(b0) 1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ALGEBRAS))
+def test_dense_change_of_basis_axioms(name):
+    dense = _rebase(_ALGEBRAS[name], _DENSE_P)
+    assert len(dense.mult) == len(dense.comult) == _DIM ** 3
+    assert check_axioms(dense).overall
+    keys = sorted(dense.comult)
+    mid = keys[len(keys) // 2]
+    broken = perturbed(dense, comult={mid: dense.comult[mid] + 1})
+    failed = {item.id: item.witness for item in check_axioms(broken).items if not item.passed}
+    assert failed == _DENSE_PERTURBED_FAILURES
