@@ -30,7 +30,7 @@ print("  duality permutation V -> V*:", list(fusion.dual_map))
 print()
 print("== f(phi) = phi Lambda transports characters onto the center ==")
 for label, deg, chi in zip(table.labels, table.degrees, table.characters):
-    image = f_map(pipe.H.apply_dual_antipode(chi), pipe.integrals, pipe.H)
+    image = f_map(pipe.H.dual.apply_antipode(chi), pipe.integrals, pipe.H)
     print(f"  f(S* chi_{label}) = (dim H / {deg}) e_{label} = {format_vector(image)}")
 
 print()

@@ -8,9 +8,15 @@ a defect in the identity itself could not slip through.
 
 The fusion ring G0 lives on the integer lattice of the characters; its
 structure constants are extracted by exact linear solves and must be
-non-negative integers.  The linear map f(phi) = phi Lambda transports the
-character span onto the center (and the dual center onto the dual character
-span); its matrix is invertible for every semisimple input.
+non-negative integers.  Each chi_V is then witnessed by its minimal
+polynomial, the first linear dependency among the integer powers N_V^k e_1 of
+its fusion matrix applied to the unit character: it divides the characteristic
+polynomial of N_V, so by Gauss's lemma its coefficients must be integers, and
+it must annihilate chi_V under convolution.
+
+The linear map f(phi) = phi Lambda transports the character span onto the
+center (and the dual center onto the dual character span); its matrix is
+invertible for every semisimple input.
 """
 
 from __future__ import annotations
@@ -28,9 +34,19 @@ from .hopf import (
     pair,
 )
 from .integrals import IntegralPair
-from .linalg import Matrix, PreparedSolver, Vector, combine, rank, vec_eq, vec_is_zero, vec_scale
+from .linalg import (
+    IncrementalDependency,
+    Matrix,
+    PreparedSolver,
+    Vector,
+    combine,
+    rank,
+    vec_eq,
+    vec_is_zero,
+    vec_scale,
+)
 from .polys import Poly
-from .scalars import CycScalar, ZERO, as_scalar
+from .scalars import CycScalar, ONE, ZERO, as_scalar
 from .wedderburn import BlockDecomposition
 
 
@@ -147,7 +163,7 @@ def fusion_ring(table: CharacterTable, H: HopfData) -> FusionRing:
     # duality permutation from the dual antipode
     dual_map = []
     for v in range(r):
-        image = H.apply_dual_antipode(table.characters[v])
+        image = H.dual.apply_antipode(table.characters[v])
         w = next((u for u in range(r) if vec_eq(table.characters[u], image)), None)
         if w is None:
             raise HopfkitError(f"S* chi_{table.labels[v]} is not an irreducible character")
@@ -157,17 +173,20 @@ def fusion_ring(table: CharacterTable, H: HopfData) -> FusionRing:
         labels=list(table.labels), tensor=tensor, dual_map=tuple(dual_map), unit_index=unit_index
     )
 
-    # monic integer witness: the characteristic polynomial of the fusion matrix
-    # annihilates chi_V under convolution
-    from .linalg import char_min_poly
-
+    # monic integer witness: the minimal polynomial of chi_V, from the first
+    # linear dependency among chi_V^k = N_v^k e_unit in character coordinates
     for v in range(r):
-        charpoly, _ = char_min_poly(ring.fusion_matrix(v))
-        if not charpoly.has_integer_coeffs():
-            raise HopfkitError(f"fusion characteristic polynomial of {table.labels[v]} not integral")
-        if not vec_is_zero(convolution_poly_eval(charpoly, table.characters[v], H)):
+        n_v = tensor[v]
+        tracker = IncrementalDependency()
+        power = [int(u == unit_index) for u in range(r)]
+        while (dep := tracker.add([as_scalar(x) for x in power])) is None:
+            power = [sum(n_v[w][u] * x for w, x in enumerate(power) if x) for u in range(r)]
+        minpoly = Poly(list(dep) + [ONE])
+        if not minpoly.has_integer_coeffs():
+            raise HopfkitError(f"fusion minimal polynomial of {table.labels[v]} not integral")
+        if not vec_is_zero(convolution_poly_eval(minpoly, table.characters[v], H)):
             raise HopfkitError(
-                f"fusion characteristic polynomial does not annihilate chi_{table.labels[v]}"
+                f"fusion minimal polynomial does not annihilate chi_{table.labels[v]}"
             )
     return ring
 

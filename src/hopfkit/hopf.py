@@ -23,6 +23,12 @@ key only for each nonzero product b_i b_j, ``mult_by_output[k]`` lists the
 products with a b_k term, ``comult_nz[k]`` the terms of Delta(b_k) and
 ``antipode_nz[j]`` those of S(b_j).  They take O(d + nnz) memory.
 
+There is one product loop (:meth:`HopfData.multiply`) and one hit loop
+(:func:`hit_act_dual_on_alg`).  Every operation on H* is the operation on the
+cached dual algebra ``H.dual`` (built once by :func:`dualize`, with
+``H.dual.dual is H``): convolution is ``H.dual.multiply``, the action of H on
+H* is the dual action of H** = H on H*, and S* is ``H.dual.apply_antipode``.
+
 Axiom checking is exhaustive and exact, and its cost follows the nonzero
 entries, not d.  Each loop visits, in index order, only the basis tuples on
 which one side of its identity can be nonzero (both sides vanish on the
@@ -121,6 +127,13 @@ class HopfData:
             buckets[j].append((i, c))
         return [tuple(b) for b in buckets]
 
+    @cached_property
+    def dual(self) -> "HopfData":
+        """The dual Hopf algebra H*, built once; ``H.dual.dual is H``."""
+        dual = dualize(self)
+        dual.__dict__["dual"] = self
+        return dual
+
     # -- element-level helpers -------------------------------------------------
 
     def basis_vector(self, k: int) -> Vector:
@@ -150,22 +163,6 @@ class HopfData:
                 out[i] = out[i] + xj * c
         return tuple(out)
 
-    def apply_dual_antipode(self, phi: Sequence[CycScalar]) -> Vector:
-        """S* phi = phi o S; coordinates (S*phi)_i = sum_j antipode[j, i] phi_j."""
-        out = [ZERO] * self.dim
-        for (j, i), c in self.antipode.items():
-            pj = phi[j]
-            if not pj.is_zero():
-                out[i] = out[i] + pj * c
-        return tuple(out)
-
-    def counit_of(self, x: Sequence[CycScalar]) -> CycScalar:
-        acc = ZERO
-        for e, xk in zip(self.counit, x):
-            if not (e.is_zero() or xk.is_zero()):
-                acc = acc + e * xk
-        return acc
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HopfData):
             return NotImplemented
@@ -185,7 +182,8 @@ class HopfData:
 
 
 # ---------------------------------------------------------------------------
-# the evaluation pairing, convolution, and the two hit actions
+# the evaluation pairing, convolution, and the two hit actions: one product
+# loop (HopfData.multiply), one hit loop, and every operation on H* runs on H.dual
 
 
 def pair(phi: Sequence[CycScalar], h: Sequence[CycScalar]) -> CycScalar:
@@ -203,15 +201,7 @@ def convolve(phi: Sequence[CycScalar], psi: Sequence[CycScalar], H: HopfData) ->
     """Product in H*: (phi psi)(h) = sum phi(h_(1)) psi(h_(2))."""
     if len(phi) != H.dim or len(psi) != H.dim:
         raise ValueError("dimension mismatch in convolution")
-    out = [ZERO] * H.dim
-    for k, terms in enumerate(H.comult_nz):
-        acc = ZERO
-        for i, j, c in terms:
-            p, q = phi[i], psi[j]
-            if not (p.is_zero() or q.is_zero()):
-                acc = acc + c * p * q
-        out[k] = acc
-    return tuple(out)
+    return H.dual.multiply(phi, psi)
 
 
 def commutes_with_basis(
@@ -238,22 +228,9 @@ def commutes_with_basis(
 
 
 def hit_act_alg_on_dual(h: Sequence[CycScalar], phi: Sequence[CycScalar], H: HopfData) -> Vector:
-    """The action of H on H* defined by <h phi, h'> = <phi, h' h>."""
-    if len(h) != H.dim or len(phi) != H.dim:
-        raise ValueError("dimension mismatch in hit action")
-    out = [ZERO] * H.dim
-    for r, row in enumerate(H.mult_nz):
-        acc = ZERO
-        for i, terms in row.items():
-            hi = h[i]
-            if hi.is_zero():
-                continue
-            for k, c in terms:
-                pk = phi[k]
-                if not pk.is_zero():
-                    acc = acc + hi * c * pk
-        out[r] = acc
-    return tuple(out)
+    """The action of H on H* defined by <h phi, h'> = <phi, h' h>: the dual
+    action of H = (H*)* on H*."""
+    return hit_act_dual_on_alg(h, phi, H.dual)
 
 
 def hit_act_dual_on_alg(phi: Sequence[CycScalar], h: Sequence[CycScalar], H: HopfData) -> Vector:
@@ -471,7 +448,7 @@ def check_axioms(H: HopfData) -> VerificationReport:
                 break
         if failure:
             break
-    if not failure and not (H.counit_of(H.unit) - ONE).is_zero():
+    if not failure and not (pair(H.counit, H.unit) - ONE).is_zero():
         failure = "eps(1) != 1"
     report.add("counit-alg-map", "counit is an algebra map", not failure, failure)
 

@@ -91,9 +91,6 @@ class Matrix:
         """All entries, row-major."""
         return tuple(e for row in self._rows for e in row)
 
-    def row(self, i: int) -> Vector:
-        return tuple(self._rows[i])
-
     def column(self, j: int) -> Vector:
         return tuple(self._rows[i][j] for i in range(self.rows))
 
@@ -157,9 +154,6 @@ class Matrix:
                     acc = acc + a * x
             out[i] = acc
         return tuple(out)
-
-    def transpose(self) -> "Matrix":
-        return Matrix([[self._rows[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     def is_square(self) -> bool:
         return self.rows == self.cols

@@ -1,11 +1,12 @@
 """Stage orchestration: one object caches every derived artifact of an algebra.
 
 A :class:`Pipeline` lazily computes axioms, integrals, blocks, characters,
-fusion, and the same stack for the dual algebra, so the verification suites
-share work within a process.  The integral pair is solved once, on H; the dual
-pipeline derives its pair from it.  Everything downstream is a pure function of
-(H, cyclotomic order, seed), and the seed only chooses the corollary suite's
-subset sample; two pipelines with equal inputs produce identical reports.
+fusion, and the same stack for the dual algebra ``H.dual``, so the
+verification suites share work within a process.  The integral pair is solved
+once, on H; the dual pipeline derives its pair from it.  Everything downstream
+is a pure function of (H, cyclotomic order, seed), and the seed only chooses
+the corollary suite's subset sample; two pipelines with equal inputs produce
+identical reports.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .characters import CharacterTable, FusionRing, fusion_ring, irreducible_characters
-from .hopf import HopfData, check_axioms, dualize
+from .hopf import HopfData, check_axioms
 from .integrals import IntegralPair, compute_integrals, dual_integrals, integrals_report
 from .report import VerificationReport, report_document
 from .theorems import (
@@ -80,7 +81,7 @@ class Pipeline:
 
     @cached_property
     def dual(self) -> "Pipeline":
-        dual = Pipeline(dualize(self.H), order=self.order, seed=self.seed)
+        dual = Pipeline(self.H.dual, order=self.order, seed=self.seed)
         dual._primal = self
         return dual
 

@@ -57,7 +57,7 @@ def verify_lemma1(
         ratio = as_scalar(Fraction(H.dim, deg))
         scaled_e = vec_scale(e_v, ratio)
 
-        rhs_a = hit_act_dual_on_alg(H.apply_dual_antipode(chi), integrals.Lambda, H)
+        rhs_a = hit_act_dual_on_alg(H.dual.apply_antipode(chi), integrals.Lambda, H)
         ok_a = vec_eq(scaled_e, rhs_a)
         witness_a = (
             f"(dim H/dim V) e_{label} = {format_vector(scaled_e)}"
@@ -186,7 +186,7 @@ def verify_proposition(
             f"{H.dim} = {H.dim // deg} * {deg}" if divides else f"{H.dim} mod {deg} = {H.dim % deg}",
         )
 
-        zeta = H.apply_dual_antipode(chi)
+        zeta = H.dual.apply_antipode(chi)
         decomp = central_decomposition(zeta, dual_blocks)
         certs = [is_algebraic_integer(v) for v in decomp.values]
         ok = all(c.is_integer for c in certs)
@@ -263,7 +263,7 @@ def verify_section4(
     )
 
     for label, deg, chi in zip(blocks.labels, blocks.degrees, table.characters):
-        image = f_map(H.apply_dual_antipode(chi), integrals, H)
+        image = f_map(H.dual.apply_antipode(chi), integrals, H)
         coords = blocks.solver.decompose(image)
         if coords is None:
             report.add(

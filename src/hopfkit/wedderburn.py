@@ -25,7 +25,7 @@ from math import isqrt, lcm
 
 from .errors import FieldTooSmallError, HopfkitError, NotSemisimpleError
 from .factor import factor_over_cyclotomic, factor_rational
-from .hopf import HopfData, commutes_with_basis, format_vector
+from .hopf import HopfData, commutes_with_basis, format_vector, pair
 from .integrals import IntegralPair, compute_integrals, left_absorption_failure
 from .linalg import IncrementalDependency, PreparedSolver, Vector, combine, sparse_kernel_basis, vec_eq, zero_vector
 from .polys import Poly, format_poly
@@ -162,7 +162,7 @@ def _certify_semisimple(H: HopfData, integrals: IntegralPair) -> None:
         raise HopfkitError(
             f"{H.name}: the given Lambda is not a left integral (b{i} Lambda != eps(b{i}) Lambda)"
         )
-    if H.counit_of(integrals.Lambda).is_zero():
+    if pair(H.counit, integrals.Lambda).is_zero():
         raise NotSemisimpleError(f"{H.name} is not semisimple: eps(Lambda) = 0")
 
 

@@ -164,7 +164,7 @@ def test_criterion_06_proposition():
         for chi in pipe.table.characters:
             if not is_central_character(chi, pipe.H):
                 continue
-            dec = central_decomposition(pipe.H.apply_dual_antipode(chi), pipe.dual.blocks)
+            dec = central_decomposition(pipe.H.dual.apply_antipode(chi), pipe.dual.blocks)
             for value in dec.values:
                 cert = is_algebraic_integer(value)
                 ok = ok and cert.is_integer and cert.minimal_polynomial.is_monic()

@@ -201,7 +201,7 @@ def test_central_decomposition_s_star_chi2(pipelines):
     pipe = pipelines("kS3")
     two = pipe.table.degrees.index(2)
     chi2 = pipe.table.characters[two]
-    zeta = pipe.H.apply_dual_antipode(chi2)
+    zeta = pipe.H.dual.apply_antipode(chi2)
     dec = central_decomposition(zeta, pipe.dual.blocks)
     values = sorted(v.as_fraction() for v in dec.values)
     assert values == [-1, -1, 0, 0, 0, 2]
@@ -219,7 +219,7 @@ def test_f_of_dual_character_is_scaled_idempotent(pipelines):
     for name in ("kC2", "kS3", "kQ8", "D(S3)"):
         pipe = pipelines(name)
         for v, chi in enumerate(pipe.table.characters):
-            image = f_map(pipe.H.apply_dual_antipode(chi), pipe.integrals, pipe.H)
+            image = f_map(pipe.H.dual.apply_antipode(chi), pipe.integrals, pipe.H)
             expected = vec_scale(
                 pipe.blocks.idempotents[v], Fraction(pipe.H.dim, pipe.table.degrees[v])
             )

@@ -7,7 +7,10 @@ were recorded from the report of each algebra before the center split was
 changed from one random splitting element to refinement by the center basis.
 The `check-axioms --json` and `integrals --json` digests of the certify path
 were recorded before the axiom loops and the integral system were driven by
-the stored structure constants.
+the stored structure constants.  The D(S3) and D(S3)* reports and the
+`characters --json` digests were recorded before the operations on H* were
+routed through the cached dual algebra and before the fusion witness became
+the minimal polynomial.
 """
 
 import hashlib
@@ -36,6 +39,8 @@ GOLDEN = {
     ("C2", "double-dual"): "b7be73872b38d3f64e38c8b6f7c65ac66dfaa9cd935a0a2cd034ffa543a101cc",
     ("C3", "double"): "fa3d39a02623f48c6ab604a9cb28a5e022a4916c2f73034f688097a8a374f9a9",
     ("C3", "double-dual"): "60511dbebd3d26c22f11376963d40c225bd217bd5e9133b12a364c2301fd15b8",
+    ("S3", "double"): "5e48076e4eaca91f31ab6a6d5803e9b43d78efff31a2c400f4dee12b50240abd",
+    ("S3", "double-dual"): "ae83d50f417f5ff6244af8a4610dea5acaaf9faefea781d9ea9b144c8e04401c",
 }
 
 
@@ -75,3 +80,19 @@ def test_certify_json_bytes(name, command, tmp_path, capsys):
     assert main([command, str(path), "--json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == CERTIFY_GOLDEN[name, command]
+
+
+CHARACTERS_GOLDEN = {
+    ("S3", "double"): "ddaee7474fb67090b1e7d5af8f936f799369b4ba211e5fe36d74711ed2fc9400",
+    ("Q8", "double-dual"): "3812f024d788eb0885a8cc5cd70d975d9bda9b390ffcd05a3ebbae2690395141",
+}
+
+
+@pytest.mark.parametrize("group,kind", sorted(CHARACTERS_GOLDEN), ids=lambda v: str(v))
+def test_characters_json_bytes(group, kind, tmp_path, capsys):
+    H = drinfeld_double(builtin_group(group))
+    path = tmp_path / "algebra.hopf"
+    path.write_text(format_hopf(dualize(H) if kind == "double-dual" else H))
+    assert main(["characters", str(path), "--json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CHARACTERS_GOLDEN[group, kind]

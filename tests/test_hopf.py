@@ -81,6 +81,17 @@ def test_biduality_exact(examples):
         assert dualize(dualize(h)) == h
 
 
+def test_cached_dual_links_back(examples):
+    from hopfkit import Pipeline
+
+    for name in ("kS3", "D(S3)"):
+        h = examples[name]
+        assert h.dual is h.dual
+        assert h.dual.dual is h
+        assert h.dual == dualize(h)
+        assert Pipeline(h).dual.H is h.dual
+
+
 def test_dual_of_double_passes_axioms(examples):
     assert check_axioms(dualize(examples["D(S3)"])).overall
 
@@ -143,7 +154,7 @@ def test_dual_hit_on_kc2(examples):
     # (S* chi_sign) Lambda = e - g: oracle is the hand contraction of
     # Delta(Lambda) = e (x) e + g (x) g
     sign = (ONE, -ONE)
-    s_sign = h.apply_dual_antipode(sign)
+    s_sign = h.dual.apply_antipode(sign)
     got = hit_act_dual_on_alg(s_sign, p.Lambda, h)
     assert got == (ONE, -ONE)
     # delta_e Lambda = e

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hopfkit import (
+    HopfData,
     IntegralSpaceError,
     NotSemisimpleError,
     compute_integrals,
@@ -71,6 +72,49 @@ def test_integrals_report_suite(examples, sweedler):
     assert rep.overall and len(rep.items) == 6
     rep = integrals_report(sweedler)
     assert not rep.overall
+
+
+def _relabelled(H, perm):
+    """H with basis vector b_i renamed b_perm[i]."""
+    def move(entries):
+        return {tuple(perm[i] for i in key): c for key, c in entries.items()}
+
+    def vec(v):
+        out = [0] * H.dim
+        for i, c in enumerate(v):
+            out[perm[i]] = c
+        return out
+
+    return HopfData(f"{H.name}-relabelled", H.dim, move(H.mult), vec(H.unit), move(H.comult),
+                    vec(H.counit), move(H.antipode), H.cyclotomic_order)
+
+
+# kS3 (and kS3 = (k^S3)*) relabelled so that b1 is a reflection t and b2, b5
+# are r, tr: then b1 (Lambda + b2 + b5) = Lambda + b2 + b5 while
+# (Lambda + b2 + b5) b1 differs, so a left and a right absorption check fail
+# first at different indices
+_T_FIRST = (0, 2, 3, 1, 4, 5)
+
+
+@pytest.mark.parametrize("name,item,perturb,coords,witness", [
+    ("D(S3)", "dual-absorption", "lambda_dual", (0,), "phi_6 lambda != phi_6(1) lambda"),
+    ("k^S3-t", "dual-absorption", "lambda_dual", (2, 5), "phi_2 lambda != phi_2(1) lambda"),
+    ("D(S3)", "two-sided", "Lambda", (0,), "Lambda b1 != eps(b1) Lambda"),
+    ("kS3-t", "two-sided", "Lambda", (2, 5), "Lambda b1 != eps(b1) Lambda"),
+])
+def test_failing_absorption_witness_names_first_index(examples, name, item, perturb, coords, witness):
+    # adding 1 to some coordinates of an integral leaves the absorption checks
+    # a first failing basis index, which the witness must name
+    from dataclasses import replace
+
+    h = _relabelled(examples[name[:-2]], _T_FIRST) if name.endswith("-t") else examples[name]
+    p = compute_integrals(h)
+    v = getattr(p, perturb)
+    bumped = tuple(x + ONE if i in coords else x for i, x in enumerate(v))
+    rep = integrals_report(h, replace(p, **{perturb: bumped}))
+    got = next(it for it in rep.items if it.id == item)
+    assert not got.passed
+    assert got.witness == witness
 
 
 def test_integral_space_dimension_error(examples):
