@@ -493,6 +493,9 @@ def parse_hopf(text: str) -> HopfData:
     section: str | None = None
     entries: dict[str, dict[tuple[int, ...], CycScalar]] = {s: {} for s in _SECTIONS}
     index_counts = {"MULT": 3, "COMULT": 3, "UNIT": 1, "COUNIT": 1, "ANTIPODE": 2}
+    # each literal text is parsed once; the order is fixed once sections
+    # start, and CycScalar values are immutable, so entries may share them
+    literals: dict[str, CycScalar] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -536,10 +539,13 @@ def parse_hopf(text: str) -> HopfData:
         if any(not (0 <= i < dim) for i in idx):
             raise ParseError(f"index out of range 0..{dim - 1}", lineno)
         scalar_text = line.split(None, n_idx)[n_idx]
-        try:
-            value = parse_scalar(scalar_text, order)
-        except ParseError as exc:
-            raise ParseError(f"bad scalar literal: {exc}", lineno) from None
+        value = literals.get(scalar_text)
+        if value is None:
+            try:
+                value = parse_scalar(scalar_text, order)
+            except ParseError as exc:
+                raise ParseError(f"bad scalar literal: {exc}", lineno) from None
+            literals[scalar_text] = value
         if idx in entries[section]:
             raise ParseError(f"duplicate {section} entry {idx}", lineno)
         entries[section][idx] = value

@@ -304,8 +304,9 @@ class PreparedSolver:
             for i in range(self.height)
         ]
         data, pivots = _rref(aug)
-        self._cpivots = [p for p in pivots if p < self.n_cols]
-        if len(self._cpivots) != self.n_cols:
+        # independent columns make every C column a pivot, so E-block row j
+        # (j < n_cols) gives coefficient j and the rows below give the residual
+        if sum(p < self.n_cols for p in pivots) != self.n_cols:
             raise InconsistentSystemError("columns are linearly dependent")
         # the nonzero (i, e) of each E-block row; E is sparse for the 0/1 families
         n = self.n_cols
@@ -313,23 +314,27 @@ class PreparedSolver:
             tuple((i, e) for i, e in enumerate(row[n:]) if not e.is_zero()) for row in data
         ]
 
-    def decompose(self, v: Sequence) -> Vector | None:
-        """Coefficients c with sum_j c_j * column_j == v, or None if v is
-        outside the span."""
+    def coordinates(self, v: Sequence) -> tuple[Vector, Vector]:
+        """(coeffs, residual), both linear in v: the residual is the E-block
+        rows below the pivots (the zero rows of R), so v lies in the column
+        span exactly when the residual is 0, and then sum_j coeffs_j *
+        column_j == v."""
         w = [as_scalar(e) for e in v]
-        coeffs = [ZERO] * self.n_cols
-        for r, erow in enumerate(self._erows):
+        out = []
+        for erow in self._erows:
             acc = ZERO
             for i, e in erow:
                 x = w[i]
                 if not x.is_zero():
                     acc = acc + e * x
-            if r < len(self._cpivots):
-                coeffs[self._cpivots[r]] = acc
-            elif not acc.is_zero():
-                # zero rows of R witness membership in the column span
-                return None
-        return tuple(coeffs)
+            out.append(acc)
+        return tuple(out[:self.n_cols]), tuple(out[self.n_cols:])
+
+    def decompose(self, v: Sequence) -> Vector | None:
+        """Coefficients c with sum_j c_j * column_j == v, or None if v is
+        outside the span."""
+        coeffs, residual = self.coordinates(v)
+        return None if any(residual) else coeffs
 
 
 def same_span(rows_a: Sequence[Sequence[CycScalar]], rows_b: Sequence[Sequence[CycScalar]]) -> bool:

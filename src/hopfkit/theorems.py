@@ -6,7 +6,8 @@ reports exact witnesses:
   lemma1          (dim H/dim V) e_V = (S* chi_V) Lambda   and
                   (dim H/dim V) e_V lambda = chi_V, per block
   corollary       delta_M Lambda = (dim M) chi_M per dual block, and integer
-                  non-negative character coordinates for subset idempotents
+                  non-negative character coordinates for subset idempotents,
+                  summed exactly from the single-block coordinates
   proposition     dim V | dim H for blocks with central character, with
                   algebraic-integrality certificates for the central values
                   f_i(S* chi_V)
@@ -40,10 +41,19 @@ from .linalg import Matrix, combine, kernel_basis, same_span, vec_eq, vec_scale
 from .polys import format_poly, is_algebraic_integer
 from .report import VerificationReport
 from .rng import DeterministicRng
-from .scalars import as_scalar
+from .scalars import ZERO, CycScalar, as_scalar
 from .wedderburn import BlockDecomposition
 
 _SUBSET_BUDGET = 256
+
+
+def _sparse_sum(vectors) -> dict[int, CycScalar]:
+    """Exact entrywise sum of sparse {index: value} vectors."""
+    out: dict[int, CycScalar] = {}
+    for vec in vectors:
+        for j, x in vec.items():
+            out[j] = out[j] + x if j in out else x
+    return out
 
 
 def verify_lemma1(
@@ -97,14 +107,19 @@ def verify_corollary(
     report = VerificationReport(subject=H.name, dim=H.dim, suite="corollary")
     r = dual_blocks.count
 
-    # delta_m Lambda per dual block; delta -> delta Lambda is linear, so each
-    # subset idempotent's image is the sum of these
-    images = []
+    # delta_m Lambda per dual block, and its character coordinates and
+    # membership residual as sparse {index: value} dicts.  delta -> delta Lambda
+    # and both halves of PreparedSolver.coordinates are linear, so a subset
+    # idempotent's coordinates and residual are the exact sums of these
+    # (the characters are independent, so the coordinates are unique)
+    coords, residuals = [], []
     for label, delta_m, deg, chi_m in zip(
         dual_blocks.labels, dual_blocks.idempotents, dual_blocks.degrees, dual_table.characters
     ):
         lhs = hit_act_dual_on_alg(delta_m, integrals.Lambda, H)
-        images.append(lhs)
+        c, res = dual_table.solver.coordinates(lhs)
+        coords.append({j: x for j, x in enumerate(c) if x})
+        residuals.append({j: x for j, x in enumerate(res) if x})
         rhs = vec_scale(chi_m, as_scalar(deg))
         ok = vec_eq(lhs, rhs)
         report.add(
@@ -127,15 +142,17 @@ def verify_corollary(
     ok = True
     witness = ""
     checked = 0
+    # with every single residual 0, no subset can leave the span
+    any_residual = any(residuals)
     for subset in subsets:
-        image = combine([1] * len(subset), [images[m] for m in subset], H.dim)
-        coords = dual_table.solver.decompose(image)
-        if coords is None:
+        if any_residual and any(_sparse_sum(residuals[m] for m in subset).values()):
             ok = False
             witness = f"delta Lambda left the character span for T = {subset}"
             break
+        summed = _sparse_sum(coords[m] for m in subset)
         expected = [dual_blocks.degrees[m] if m in subset else 0 for m in range(r)]
-        for m, c in enumerate(coords):
+        for m in range(r):
+            c = summed.get(m, ZERO)
             if not c.is_rational() or c.as_fraction().denominator != 1 or c.as_fraction() < 0:
                 ok = False
                 witness = f"non-integer coordinate {c} at block {m} for T = {subset}"

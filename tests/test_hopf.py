@@ -264,6 +264,31 @@ def test_parse_hopf_errors():
         parse_hopf("hopf x\ndim 1000000\nMULT\n0 0 0 1\n")
 
 
+
+def test_parse_hopf_literal_memo():
+    from hopfkit import ParseError, drinfeld_double, tensor_product
+
+    # a repeated bad literal is reported at its first line, with the message
+    # parse_scalar gives it
+    with pytest.raises(ParseError) as err:
+        parse_hopf("hopf x\ndim 2\nMULT\n0 0 0 1\n0 1 1 3//2\n1 0 1 3//2\n")
+    assert err.value.line == 5
+    assert str(err.value).startswith("line 5: bad scalar literal: ")
+    # the memo lives for one call: after a failed parse, a repeated valid
+    # literal parses, and "z" is read at each file's own cyclotomic order
+    h = parse_hopf("hopf x\ndim 2\nMULT\n0 0 0 1/2\n0 1 1 1/2\n1 0 1 z\n")
+    assert h.mult == {(0, 0, 0): Fraction(1, 2), (0, 1, 1): Fraction(1, 2), (1, 0, 1): ONE}
+    h = parse_hopf("hopf x\ndim 2\ncyclotomic 4\nMULT\n0 0 0 z\n1 1 0 z\n")
+    assert h.mult == {(0, 0, 0): CycScalar.zeta(4), (1, 1, 0): CycScalar.zeta(4)}
+    # the dim-64 tensor D(C2xC2) (x) D(C2)*, whose literals are nearly all 1,
+    # round-trips byte for byte
+    text = format_hopf(tensor_product(
+        drinfeld_double(builtin_group("C2xC2")), drinfeld_double(builtin_group("C2")).dual
+    ))
+    assert text.count("\n") > 1000
+    assert format_hopf(parse_hopf(text)) == text
+
+
 def test_mult_nz_memory_follows_entries():
     # 500 entries b_0 b_k = b_k declare dim 500: the product rows must hold
     # only the stored products, not a dim x dim grid of buckets

@@ -5,7 +5,15 @@ from fractions import Fraction
 import pytest
 
 from hopfkit import CycScalar, Matrix, Poly, char_min_poly, kernel_basis, rank, rref_solve, trace
-from hopfkit.linalg import same_span, sparse_kernel_basis, vec_is_zero
+from hopfkit.linalg import (
+    PreparedSolver,
+    combine,
+    same_span,
+    sparse_kernel_basis,
+    unit_vector,
+    vec_add,
+    vec_is_zero,
+)
 from hopfkit.rng import DeterministicRng
 
 
@@ -172,3 +180,46 @@ def test_rref_oracle_on_rational_matrices(order):
 
         # elimination works on copies: the inputs are untouched
         assert _coords(a) == a_before and _coords(b) == b_before
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_solver_coordinates_are_linear(order):
+    # a column family with non-0/1 entries (denominators up to 4); both
+    # halves of coordinates() are linear, the residual is 0 exactly on the
+    # span, and decompose reads the coefficients off when it is
+    rng = DeterministicRng(500 + order)
+    zeta = CycScalar.zeta(order) if order > 1 else None
+    height, n = 7, 3
+    families = []
+    while len(families) < 8:
+        m = _random_rational_matrix(rng, height, n, zeta)
+        if rank(m) == n:
+            families.append([m.column(j) for j in range(n)])
+    for columns in families:
+        solver = PreparedSolver(columns)
+        outside = [
+            v for v in (unit_vector(height, k) for k in range(height))
+            if solver.decompose(v) is None
+        ]
+        assert outside  # a 3-dimensional span misses some unit vector
+        vectors = [
+            combine([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)],
+                    columns, height)
+            for _ in range(3)
+        ] + outside[:2]
+        for u in vectors:
+            coeffs, residual = solver.coordinates(u)
+            assert len(coeffs) == n and len(residual) == height - n
+            decomposed = solver.decompose(u)
+            assert (decomposed is not None) == vec_is_zero(residual)
+            if decomposed is not None:
+                assert decomposed == coeffs
+                assert combine(coeffs, columns, height) == u
+            for v in vectors:
+                sum_coeffs, sum_residual = solver.coordinates(vec_add(u, v))
+                v_coeffs, v_residual = solver.coordinates(v)
+                assert sum_coeffs == vec_add(coeffs, v_coeffs)
+                assert sum_residual == vec_add(residual, v_residual)
+        for v in outside:
+            assert solver.decompose(v) is None
+            assert not vec_is_zero(solver.coordinates(v)[1])

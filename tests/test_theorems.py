@@ -10,14 +10,20 @@ import pytest
 
 from hopfkit import (
     Pipeline,
+    builtin_group,
+    drinfeld_double,
     verify_corollary,
     verify_lemma1,
     verify_proposition,
     verify_section4,
 )
+from hopfkit.hopf import format_vector, hit_act_dual_on_alg
 from hopfkit.integrals import IntegralPair
-from hopfkit.linalg import vec_scale
-from hopfkit.theorems import explore_central_fusion, kaplansky_report
+from hopfkit.linalg import combine, unit_vector, vec_add, vec_eq, vec_scale, vec_sub
+from hopfkit.report import VerificationReport
+from hopfkit.rng import DeterministicRng
+from hopfkit.scalars import as_scalar
+from hopfkit.theorems import _SUBSET_BUDGET, explore_central_fusion, kaplansky_report
 from hopfkit.wedderburn import BlockDecomposition
 
 SUITE_EXAMPLES = ("kC2", "kC3", "kS3", "k^S3", "kQ8", "D(C2)", "kS3(x)k^C2", "D(S3)")
@@ -111,6 +117,109 @@ def test_explore_central_fusion_rank(pipelines):
     rep = pipelines("kS3").suite("central-fusion")
     rank_item = next(i for i in rep.items if i.id == "center-rank")
     assert "rank 3 of 3" in rank_item.statement
+
+
+
+def _corollary_reference(H, dual_blocks, integrals, dual_table, seed=0):
+    """The corollary suite as a per-subset loop: each subset idempotent's image
+    is combined from the block images and decomposed on its own."""
+    report = VerificationReport(subject=H.name, dim=H.dim, suite="corollary")
+    r = dual_blocks.count
+    images = []
+    for label, delta_m, deg, chi_m in zip(
+        dual_blocks.labels, dual_blocks.idempotents, dual_blocks.degrees, dual_table.characters
+    ):
+        lhs = hit_act_dual_on_alg(delta_m, integrals.Lambda, H)
+        images.append(lhs)
+        rhs = vec_scale(chi_m, as_scalar(deg))
+        ok = vec_eq(lhs, rhs)
+        report.add(
+            f"delta-{label}",
+            f"delta_{label} Lambda = (dim {label}) chi_{label}",
+            ok,
+            f"delta Lambda = {format_vector(lhs)}" if ok
+            else f"expected {format_vector(rhs)}, got {format_vector(lhs)}",
+        )
+    if (1 << r) <= _SUBSET_BUDGET:
+        masks = list(range(1 << r))
+    else:
+        rng = DeterministicRng(seed)
+        masks = [rng.next_u64() & ((1 << r) - 1) for _ in range(_SUBSET_BUDGET)]
+    ok, witness, checked = True, "", 0
+    for mask in masks:
+        subset = tuple(m for m in range(r) if mask >> m & 1)
+        coords = dual_table.solver.decompose(
+            combine([1] * len(subset), [images[m] for m in subset], H.dim)
+        )
+        if coords is None:
+            ok, witness = False, f"delta Lambda left the character span for T = {subset}"
+            break
+        for m, c in enumerate(coords):
+            want = dual_blocks.degrees[m] if m in subset else 0
+            if not c.is_rational() or c.as_fraction().denominator != 1 or c.as_fraction() < 0:
+                ok, witness = False, f"non-integer coordinate {c} at block {m} for T = {subset}"
+                break
+            if not (c - want).is_zero():
+                ok, witness = False, (
+                    f"multiplicity mismatch for T = {subset}: coordinate {m} is {c}, "
+                    f"expected dim = {want}"
+                )
+                break
+        if not ok:
+            break
+        checked += 1
+    report.add(
+        "subset-idempotents",
+        "delta Lambda has non-negative integer character coordinates, equal to the "
+        "multiplicity vector (dim M)_{M in T}, for every tested idempotent delta",
+        ok,
+        witness or f"{checked} subset idempotents checked",
+    )
+    return report
+
+
+def _with_Lambda(integrals: IntegralPair, Lambda) -> IntegralPair:
+    return IntegralPair(
+        lambda_dual=integrals.lambda_dual,
+        Lambda=Lambda,
+        Lambda_scaled=integrals.Lambda_scaled,
+        semisimple=True,
+        cosemisimple=True,
+    )
+
+
+def _corollary_cases(pipelines):
+    dc3 = Pipeline(drinfeld_double(builtin_group("C3")))
+    ks3, fs3 = pipelines("kS3"), pipelines("k^S3")
+    half = _with_Lambda(ks3.integrals, vec_scale(ks3.integrals.Lambda, Fraction(1, 2)))
+    double = _with_Lambda(ks3.integrals, vec_scale(ks3.integrals.Lambda, 2))
+    # v = b4 - b5 in k^S3: the two 1-dimensional blocks of kS3 send it to 0,
+    # the 2-dimensional one to a vector outside the class functions C(H*)
+    v = vec_sub(unit_vector(fs3.H.dim, 4), unit_vector(fs3.H.dim, 5))
+    off_span = _with_Lambda(fs3.integrals, vec_add(fs3.integrals.Lambda, v))
+    return [
+        ("kS3", ks3, ks3.integrals, 0, "64 subset"),
+        ("k^S3", fs3, fs3.integrals, 0, "8 subset"),
+        ("D(C3)", dc3, dc3.integrals, 0, "256 subset"),
+        ("D(C3)", dc3, dc3.integrals, 11, "256 subset"),
+        ("D(S3)", pipelines("D(S3)"), pipelines("D(S3)").integrals, 0, "256 subset"),
+        ("D(S3)", pipelines("D(S3)"), pipelines("D(S3)").integrals, 11, "256 subset"),
+        ("kS3 Lambda/2", ks3, half, 0, "non-integer coordinate 1/2"),
+        ("kS3 2 Lambda", ks3, double, 0, "multiplicity mismatch"),
+        ("k^S3 Lambda+b1", fs3, off_span, 0, "delta Lambda left the character span"),
+    ]
+
+
+def test_corollary_matches_per_subset_reference(pipelines):
+    # summed single-block coordinates give the same items as decomposing each
+    # subset image: the exhaustive regime (r <= 8), the sampled regime at two
+    # seeds (D(C3): r = 9, D(S3): r = 18) and one failing input per witness
+    for name, pipe, integrals, seed, witness in _corollary_cases(pipelines):
+        args = (pipe.H, pipe.dual.blocks, integrals, pipe.dual.table, seed)
+        got = [(i.id, i.passed, i.statement, i.witness) for i in verify_corollary(*args).items]
+        want = [(i.id, i.passed, i.statement, i.witness) for i in _corollary_reference(*args).items]
+        assert got == want, name
+        assert got[-1][3].startswith(witness), (name, got[-1])
 
 
 # -- negative controls -------------------------------------------------------
