@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Polynomial factorization over Q (Zassenhaus chain) and over Q(zeta_N)
-(Trager's norm method), plus rational reconstruction from a residue."""
+(Trager's norm method)."""
 
-from hopfkit import Poly, factor_over_cyclotomic, factor_rational, rational_reconstruction
+from hopfkit import Poly, factor_over_cyclotomic, factor_rational
 
 print("== factorization over Q ==")
 for coeffs, label in [
@@ -25,8 +25,3 @@ for coeffs, order, label in [
     factors = factor_over_cyclotomic(Poly(coeffs), order)
     print(f"  {label} = " + " * ".join(f"({f})" for f in factors))
 
-print()
-print("== rational reconstruction (used to terminate Hensel lifting) ==")
-for residue, modulus in [(51, 101), (8, 101), (4, 13)]:
-    got = rational_reconstruction(residue, modulus)
-    print(f"  residue {residue} mod {modulus} -> {got if got is not None else 'no admissible fraction'}")

@@ -30,7 +30,7 @@ from .errors import (
     NotSemisimpleError,
     ParseError,
 )
-from .factor import factor_over_cyclotomic, factor_rational, rational_reconstruction
+from .factor import factor_over_cyclotomic, factor_rational
 from .groups import (
     GroupTable,
     builtin_group,
@@ -53,7 +53,7 @@ from .hopf import (
     parse_hopf,
 )
 from .integrals import IntegralPair, compute_integrals, dual_integrals, integrals_report, is_two_sided
-from .linalg import Matrix, char_min_poly, kernel_basis, rank, rref_solve, trace
+from .linalg import Matrix, kernel_basis, minimal_polynomial, rank
 from .pipeline import SUITES, Pipeline
 from .polys import IntegralityCertificate, Poly, is_algebraic_integer, min_poly_scalar
 from .report import ReportItem, VerificationReport
@@ -100,7 +100,6 @@ __all__ = [
     "builtin_names",
     "center",
     "central_decomposition",
-    "char_min_poly",
     "check_axioms",
     "commutes_with_basis",
     "compute_integrals",
@@ -131,16 +130,14 @@ __all__ = [
     "kaplansky_report",
     "kernel_basis",
     "min_poly_scalar",
+    "minimal_polynomial",
     "pair",
     "parse_group",
     "parse_hopf",
     "parse_scalar",
     "primitive_idempotents",
     "rank",
-    "rational_reconstruction",
-    "rref_solve",
     "tensor_product",
-    "trace",
     "verify_corollary",
     "verify_lemma1",
     "verify_proposition",

@@ -9,10 +9,12 @@ a defect in the identity itself could not slip through.
 The fusion ring G0 lives on the integer lattice of the characters; its
 structure constants are extracted by exact linear solves and must be
 non-negative integers.  Each chi_V is then witnessed by its minimal
-polynomial, the first linear dependency among the integer powers N_V^k e_1 of
-its fusion matrix applied to the unit character: it divides the characteristic
-polynomial of N_V, so by Gauss's lemma its coefficients must be integers, and
-it must annihilate chi_V under convolution.
+polynomial (:func:`~hopfkit.linalg.minimal_polynomial`), the first linear
+dependency among the integer vectors N_V^k e_1, where N_V is multiplication by
+chi_V in character coordinates, read off the fusion tensor and never stored as
+a matrix.  The polynomial divides the characteristic polynomial of N_V, so by
+Gauss's lemma its coefficients must be integers, and it must annihilate chi_V
+under convolution.
 
 The linear map f(phi) = phi Lambda transports the character span onto the
 center (and the dual center onto the dual character span); its matrix is
@@ -35,18 +37,18 @@ from .hopf import (
 )
 from .integrals import IntegralPair
 from .linalg import (
-    IncrementalDependency,
     Matrix,
     PreparedSolver,
     Vector,
     combine,
+    minimal_polynomial,
     rank,
     vec_eq,
     vec_is_zero,
     vec_scale,
 )
 from .polys import Poly
-from .scalars import CycScalar, ONE, ZERO, as_scalar
+from .scalars import CycScalar, ZERO, as_scalar
 from .wedderburn import BlockDecomposition
 
 
@@ -57,7 +59,6 @@ class CharacterTable:
     characters: list[Vector]  # dual vectors
     degrees: list[int]
     labels: list[str]
-    dual_pairing: Matrix  # [V][W] = <chi_V, e_W>
 
     @property
     def count(self) -> int:
@@ -76,11 +77,6 @@ class FusionRing:
     tensor: list[list[list[int]]]
     dual_map: tuple[int, ...]  # V -> V* induced by the dual antipode
     unit_index: int
-
-    def fusion_matrix(self, v: int) -> Matrix:
-        """Left multiplication by chi_v on the character basis: M[u][w] = n[v][w][u]."""
-        r = len(self.labels)
-        return Matrix([[self.tensor[v][w][u] for w in range(r)] for u in range(r)])
 
 
 @dataclass
@@ -104,9 +100,7 @@ def irreducible_characters(H: HopfData, blocks: BlockDecomposition, integrals: I
                 f"character cross-check failed at block {label}: <chi,1> = {value}, expected {deg}"
             )
         chars.append(chi)
-    pairing_rows = []
     for label, chi in zip(blocks.labels, chars):
-        row = []
         for w_label, e_w, w_deg in zip(blocks.labels, blocks.idempotents, blocks.degrees):
             val = pair(chi, e_w)
             expected = w_deg if label == w_label else 0
@@ -115,13 +109,10 @@ def irreducible_characters(H: HopfData, blocks: BlockDecomposition, integrals: I
                     f"character cross-check failed: <chi_{label}, e_{w_label}> = {val}, "
                     f"expected {expected}"
                 )
-            row.append(val)
-        pairing_rows.append(row)
     return CharacterTable(
         characters=chars,
         degrees=list(blocks.degrees),
         labels=list(blocks.labels),
-        dual_pairing=Matrix(pairing_rows),
     )
 
 
@@ -177,11 +168,11 @@ def fusion_ring(table: CharacterTable, H: HopfData) -> FusionRing:
     # linear dependency among chi_V^k = N_v^k e_unit in character coordinates
     for v in range(r):
         n_v = tensor[v]
-        tracker = IncrementalDependency()
-        power = [int(u == unit_index) for u in range(r)]
-        while (dep := tracker.add([as_scalar(x) for x in power])) is None:
-            power = [sum(n_v[w][u] * x for w, x in enumerate(power) if x) for u in range(r)]
-        minpoly = Poly(list(dep) + [ONE])
+        minpoly, _ = minimal_polynomial(
+            [int(u == unit_index) for u in range(r)],
+            lambda power: [sum(n_v[w][u] * x for w, x in enumerate(power) if x) for u in range(r)],
+            lambda power: [as_scalar(x) for x in power],
+        )
         if not minpoly.has_integer_coeffs():
             raise HopfkitError(f"fusion minimal polynomial of {table.labels[v]} not integral")
         if not vec_is_zero(convolution_poly_eval(minpoly, table.characters[v], H)):

@@ -10,12 +10,12 @@
     hopfkit report <file.grp|file.hopf> [--as <kind>] [--json]
 
 Exit codes: 0 success, 1 verification failure (or a semantic error such as a
-non-semisimple input), 2 usage or parse error.  Scalars in files and reports
-always use the exact literal grammar; identical inputs and seed give
-byte-identical output.  ``--seed`` (accepted by every subcommand but
-``build``) only chooses the sample of subset idempotents that the corollary
-suite checks when there are more than it can check exhaustively; the blocks
-and everything else do not depend on it.
+non-semisimple input), 2 usage, parse or I/O error (files are read and written
+as UTF-8).  Scalars in files and reports always use the exact literal grammar;
+identical inputs and seed give byte-identical output.  ``--seed`` (accepted
+by every subcommand but ``build``) only chooses the sample of subset
+idempotents that the corollary suite checks when there are more than it can
+check exhaustively; the blocks and everything else do not depend on it.
 """
 
 from __future__ import annotations
@@ -117,20 +117,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text)
+        Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
+def _read(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
 def _load_hopf(path: str) -> HopfData:
-    return parse_hopf(Path(path).read_text())
+    return parse_hopf(_read(path))
 
 
 def _load_algebra(path: str, build_as: str | None) -> HopfData:
     if path.endswith(".grp"):
         if build_as is None:
             raise ParseError(f"{path} is a group file; choose --as group-algebra|function-algebra|double")
-        return _BUILDERS[build_as](parse_group(Path(path).read_text()))
+        return _BUILDERS[build_as](parse_group(_read(path)))
+    if build_as is not None:
+        raise ParseError(f"--as applies only to .grp inputs, not to {path}")
     return _load_hopf(path)
 
 
@@ -142,7 +148,7 @@ def _cmd_build(args) -> int:
     else:
         if len(args.inputs) != 1:
             raise ParseError(f"build {args.kind} needs exactly one .grp input")
-        h = _BUILDERS[args.kind](parse_group(Path(args.inputs[0]).read_text()))
+        h = _BUILDERS[args.kind](parse_group(_read(args.inputs[0])))
     _emit(format_hopf(h), args.output)
     return 0
 
@@ -285,10 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HopfkitError as exc:

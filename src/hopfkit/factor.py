@@ -3,8 +3,9 @@
 The rational kernel is the classic Zassenhaus chain:
 
     Yun squarefree decomposition
-      -> reduction mod a good prime p > 2^30 (p dividing neither the leading
-         coefficient nor the discriminant)
+      -> reduction mod the first prime p > 2^30 modulo which the monic
+         squarefree input stays squarefree (gcd(f, f') = 1 in GF(p)[x],
+         equivalently p does not divide the discriminant)
       -> distinct-degree + equal-degree splitting in GF(p)[x]
       -> linear multifactor Hensel lifting past the Mignotte coefficient bound
       -> exhaustive subset recombination (factor counts stay tiny at desk scale)
@@ -24,44 +25,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from .polys import Poly
 from .rng import DeterministicRng
 from .scalars import CycScalar, cyclotomic_coeffs, euler_phi
 from .scalars import _poly_add, _poly_derivative, _poly_divmod, _poly_gcd, _poly_mul, _poly_sub, _poly_trim
-
-# ---------------------------------------------------------------------------
-# rational reconstruction
-
-
-def rational_reconstruction(residue: int, modulus: int) -> Fraction | None:
-    """Recover n/d from its image mod ``modulus``, with |n|, d <= sqrt(modulus/2).
-
-    Returns None when no admissible pair exists.  The bound makes the answer
-    unique when it exists (2 B^2 <= modulus), and the half-extended Euclidean
-    scan below finds it.
-    """
-    if modulus <= 1:
-        raise ValueError("modulus must be > 1")
-    bound = isqrt(modulus // 2)
-    if bound == 0:
-        return None
-    r0, r1 = modulus, residue % modulus
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    n, d = r1, s1
-    if d < 0:
-        n, d = -n, -d
-    if d == 0 or d > bound or abs(n) > bound or gcd(abs(n), d) != 1:
-        return None
-    if (n - residue * d) % modulus != 0:
-        return None
-    return Fraction(n, d)
-
 
 # ---------------------------------------------------------------------------
 # primality and prime selection
@@ -290,19 +259,21 @@ def _mignotte_bound(f: list[int]) -> int:
     return (1 << max(n - 1, 1)) * norm2
 
 
+def _choose_prime(f: list[int]) -> int:
+    """The first prime p > 2^30 with f mod p squarefree, for monic squarefree
+    integer f: gcd(f, f') = 1 in GF(p)[x] exactly when p does not divide disc(f)."""
+    p = _next_prime(1 << 30)
+    while len(_gf_gcd([c % p for c in f], [c % p for c in _poly_derivative(f)], p)) > 1:
+        p = _next_prime(p)
+    return p
+
+
 def _factor_squarefree_monic_z(f: list[int]) -> list[list[int]]:
     """Irreducible monic integer factors of a monic squarefree integer polynomial."""
     n = len(f) - 1
     if n <= 1:
         return [list(f)] if n == 1 else []
-    f_rat = [Fraction(c) for c in f]
-    disc = resultant_q(f_rat, _poly_derivative(f_rat))
-    disc_int = disc.numerator  # denominator is 1 for integer input
-    p = 1 << 30
-    while True:
-        p = _next_prime(p)
-        if disc_int % p != 0:
-            break
+    p = _choose_prime(f)
     rng = DeterministicRng(0xFAC7 ^ p)
     fp = _gf_monic([c % p for c in f], p)
     modular = _gf_factor_squarefree(fp, p, rng)

@@ -1,15 +1,18 @@
-"""Exact dense linear algebra over the cyclotomic scalars.
+"""Exact linear algebra over the cyclotomic scalars.
 
-Matrices are dense and immutable-by-convention; vectors are plain tuples of
-scalars.  Everything runs Gaussian elimination with exact field arithmetic, so
-results are equalities, not approximations.  Dimensions stay at desk scale
-(structure tensors of algebras of dimension <= 64), which keeps dense
-elimination comfortably fast.
+Vectors are plain tuples of scalars; a :class:`Matrix` is a checked dense
+container that the elimination routines read (it has no arithmetic).
+Everything runs Gaussian elimination with exact field arithmetic, so results
+are equalities, not approximations: kernels and ranks, a prepared solver for
+many right-hand sides over one column family, and the first linear dependency
+among the powers of an element (:func:`minimal_polynomial`).  Dimensions stay
+at desk scale (structure tensors of algebras of dimension <= 64), which keeps
+dense elimination comfortably fast.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InconsistentSystemError
 from .polys import Poly
@@ -57,7 +60,7 @@ def unit_vector(n: int, k: int) -> Vector:
 
 
 class Matrix:
-    """Dense row-major matrix of exact scalars."""
+    """Dense row-major matrix of exact scalars, checked for shape."""
 
     __slots__ = ("rows", "cols", "_rows")
 
@@ -71,106 +74,12 @@ class Matrix:
                 raise ValueError("ragged matrix rows")
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[ZERO] * cols for _ in range(rows)])
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":
         cols = [list(c) for c in columns]
         if not cols:
-            return cls.zeros(0, 0)
+            return cls([])
         n = len(cols[0])
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
-
-    @property
-    def entries(self) -> Vector:
-        """All entries, row-major."""
-        return tuple(e for row in self._rows for e in row)
-
-    def column(self, j: int) -> Vector:
-        return tuple(self._rows[i][j] for i in range(self.rows))
-
-    def __getitem__(self, key: tuple[int, int]) -> CycScalar:
-        i, j = key
-        return self._rows[i][j]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(vec_eq(a, b) for a, b in zip(self._rows, other._rows))
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix([vec_add(a, b) for a, b in zip(self._rows, other._rows)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix([vec_sub(a, b) for a, b in zip(self._rows, other._rows)])
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
-            out = []
-            for i in range(self.rows):
-                arow = self._rows[i]
-                orow = [ZERO] * other.cols
-                for k in range(self.cols):
-                    a = arow[k]
-                    if a.is_zero():
-                        continue
-                    brow = other._rows[k]
-                    for j in range(other.cols):
-                        b = brow[j]
-                        if not b.is_zero():
-                            orow[j] = orow[j] + a * b
-                out.append(orow)
-            return Matrix(out)
-        s = as_scalar(other)
-        return Matrix([[e * s for e in row] for row in self._rows])
-
-    __rmul__ = __mul__
-
-    def apply(self, v: Sequence[CycScalar]) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        out = [ZERO] * self.rows
-        for i, row in enumerate(self._rows):
-            acc = ZERO
-            for a, x in zip(row, v):
-                if not (a.is_zero() or x.is_zero()):
-                    acc = acc + a * x
-            out[i] = acc
-        return tuple(out)
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(e) for e in row) for row in self._rows)
-        return f"Matrix({self.rows}x{self.cols}: {body})"
-
-
-def trace(a: Matrix) -> CycScalar:
-    """Sum of diagonal entries."""
-    if not a.is_square():
-        raise ValueError("trace needs a square matrix")
-    acc = ZERO
-    for i in range(a.rows):
-        acc = acc + a[i, i]
-    return acc
 
 
 def _rref(data: list[list[CycScalar]]) -> tuple[list[list[CycScalar]], list[int]]:
@@ -265,30 +174,6 @@ def _rref_kernel(data: list[list[CycScalar]], pivots: list[int], n_cols: int) ->
     return basis
 
 
-def rref_solve(a: Matrix, b: Matrix) -> tuple[Matrix, list[Vector]] | None:
-    """Solve A X = B exactly.
-
-    Returns one particular solution together with a kernel basis of A
-    (every solution is the particular one plus a kernel combination), or
-    ``None`` when the system is inconsistent.
-    """
-    if a.rows != b.rows:
-        raise ValueError("A and B must have the same number of rows")
-    aug = [list(arow) + list(brow) for arow, brow in zip(a._rows, b._rows)]
-    data, pivots = _rref(aug)
-    n = a.cols
-    # any pivot falling in the B block signals inconsistency
-    for pc in pivots:
-        if pc >= n:
-            return None
-    sol = [[ZERO] * b.cols for _ in range(n)]
-    for r, pc in enumerate(pivots):
-        for j in range(b.cols):
-            sol[pc][j] = data[r][n + j]
-    # the A block of rref([A | B]) is rref(A)
-    return Matrix(sol), _rref_kernel(data, pivots, n)
-
-
 class PreparedSolver:
     """RREF of a fixed tall matrix, reused to decompose many right-hand sides
     over the same column family (e.g. coordinates in a character basis)."""
@@ -350,38 +235,6 @@ def same_span(rows_a: Sequence[Sequence[CycScalar]], rows_b: Sequence[Sequence[C
     return rank(both) == ra
 
 
-def char_min_poly(a: Matrix) -> tuple[Poly, Poly]:
-    """Characteristic and minimal polynomial of a square matrix, both monic.
-
-    The characteristic polynomial comes from the Faddeev-LeVerrier recurrence
-    (exact in characteristic 0); the minimal polynomial from the first linear
-    dependency among the flattened powers I, A, A^2, ...
-    """
-    if not a.is_square():
-        raise ValueError("char_min_poly needs a square matrix")
-    n = a.rows
-    if n == 0:
-        return Poly.one(), Poly.one()
-    coeffs = [ZERO] * n + [ONE]
-    m = Matrix.zeros(n, n)
-    ident = Matrix.identity(n)
-    c = ONE
-    for k in range(1, n + 1):
-        m = a * (m + c * ident)
-        c = -(trace(m) / k)
-        coeffs[n - k] = c
-    char = Poly(coeffs)
-
-    tracker = IncrementalDependency()
-    cur = ident
-    dep = tracker.add(cur.entries)
-    while dep is None:
-        cur = cur * a
-        dep = tracker.add(cur.entries)
-    minimal = Poly(list(dep) + [ONE])
-    return char, minimal
-
-
 class IncrementalDependency:
     """Feed vectors one at a time; detect the first linear dependency.
 
@@ -416,3 +269,19 @@ class IncrementalDependency:
         self._combos.append([c * inv for c in combo])
         self._pivots.append(piv)
         return None
+
+
+def minimal_polynomial(one, step: Callable, coords: Callable = lambda p: p) -> tuple[Poly, list]:
+    """Monic minimal polynomial m of an element x, from the first linear
+    dependency among the coordinate vectors of its powers 1, x, x^2, ...:
+    ``one`` is x^0, ``step(p)`` is p x, and ``coords(p)`` is the coordinate
+    vector of p (p itself by default).  Returns m together with the
+    independent powers 1, x, ..., x^(deg m - 1).  For coordinate vectors of
+    length n a dependency appears by x^n at the latest."""
+    tracker = IncrementalDependency()
+    powers = []
+    power = one
+    while (dep := tracker.add(coords(power))) is None:
+        powers.append(power)
+        power = step(power)
+    return Poly(list(dep) + [ONE]), powers

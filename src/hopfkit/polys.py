@@ -196,15 +196,9 @@ def format_poly(p: Poly, var: str = "x") -> str:
 def min_poly_scalar(a: CycScalar) -> Poly:
     """Monic minimal polynomial of a cyclotomic scalar over Q: the first linear
     dependency among the power-basis coordinates of 1, a, a^2, ..."""
-    from .linalg import IncrementalDependency  # linalg imports this module
+    from .linalg import minimal_polynomial  # linalg imports this module
 
-    tracker = IncrementalDependency()
-    power = ONE
-    while True:
-        dep = tracker.add([as_scalar(c) for c in power.lift(a.order)])
-        if dep is not None:
-            return Poly(list(dep) + [ONE])
-        power = power * a
+    return minimal_polynomial(ONE, lambda p: p * a, lambda p: [as_scalar(c) for c in p.lift(a.order)])[0]
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,9 @@ from .errors import FieldTooSmallError, HopfkitError, NotSemisimpleError
 from .factor import factor_over_cyclotomic, factor_rational
 from .hopf import HopfData, commutes_with_basis, format_vector, pair
 from .integrals import IntegralPair, compute_integrals, left_absorption_failure
-from .linalg import IncrementalDependency, PreparedSolver, Vector, combine, sparse_kernel_basis, vec_eq, zero_vector
+from .linalg import PreparedSolver, Vector, combine, minimal_polynomial, sparse_kernel_basis, vec_eq, zero_vector
 from .polys import Poly, format_poly
-from .scalars import CycScalar, ONE, ZERO
+from .scalars import CycScalar, ZERO
 
 
 @dataclass
@@ -62,20 +62,10 @@ def center(H: HopfData) -> list[Vector]:
     return sparse_kernel_basis(H.dim, entries())
 
 
-def _min_poly_on_center(H: HopfData, z: Vector, bound: int) -> tuple[Poly, list[Vector]] | None:
-    """Monic minimal polynomial m of multiplication-by-z, via the first linear
-    dependency among the powers 1, z, z^2, ... (at most ``bound`` of them),
-    together with the independent powers 1, z, ..., z^(deg m - 1)."""
-    tracker = IncrementalDependency()
-    powers: list[Vector] = []
-    cur = H.unit
-    for _ in range(bound + 1):
-        dep = tracker.add(cur)
-        if dep is not None:
-            return Poly(list(dep) + [ONE]), powers
-        powers.append(cur)
-        cur = H.multiply(cur, z)
-    return None
+def _min_poly_on_center(H: HopfData, z: Vector) -> tuple[Poly, list[Vector]]:
+    """Monic minimal polynomial m of multiplication-by-z with the powers 1, z,
+    ..., z^(deg m - 1); powers of a central z stay in Z(H), so deg m <= dim Z(H)."""
+    return minimal_polynomial(H.unit, lambda p: H.multiply(p, z))
 
 
 def _structure_is_rational(H: HopfData) -> bool:
@@ -114,7 +104,7 @@ def primitive_idempotents(
     for k, z in enumerate(zbasis):
         if len(idempotents) == r:
             break
-        min_poly, powers = _min_poly_on_center(H, z, r)
+        min_poly, powers = _min_poly_on_center(H, z)
         # spectral projectors q(z) / q(mu) with q = m / (x - mu), combinations
         # of the powers 1, z, ..., z^(deg m - 1); they refine every e into the
         # nonzero products e P

@@ -6,6 +6,8 @@ session and shared across test modules.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from hopfkit import (
@@ -60,6 +62,31 @@ def examples() -> dict[str, HopfData]:
 @pytest.fixture(scope="session")
 def pipelines():
     return pipeline_for
+
+
+def charpoly(rows) -> list:
+    """Characteristic polynomial det(x I - A), coefficients low to high, of the
+    square matrix A with the given rows, by the Faddeev-LeVerrier recurrence
+    M_k = A (M_(k-1) + c_(n-k+1) I), c_(n-k) = -tr(M_k) / k.  Plain Python
+    arithmetic seeded with Fractions (cyclotomic entries pass through their own
+    operators), sharing no code with hopfkit's elimination."""
+    n = len(rows)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        c = coeffs[n - k + 1]
+        shifted = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+        m = [[sum((rows[i][l] * shifted[l][j] for l in range(n)), Fraction(0)) for j in range(n)]
+             for i in range(n)]
+        coeffs[n - k] = -sum((m[i][i] for i in range(n)), Fraction(0)) / k
+    return coeffs
+
+
+def fusion_matrix_rows(tensor: list, v: int) -> list[list[int]]:
+    """The integer matrix of multiplication by chi_v on the character basis,
+    read off a fusion tensor: M[u][w] = n[v][w][u]."""
+    r = len(tensor)
+    return [[tensor[v][w][u] for w in range(r)] for u in range(r)]
 
 
 def perturbed(H: HopfData, **changes: dict) -> HopfData:

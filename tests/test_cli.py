@@ -127,6 +127,30 @@ def test_missing_file_exits_2(capsys):
     assert main(["check-axioms", "/nonexistent/x.hopf"]) == 2
 
 
+def test_directory_input_exits_2(workdir, capsys):
+    assert main(["check-axioms", str(workdir)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_invalid_utf8_exits_2(workdir, capsys):
+    latin1 = workdir / "latin1.hopf"
+    latin1.write_bytes("hopf caf\u00e9\ndim 1\n".encode("latin-1"))
+    assert main(["check-axioms", str(latin1)]) == 2
+    assert "utf-8" in capsys.readouterr().err
+
+
+def test_build_output_to_directory_exits_2(workdir, capsys):
+    assert main(["build", "group-algebra", str(workdir / "c2.grp"), "-o", str(workdir)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_report_hopf_rejects_as(workdir, capsys):
+    out = workdir / "kc2.hopf"
+    main(["build", "group-algebra", str(workdir / "c2.grp"), "-o", str(out)])
+    assert main(["report", str(out), "--as", "double"]) == 2
+    assert "--as applies only to .grp inputs" in capsys.readouterr().err
+
+
 def test_grp_report_requires_as(workdir, capsys):
     assert main(["report", str(workdir / "s3.grp")]) == 2
     assert "--as" in capsys.readouterr().err

@@ -1,13 +1,14 @@
-"""Factorization over Q and over cyclotomic fields, and rational reconstruction."""
+"""Factorization over Q and over cyclotomic fields."""
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt
 
 import pytest
 
-from hopfkit import CycScalar, Poly, cyclotomic_coeffs, factor_over_cyclotomic, factor_rational, rational_reconstruction
+from hopfkit import CycScalar, Poly, cyclotomic_coeffs, factor_over_cyclotomic, factor_rational
+from hopfkit.factor import _choose_prime, _next_prime, resultant_q
 from hopfkit.rng import DeterministicRng
+from hopfkit.scalars import _poly_derivative, _poly_mul
 
 
 def _product_with_lead(p: Poly, factors) -> Poly:
@@ -125,35 +126,35 @@ def test_factor_over_cyclotomic_requires_squarefree():
         factor_over_cyclotomic(Poly([1, 2, 1]), 4)
 
 
-def _reconstruction_oracle(residue: int, modulus: int):
-    bound = isqrt(modulus // 2)
-    hits = set()
-    for d in range(1, bound + 1):
-        for n in range(-bound, bound + 1):
-            if (n - residue * d) % modulus == 0:
-                hits.add(Fraction(n, d))
-    return hits
+def _discriminant_prime(f: list[int]) -> int:
+    """Reference choice: the first prime above 2^30 that does not divide disc(f)."""
+    f_rat = [Fraction(c) for c in f]
+    disc = resultant_q(f_rat, _poly_derivative(f_rat)).numerator
+    p = _next_prime(1 << 30)
+    while disc % p == 0:
+        p = _next_prime(p)
+    return p
 
 
-def test_rational_reconstruction_examples():
-    # no pair within |n|, d <= sqrt(13/2): failure
-    assert rational_reconstruction(4, 13) is None
-    assert _reconstruction_oracle(4, 13) == set()
-    # 2 * 51 = 102 = 1 mod 101
-    assert rational_reconstruction(51, 101) == Fraction(1, 2)
-    assert _reconstruction_oracle(51, 101) == {Fraction(1, 2)}
-    # 8 exceeds sqrt(101/2) ~ 7.1, so the bound admits nothing
-    assert rational_reconstruction(8, 101) is None
-    assert _reconstruction_oracle(8, 101) == set()
-
-
-def test_rational_reconstruction_round_trip():
-    m = 1_000_003  # prime
-    for n, d in [(1, 2), (-3, 5), (22, 7), (-100, 9), (0, 1), (355, 113)]:
-        residue = (n * pow(d, -1, m)) % m
-        assert rational_reconstruction(residue, m) == Fraction(n, d)
-
-
-def test_rational_reconstruction_validates_modulus():
-    with pytest.raises(ValueError):
-        rational_reconstruction(0, 1)
+def test_prime_choice_matches_the_discriminant():
+    # for monic f, f mod p is squarefree exactly when p does not divide disc(f)
+    p0 = _next_prime(1 << 30)
+    p1 = _next_prime(p0)
+    # squarefree over Q with a double root mod p0 (and mod p1 for the second),
+    # so the choice must skip the first prime above 2^30 (and the second)
+    crafted = [
+        _poly_mul([-1, 1], [-1 - p0, 1]),
+        _poly_mul([-p0 * p0, 0, 1], [-p1 * p1, 0, 1]),
+        _poly_mul(_poly_mul([-1, 1], [-2, 1]), [-2 - p0, 1]),
+    ]
+    rng = DeterministicRng(61)
+    drawn = []
+    while len(drawn) < 40:
+        f = [rng.randint(-9, 9) for _ in range(rng.randint(2, 8))] + [1]
+        if Poly(f).is_squarefree():
+            drawn.append(f)
+    for f in crafted + drawn:
+        assert Poly(f).is_squarefree()
+        assert _choose_prime(f) == _discriminant_prime(f), f
+    assert [_choose_prime(f) > p0 for f in crafted] == [True, True, True]
+    assert _choose_prime(crafted[1]) > p1

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from hopfkit import CycScalar, Matrix, Poly, char_min_poly, euler_phi, is_algebraic_integer, min_poly_scalar
+from conftest import charpoly
+
+from hopfkit import CycScalar, Poly, euler_phi, is_algebraic_integer, min_poly_scalar
 from hopfkit.factor import resultant_q
 from hopfkit.rng import DeterministicRng
 from hopfkit.scalars import _poly_add, _poly_derivative, _poly_divmod, _poly_gcd, _poly_mul, _poly_trim
@@ -136,8 +138,7 @@ def _sylvester_det(a, b):
     size = m + n
     rows = [[0] * k + a[::-1] + [0] * (n - 1 - k) for k in range(n)]
     rows += [[0] * k + b[::-1] + [0] * (m - 1 - k) for k in range(m)]
-    char, _ = char_min_poly(Matrix(rows))
-    return (-1) ** size * char[0]
+    return (-1) ** size * charpoly(rows)[0]
 
 
 # family -> (draw a polynomial of a given degree, map its coefficients into a

@@ -20,14 +20,13 @@ from conftest import perturbed
 
 from hopfkit import (
     HopfData,
-    Matrix,
     Pipeline,
     builtin_group,
     check_axioms,
     function_algebra,
     group_algebra,
-    rref_solve,
 )
+from hopfkit.linalg import PreparedSolver, unit_vector
 
 _DIM = 6  # S3
 _ALGEBRAS = {"kS3": group_algebra(builtin_group("S3")), "k^S3": function_algebra(builtin_group("S3"))}
@@ -58,8 +57,10 @@ def _change_of_basis(draw):
 def _rebase(H: HopfData, p: list[list[Fraction]]) -> HopfData:
     """H in the basis b'_i = sum_a p[a][i] b_a; q = p^-1 gives b_a = sum_k q[k][a] b'_k."""
     n = H.dim
-    sol, _ = rref_solve(Matrix(p), Matrix.identity(n))
-    q = [[sol[i, j].as_fraction() for j in range(n)] for i in range(n)]
+    # column a of q is the decomposition of e_a over the columns of p
+    solver = PreparedSolver([[row[j] for row in p] for j in range(n)])
+    q_cols = [solver.decompose(unit_vector(n, a)) for a in range(n)]
+    q = [[q_cols[j][i].as_fraction() for j in range(n)] for i in range(n)]
     mult: dict = {}
     for (a, b, c), s in H.mult.items():
         s = s.as_fraction()
