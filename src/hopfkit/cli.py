@@ -123,7 +123,10 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def _load_hopf(path: str) -> HopfData:
@@ -291,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HopfkitError as exc:

@@ -21,16 +21,6 @@ from .scalars import CycScalar, ONE, ZERO, as_scalar
 Vector = tuple[CycScalar, ...]
 
 
-def vector(entries: Iterable) -> Vector:
-    return tuple(as_scalar(e) for e in entries)
-
-
-def vec_add(a: Sequence[CycScalar], b: Sequence[CycScalar]) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-def vec_sub(a: Sequence[CycScalar], b: Sequence[CycScalar]) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
 def vec_scale(a: Sequence[CycScalar], s) -> Vector:
     s = as_scalar(s)
     return tuple(x * s for x in a)

@@ -9,9 +9,23 @@ q = m / (x - mu), one per root mu, are combinations of the powers 1, z_k,
 ..., z_k^(deg m - 1) that the minimal-polynomial search has already
 computed.  Each current idempotent e is replaced by the nonzero products
 e P.  Once there are dim Z(H) idempotents they are the centrally primitive
-ones.  Every claimed property (orthogonality, idempotence, sum = 1,
-centrality, square block traces) is then verified exactly; a non-splitting
-factor is the hard error "field too small".
+ones.  Basis elements with the same minimal polynomial share one
+factorisation within a call.  A non-splitting factor is the hard error
+"field too small".
+
+The system e_1..e_r is then certified exactly by r products, the sum and one
+centrality sweep, by two lemmas (characteristic 0):
+
+* Idempotents that sum to 1 are pairwise orthogonal.  Left multiplication
+  L_e by an idempotent is a projection, so tr L_e = rank L_e; the ranks sum
+  to tr L_1 = dim H, and the images e_i H span H (h = sum e_i h), so H is
+  their direct sum.  Then e_j = sum_i e_i e_j with e_i e_j in e_i H forces
+  e_i e_j = 0 for i != j.
+* Orthogonal idempotents summing to 1 are polynomials in w = sum_i i e_i:
+  p(w) = sum_i p(i) e_i, so e_i is the Lagrange polynomial at i evaluated at
+  w.  Hence w central implies every e_i central.
+
+The square block traces are checked by ``block_degrees``.
 
 Blocks are ordered by degree, then lexicographically by idempotent
 coordinates, so labels are stable.
@@ -101,17 +115,21 @@ def primitive_idempotents(
         raise HopfkitError("empty center; input is corrupt")
 
     idempotents = [H.unit]
+    # the projector coefficients q / q(mu) of each minimal polynomial already
+    # factored in this call, keyed by its rational coefficients; an entry is
+    # stored only once the polynomial has split
+    deflated: dict[tuple, list[list[CycScalar]]] = {}
     for k, z in enumerate(zbasis):
         if len(idempotents) == r:
             break
         min_poly, powers = _min_poly_on_center(H, z)
+        key = tuple(c.as_fraction() for c in min_poly.coeffs)
+        if key not in deflated:
+            deflated[key] = [_deflate(min_poly, mu) for mu in _eigenvalues(H, min_poly, order, k)]
         # spectral projectors q(z) / q(mu) with q = m / (x - mu), combinations
         # of the powers 1, z, ..., z^(deg m - 1); they refine every e into the
         # nonzero products e P
-        projectors = [
-            combine(_deflate(min_poly, mu), powers, H.dim)
-            for mu in _eigenvalues(H, min_poly, order, k)
-        ]
+        projectors = [combine(coeffs, powers, H.dim) for coeffs in deflated[key]]
         idempotents = [
             prod
             for e in idempotents
@@ -181,21 +199,30 @@ def _deflate(m: Poly, mu: CycScalar) -> list[CycScalar]:
 
 
 def _verify_idempotent_system(H: HopfData, idempotents: list[Vector]) -> None:
+    """Certify that the e_i are orthogonal central idempotents summing to 1.
+
+    Checks e_i^2 = e_i (r products), sum e_i = 1 and the centrality of
+    w = sum_i i e_i (one sweep).  Orthogonality follows from the first two:
+    in characteristic 0, tr L_(e_i) = rank L_(e_i) and these sum to
+    tr L_1 = dim H, so H is the direct sum of the e_i H and e_i e_j = 0 for
+    i != j.  Centrality of every e_i follows from that of w, since each e_i
+    is a Lagrange polynomial in w.  Raises HopfkitError naming the first
+    idempotent that fails, or the sum.
+    """
     total = zero_vector(H.dim)
     for i, e in enumerate(idempotents):
         total = tuple(x + y for x, y in zip(total, e))
-        for j, f in enumerate(idempotents):
-            prod = H.multiply(e, f)
-            expected = e if i == j else zero_vector(H.dim)
-            if not vec_eq(prod, expected):
-                raise HopfkitError(
-                    f"idempotent orthogonality failed at blocks {i}, {j}: {format_vector(prod)}"
-                )
+        square = H.multiply(e, e)
+        if not vec_eq(square, e):
+            raise HopfkitError(
+                f"idempotent {i} does not square to itself: e{i}^2 = {format_vector(square)}"
+            )
     if not vec_eq(total, H.unit):
         raise HopfkitError("idempotents do not sum to the unit")
-    for i, e in enumerate(idempotents):
-        if not commutes_with_basis(e, H.mult_by_output):
-            raise HopfkitError(f"idempotent {i} is not central")
+    w = combine(range(len(idempotents)), idempotents, H.dim)
+    if not commutes_with_basis(w, H.mult_by_output):
+        i = next(i for i, e in enumerate(idempotents) if not commutes_with_basis(e, H.mult_by_output))
+        raise HopfkitError(f"idempotent {i} is not central")
 
 
 def block_degrees(H: HopfData, idempotents: list[Vector]) -> list[int]:

@@ -139,6 +139,16 @@ def test_invalid_utf8_exits_2(workdir, capsys):
     assert "utf-8" in capsys.readouterr().err
 
 
+def test_invalid_utf8_error_names_the_file(workdir, capsys):
+    good = workdir / "good.hopf"
+    main(["build", "group-algebra", str(workdir / "c2.grp"), "-o", str(good)])
+    bad = workdir / "bad.hopf"
+    bad.write_bytes("hopf caf\u00e9\ndim 1\n".encode("latin-1"))
+    assert main(["build", "tensor", str(good), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "utf-8" in err and "good.hopf" not in err
+
+
 def test_build_output_to_directory_exits_2(workdir, capsys):
     assert main(["build", "group-algebra", str(workdir / "c2.grp"), "-o", str(workdir)]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -10,7 +10,10 @@ were recorded before the axiom loops and the integral system were driven by
 the stored structure constants.  The D(S3) and D(S3)* reports and the
 `characters --json` digests were recorded before the operations on H* were
 routed through the cached dual algebra and before the fusion witness became
-the minimal polynomial.
+the minimal polynomial.  The `wedderburn` text of D(S3) and D(S3)* and the
+D(Q8) report were recorded before the refinement factored each distinct
+minimal polynomial once and the idempotent system was certified by r
+products and one centrality sweep.
 """
 
 import hashlib
@@ -41,6 +44,7 @@ GOLDEN = {
     ("C3", "double-dual"): "60511dbebd3d26c22f11376963d40c225bd217bd5e9133b12a364c2301fd15b8",
     ("S3", "double"): "5e48076e4eaca91f31ab6a6d5803e9b43d78efff31a2c400f4dee12b50240abd",
     ("S3", "double-dual"): "ae83d50f417f5ff6244af8a4610dea5acaaf9faefea781d9ea9b144c8e04401c",
+    ("Q8", "double"): "d4029db3c833f3d5b6e31f804838f66e8ca15d5cd91cedb301a6bf8ff2f79d17",
 }
 
 
@@ -96,3 +100,20 @@ def test_characters_json_bytes(group, kind, tmp_path, capsys):
     assert main(["characters", str(path), "--json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == CHARACTERS_GOLDEN[group, kind]
+
+
+WEDDERBURN_GOLDEN = {
+    ("S3", "double"): "b4567fd2069c8a2f11a17a91f9bb94833c2d4cbb13599ef3619969dc7c0aaa01",
+    ("S3", "double-dual"): "bf74b9f1f29a40eec2034140306e67ce85f5199df7f2d87543897bcd991dff73",
+}
+
+
+@pytest.mark.parametrize("group,kind", sorted(WEDDERBURN_GOLDEN), ids=lambda v: str(v))
+def test_wedderburn_text_bytes(group, kind, tmp_path, capsys):
+    # the text lists every idempotent, so it pins their coordinates and order
+    H = drinfeld_double(builtin_group(group))
+    path = tmp_path / "algebra.hopf"
+    path.write_text(format_hopf(dualize(H) if kind == "double-dual" else H))
+    assert main(["wedderburn", str(path)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == WEDDERBURN_GOLDEN[group, kind]

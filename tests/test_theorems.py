@@ -19,7 +19,7 @@ from hopfkit import (
 )
 from hopfkit.hopf import format_vector, hit_act_dual_on_alg
 from hopfkit.integrals import IntegralPair
-from hopfkit.linalg import combine, unit_vector, vec_add, vec_eq, vec_scale, vec_sub
+from hopfkit.linalg import combine, unit_vector, vec_eq, vec_scale
 from hopfkit.report import VerificationReport
 from hopfkit.rng import DeterministicRng
 from hopfkit.scalars import as_scalar
@@ -188,6 +188,11 @@ def _with_Lambda(integrals: IntegralPair, Lambda) -> IntegralPair:
     )
 
 
+def _add(a, b) -> tuple:
+    """a + b entrywise."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
 def _corollary_cases(pipelines):
     dc3 = Pipeline(drinfeld_double(builtin_group("C3")))
     ks3, fs3 = pipelines("kS3"), pipelines("k^S3")
@@ -195,8 +200,8 @@ def _corollary_cases(pipelines):
     double = _with_Lambda(ks3.integrals, vec_scale(ks3.integrals.Lambda, 2))
     # v = b4 - b5 in k^S3: the two 1-dimensional blocks of kS3 send it to 0,
     # the 2-dimensional one to a vector outside the class functions C(H*)
-    v = vec_sub(unit_vector(fs3.H.dim, 4), unit_vector(fs3.H.dim, 5))
-    off_span = _with_Lambda(fs3.integrals, vec_add(fs3.integrals.Lambda, v))
+    v = _add(unit_vector(fs3.H.dim, 4), vec_scale(unit_vector(fs3.H.dim, 5), -1))
+    off_span = _with_Lambda(fs3.integrals, _add(fs3.integrals.Lambda, v))
     return [
         ("kS3", ks3, ks3.integrals, 0, "64 subset"),
         ("k^S3", fs3, fs3.integrals, 0, "8 subset"),

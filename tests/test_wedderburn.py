@@ -1,5 +1,6 @@
 """Block decompositions: degrees, idempotent systems, determinism, field errors."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,9 @@ from hopfkit import (
     primitive_idempotents,
 )
 from hopfkit.linalg import vec_eq
-from hopfkit.scalars import CycScalar
-from hopfkit.wedderburn import blocks_report
+from hopfkit.polys import format_poly
+from hopfkit.scalars import CycScalar, as_scalar
+from hopfkit.wedderburn import BlockDecomposition, _verify_idempotent_system, blocks_report
 
 
 def test_center_dimensions(examples):
@@ -247,3 +249,117 @@ def test_idempotents_equal_lagrange_product(examples, dual):
                 num = h.multiply(num, tuple(x - mu_j * u for x, u in zip(z, h.unit)))
                 denom = denom * (mu_i - mu_j)
         assert vec_eq(e, tuple(c / denom for c in num))
+
+
+
+def _ks3_bad_systems(h):
+    """Systems in kS3 that the certificate must reject, each with the witness
+    it must give.  Basis index 0 is the identity; 3 and 4 are reflections."""
+
+    def vec(coeffs):
+        return tuple(as_scalar(coeffs.get(g, 0)) for g in range(h.dim))
+
+    def unit_minus(*vs):
+        return tuple(u - sum(xs[1:], xs[0]) for u, xs in zip(h.unit, zip(*vs)))
+
+    half = Fraction(1, 2)
+    s = vec({3: 1})
+    e = vec({0: half, 3: half})  # (1 + s) / 2
+    f = vec({0: half, 4: half})  # (1 + t) / 2, and e f != 0
+    genuine = primitive_idempotents(h).idempotents
+    return [
+        ([s, unit_minus(s)], r"^idempotent 0 does not square to itself: e0\^2 = "),
+        ([e, unit_minus(e)], r"^idempotent 0 is not central$"),
+        # 1 - e - f is not idempotent because e f + f e != 0
+        ([e, f, unit_minus(e, f)], r"^idempotent 2 does not square to itself: "),
+        (genuine[:-1], r"^idempotents do not sum to the unit$"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_bad_idempotent_systems_rejected_with_named_witness(examples, case):
+    h = examples["kS3"]
+    system, witness = _ks3_bad_systems(h)[case]
+    with pytest.raises(HopfkitError, match=witness):
+        _verify_idempotent_system(h, system)
+    labels = [f"V{i}" for i in range(len(system))]
+    blocks = BlockDecomposition(center(h), system, [1] * len(system), labels)
+    item = next(i for i in blocks_report(h, blocks).items if i.id == "idempotent-system")
+    assert not item.passed
+    assert re.search(witness, item.witness)
+
+
+@pytest.mark.parametrize("name", ["kS3", "D(S3)"])
+def test_passing_system_costs_r_products_and_one_sweep(examples, pipelines, monkeypatch, name):
+    import hopfkit.wedderburn as wedderburn
+    from hopfkit import HopfData
+
+    h = examples[name]
+    idempotents = pipelines(name).blocks.idempotents
+    calls = {"multiply": 0, "sweep": 0}
+    multiply, sweep = HopfData.multiply, wedderburn.commutes_with_basis
+
+    def counted_multiply(self, a, b):
+        calls["multiply"] += 1
+        return multiply(self, a, b)
+
+    def counted_sweep(x, by_output):
+        calls["sweep"] += 1
+        return sweep(x, by_output)
+
+    monkeypatch.setattr(HopfData, "multiply", counted_multiply)
+    monkeypatch.setattr(wedderburn, "commutes_with_basis", counted_sweep)
+    wedderburn._verify_idempotent_system(h, idempotents)
+    assert calls == {"multiply": len(idempotents), "sweep": 1}
+
+
+def _count_factorisations(monkeypatch, split):
+    """Run split() with wedderburn's minimal polynomials and factor calls
+    recorded; returns (distinct minimal polynomials, factor_rational
+    arguments, factor_over_cyclotomic arguments)."""
+    import hopfkit.wedderburn as wedderburn
+
+    seen = {"min": [], "rational": [], "cyclotomic": []}
+    min_poly, rational, cyclotomic = (
+        wedderburn._min_poly_on_center, wedderburn.factor_rational, wedderburn.factor_over_cyclotomic
+    )
+
+    def recorded(key, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            seen[key].append(out[0] if key == "min" else args[0])
+            return out
+        return wrapper
+
+    monkeypatch.setattr(wedderburn, "_min_poly_on_center", recorded("min", min_poly))
+    monkeypatch.setattr(wedderburn, "factor_rational", recorded("rational", rational))
+    monkeypatch.setattr(wedderburn, "factor_over_cyclotomic", recorded("cyclotomic", cyclotomic))
+    split()
+    return {format_poly(p) for p in seen["min"]}, seen["rational"], seen["cyclotomic"]
+
+
+@pytest.mark.parametrize("dual,distinct", [(False, 5), (True, 3)])
+def test_one_factorisation_per_distinct_minimal_polynomial(examples, monkeypatch, dual, distinct):
+    h = dualize(examples["D(S3)"]) if dual else examples["D(S3)"]
+    polys, factored, _ = _count_factorisations(monkeypatch, lambda: primitive_idempotents(h))
+    assert len(polys) == distinct
+    assert len(factored) == distinct
+    assert {format_poly(p) for p in factored} == polys
+    # the memo lives in one call: a second call factors everything again
+    _, factored, _ = _count_factorisations(
+        monkeypatch, lambda: (primitive_idempotents(h), primitive_idempotents(h))
+    )
+    assert len(factored) == 2 * distinct
+
+
+def test_repeated_cyclotomic_factor_is_split_once(monkeypatch):
+    # D(C3) meets x^2 + x + 1 in several center basis elements
+    h = drinfeld_double(builtin_group("C3"))
+    _, _, trager = _count_factorisations(monkeypatch, lambda: primitive_idempotents(h))
+    assert len(trager) == 1 and format_poly(trager[0]) == "x^2 + x + 1"
+
+
+def test_field_too_small_names_first_failing_element_with_memo(monkeypatch):
+    h = group_algebra(builtin_group("C3"))
+    with pytest.raises(FieldTooSmallError, match=r"element z1 .* factor x\^2 \+ x \+ 1"):
+        _count_factorisations(monkeypatch, lambda: primitive_idempotents(h, order=1))
