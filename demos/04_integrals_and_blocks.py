@@ -41,7 +41,8 @@ print("== a non-semisimple input is a first-class error ==")
 from hopfkit import HopfData, NotSemisimpleError
 
 # the 4-dimensional algebra on {1, g, x, gx} with g^2 = 1, x^2 = 0, xg = -gx:
-# a genuine Hopf algebra (axioms pass) whose integral pairs to zero
+# a genuine Hopf algebra (axioms pass) whose regular character of H* is not
+# a left integral
 I, G, X, GX = range(4)
 mult = {
     (I, I, I): 1, (I, G, G): 1, (I, X, X): 1, (I, GX, GX): 1,

@@ -25,7 +25,6 @@ from .errors import (
     FieldTooSmallError,
     GroupTableError,
     HopfkitError,
-    IntegralSpaceError,
     InconsistentSystemError,
     NotSemisimpleError,
     ParseError,
@@ -38,7 +37,6 @@ from .groups import (
     builtin_names,
     format_grp,
     parse_group,
-    write_builtin_grp_files,
 )
 from .hopf import (
     HopfData,
@@ -83,7 +81,6 @@ __all__ = [
     "HopfkitError",
     "InconsistentSystemError",
     "IntegralPair",
-    "IntegralSpaceError",
     "IntegralityCertificate",
     "Matrix",
     "NotSemisimpleError",
@@ -142,5 +139,4 @@ __all__ = [
     "verify_lemma1",
     "verify_proposition",
     "verify_section4",
-    "write_builtin_grp_files",
 ]

@@ -28,12 +28,10 @@ class GroupTableError(HopfkitError):
 
 
 class NotSemisimpleError(HopfkitError):
-    """An integral normalization denominator vanished; the message names
-    which one (eps(Lambda) = 0 vs lambda(1) = 0)."""
-
-
-class IntegralSpaceError(HopfkitError):
-    """The left-integral space is not 1-dimensional; the input data is corrupt."""
+    """The integral pair could not be certified.  The message names the failing
+    check: a regular character that is not a left integral (with the first
+    failing basis index), or one of the trace identities chi_H(1),
+    <eps, chi_H*> and <chi_H, chi_H*> = dim H, which fail only on corrupt data."""
 
 
 class FieldTooSmallError(HopfkitError):

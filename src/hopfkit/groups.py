@@ -306,17 +306,3 @@ def builtin_group(name: str) -> GroupTable:
 def builtin_grp_text(name: str) -> str:
     """The `.grp` file contents for a built-in group."""
     return format_grp(builtin_group(name))
-
-
-def write_builtin_grp_files(directory) -> list[str]:
-    """Write every built-in group to `<directory>/<name>.grp`; returns the paths."""
-    from pathlib import Path
-
-    out = []
-    base = Path(directory)
-    base.mkdir(parents=True, exist_ok=True)
-    for name in _BUILTINS:
-        path = base / f"{name}.grp"
-        path.write_text(builtin_grp_text(name))
-        out.append(str(path))
-    return out

@@ -197,6 +197,16 @@ def pair(phi: Sequence[CycScalar], h: Sequence[CycScalar]) -> CycScalar:
     return acc
 
 
+def regular_character(H: HopfData) -> Vector:
+    """chi_H in H*: the traces tr L_{b_a} = sum_k mult[a, k, k] of left
+    multiplication by each basis vector."""
+    chi = [ZERO] * H.dim
+    for (a, k, r), c in H.mult.items():
+        if k == r:
+            chi[a] = chi[a] + c
+    return tuple(chi)
+
+
 def convolve(phi: Sequence[CycScalar], psi: Sequence[CycScalar], H: HopfData) -> Vector:
     """Product in H*: (phi psi)(h) = sum phi(h_(1)) psi(h_(2))."""
     if len(phi) != H.dim or len(psi) != H.dim:

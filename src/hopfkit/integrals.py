@@ -1,26 +1,47 @@
 """Normalized integrals and the semisimplicity certificate.
 
-The left integral space of H is the exact kernel of the stacked system
-h x = eps(h) x over all basis h; the same routine on the cached dual H.dual
-gives the left integrals of H*.  Both spaces must be 1-dimensional.
-Normalization fixes <lambda, 1> = 1 and then <lambda, Lambda> = 1;
-semisimplicity is certified by eps(Lambda) != 0 and cosemisimplicity by
-lambda_raw(1) != 0, each a hard error when it fails.
-After normalization <eps, Lambda> = dim H is asserted.
+In characteristic 0 a semisimple H is also cosemisimple (Larson-Radford,
+J. Algebra 117, 1988, "Finite dimensional cosemisimple Hopf algebras in
+characteristic 0 are semisimple"), and its integrals are the regular
+characters: lambda = chi_H / dim H in H* and Lambda = chi_{H*} in H, where
+chi_H = (tr L_{b_a})_a is :func:`~hopfkit.hopf.regular_character` and chi_{H*}
+is the same trace on the cached dual H.dual, read in H** = H.  No linear
+system is solved.  Each is certified by absorption, a hard error naming the
+first failing index: chi_{H*} must satisfy b_i x = eps(b_i) x for every basis
+b_i of H ("not semisimple"), and chi_H must satisfy phi_i x = phi_i(1) x for
+every dual basis phi_i ("not cosemisimple").  The normalizations
+<lambda, 1> = 1, <eps, Lambda> = dim H and <lambda, Lambda> = 1 are then the
+three trace identities
 
-The pair of H* needs no second solve: with H** = H the roles swap, so H* has
-lambda* = Lambda / dim H (the rescaled Lambda of H) and Lambda* = dim H * lambda;
-:func:`dual_integrals` builds it from the pair of H, and semisimplicity and
-cosemisimplicity trade places.
+    chi_H(1) = dim H,   <eps, chi_{H*}> = dim H,   <chi_H, chi_{H*}> = dim H,
+
+each checked exactly; a failure means corrupt data.
+
+They make both integral spaces 1-dimensional, by a lemma that uses only that
+H and H* are associative unital algebras (which ``check_axioms`` certifies):
+
+* Lambda' = Lambda / dim H is an idempotent: absorption gives
+  Lambda' Lambda' = eps(Lambda') Lambda', and eps(Lambda') = 1.  So L_{Lambda'}
+  is a projection and rank L_{Lambda'} = tr L_{Lambda'} = chi_H(Lambda')
+  = <chi_H, chi_{H*}> / dim H = 1.  Its image Lambda' H consists of left
+  integrals, and every left integral x satisfies x = Lambda' x, so the image
+  is the left integral space of H.
+* Dually lambda is an idempotent of H* (it absorbs and lambda(1) = 1), and
+  the left integral space of H* is the image of L_lambda, of dimension
+  tr L_lambda = <lambda, chi_{H*}> = 1.
+
+The pair of H* needs no second computation: with H** = H the roles swap, so
+H* has lambda* = Lambda / dim H (the rescaled Lambda of H) and
+Lambda* = dim H * lambda; :func:`dual_integrals` builds it from the pair of H.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IntegralSpaceError, NotSemisimpleError
-from .hopf import HopfData, format_vector, pair
-from .linalg import Vector, sparse_kernel_basis, vec_eq, vec_scale
+from .errors import NotSemisimpleError
+from .hopf import HopfData, format_vector, pair, regular_character
+from .linalg import Vector, vec_eq, vec_scale
 from .report import VerificationReport
 from .scalars import ZERO, as_scalar
 
@@ -32,67 +53,42 @@ class IntegralPair:
     lambda_dual: Vector
     Lambda: Vector
     Lambda_scaled: Vector
-    semisimple: bool
-    cosemisimple: bool
-
-
-def left_integral_space(H: HopfData) -> list[Vector]:
-    """Kernel basis of {x : b_i x = eps(b_i) x for all i}: row (i, r) holds
-    the coefficients of (b_i x - eps(b_i) x)_r."""
-
-    def entries():
-        for (i, k, r), c in H.mult.items():
-            yield (i, r), k, c
-        for i, e in enumerate(H.counit):
-            if not e.is_zero():
-                for r in range(H.dim):
-                    yield (i, r), r, -e
-
-    return sparse_kernel_basis(H.dim, entries())
 
 
 def compute_integrals(H: HopfData) -> IntegralPair:
-    """Solve, certify, and normalize the integral pair of a semisimple H."""
-    space = left_integral_space(H)
-    if len(space) != 1:
-        raise IntegralSpaceError(
-            f"left integral space of {H.name} has dimension {len(space)}, expected 1"
-        )
-    dual_space = left_integral_space(H.dual)
-    if len(dual_space) != 1:
-        raise IntegralSpaceError(
-            f"left integral space of {H.name}* has dimension {len(dual_space)}, expected 1"
-        )
-    Lambda_raw = space[0]
-    lambda_raw = dual_space[0]
-
-    eps_Lambda = pair(H.counit, Lambda_raw)
-    semisimple = not eps_Lambda.is_zero()
-    lambda_one = pair(lambda_raw, H.unit)
-    cosemisimple = not lambda_one.is_zero()
-    if not semisimple:
-        raise NotSemisimpleError(f"{H.name} is not semisimple: eps(Lambda) = 0")
-    if not cosemisimple:
-        raise NotSemisimpleError(f"{H.name} is not cosemisimple: lambda(1) = 0")
-
-    lam = vec_scale(lambda_raw, lambda_one.inverse())
-    lam_Lambda = pair(lam, Lambda_raw)
-    if lam_Lambda.is_zero():
-        raise NotSemisimpleError(f"{H.name}: <lambda, Lambda> = 0, cannot normalize")
-    Lambda = vec_scale(Lambda_raw, lam_Lambda.inverse())
-
-    dim_scalar = as_scalar(H.dim)
-    if not (pair(H.counit, Lambda) - dim_scalar).is_zero():
+    """Read and certify the integral pair of a semisimple H off its regular
+    characters."""
+    lambda_raw = regular_character(H)
+    Lambda_raw = regular_character(H.dual)
+    i = _absorption_failure(H, Lambda_raw, True)
+    if i is not None:
         raise NotSemisimpleError(
-            f"{H.name}: <eps, Lambda> != dim H after normalization; data is corrupt"
+            f"{H.name} is not semisimple: the regular character of H* is not a left "
+            f"integral (b{i} Lambda != eps(b{i}) Lambda)"
         )
-    Lambda_scaled = vec_scale(Lambda, as_scalar(1) / dim_scalar)
+    # the basis of H.dual is the dual basis phi_i, and its counit is phi -> phi(1)
+    i = _absorption_failure(H.dual, lambda_raw, True)
+    if i is not None:
+        raise NotSemisimpleError(
+            f"{H.name} is not cosemisimple: the regular character of H is not a left "
+            f"integral of H* (phi_{i} lambda != phi_{i}(1) lambda)"
+        )
+    dim_scalar = as_scalar(H.dim)
+    for name, value in (
+        ("chi_H(1)", pair(lambda_raw, H.unit)),
+        ("<eps, chi_H*>", pair(H.counit, Lambda_raw)),
+        ("<chi_H, chi_H*>", pair(lambda_raw, Lambda_raw)),
+    ):
+        if not (value - dim_scalar).is_zero():
+            raise NotSemisimpleError(
+                f"{H.name}: the trace identity {name} = dim H fails: {name} = {value}, "
+                f"dim H = {H.dim}; data is corrupt"
+            )
+    inv_dim = dim_scalar.inverse()
     return IntegralPair(
-        lambda_dual=lam,
-        Lambda=Lambda,
-        Lambda_scaled=Lambda_scaled,
-        semisimple=semisimple,
-        cosemisimple=cosemisimple,
+        lambda_dual=vec_scale(lambda_raw, inv_dim),
+        Lambda=Lambda_raw,
+        Lambda_scaled=vec_scale(Lambda_raw, inv_dim),
     )
 
 
@@ -102,8 +98,6 @@ def dual_integrals(p: IntegralPair, dim: int) -> IntegralPair:
         lambda_dual=p.Lambda_scaled,
         Lambda=vec_scale(p.lambda_dual, dim),
         Lambda_scaled=p.lambda_dual,
-        semisimple=p.cosemisimple,
-        cosemisimple=p.semisimple,
     )
 
 
@@ -149,7 +143,7 @@ def integrals_report(H: HopfData, pair_: IntegralPair | None = None) -> Verifica
     report = VerificationReport(subject=H.name, dim=H.dim, suite="integrals")
     try:
         p = pair_ if pair_ is not None else compute_integrals(H)
-    except (NotSemisimpleError, IntegralSpaceError) as exc:
+    except NotSemisimpleError as exc:
         report.add("integral-pair", "integral pair exists and normalizes", False, str(exc))
         return report
 

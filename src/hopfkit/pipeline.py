@@ -2,7 +2,7 @@
 
 A :class:`Pipeline` lazily computes axioms, integrals, blocks, characters,
 fusion, and the same stack for the dual algebra ``H.dual``, so the
-verification suites share work within a process.  The integral pair is solved
+verification suites share work within a process.  The integral pair is computed
 once, on H; the dual pipeline derives its pair from it.  Everything downstream
 is a pure function of (H, cyclotomic order, seed), and the seed only chooses
 the corollary suite's subset sample; two pipelines with equal inputs produce

@@ -42,10 +42,6 @@ class Poly:
     def x(cls) -> "Poly":
         return cls((ZERO, ONE))
 
-    @classmethod
-    def monomial(cls, k: int, coeff=1) -> "Poly":
-        return cls([0] * k + [coeff])
-
     # -- basic queries --------------------------------------------------------
 
     @property
@@ -119,12 +115,6 @@ class Poly:
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ArithmeticError("division was not exact")
-        return q
 
     def monic(self) -> "Poly":
         return Poly(_poly_monic(self.coeffs)) if self.coeffs else self

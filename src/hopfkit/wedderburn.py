@@ -39,11 +39,11 @@ from math import isqrt, lcm
 
 from .errors import FieldTooSmallError, HopfkitError, NotSemisimpleError
 from .factor import factor_over_cyclotomic, factor_rational
-from .hopf import HopfData, commutes_with_basis, format_vector, pair
+from .hopf import HopfData, commutes_with_basis, format_vector, pair, regular_character
 from .integrals import IntegralPair, compute_integrals, left_absorption_failure
 from .linalg import PreparedSolver, Vector, combine, minimal_polynomial, sparse_kernel_basis, vec_eq, zero_vector
 from .polys import Poly, format_poly
-from .scalars import CycScalar, ZERO
+from .scalars import CycScalar
 
 
 @dataclass
@@ -96,7 +96,7 @@ def primitive_idempotents(
 
     Requires semisimple H with rational structure constants (all built-in
     families).  Semisimplicity is certified from the integral Lambda of
-    ``integrals`` (solved here when absent): Lambda must be a left integral
+    ``integrals`` (computed here when absent): Lambda must be a left integral
     with eps(Lambda) != 0 (Maschke).  Raises FieldTooSmallError when an
     eigenvalue of a center basis element lives outside Q(zeta_order).
     """
@@ -228,17 +228,10 @@ def _verify_idempotent_system(H: HopfData, idempotents: list[Vector]) -> None:
 def block_degrees(H: HopfData, idempotents: list[Vector]) -> list[int]:
     """Degrees dim V from the trace of left multiplication by e_V on H, which
     must be the perfect square (dim V)^2."""
-    # diag[a] = sum_k mult[a, k, k], the trace of left multiplication by b_a
-    diag = [ZERO] * H.dim
-    for (a, k, r), c in H.mult.items():
-        if k == r:
-            diag[a] = diag[a] + c
+    chi = regular_character(H)
     degrees = []
     for i, e in enumerate(idempotents):
-        t = ZERO
-        for a, ea in enumerate(e):
-            if not (ea.is_zero() or diag[a].is_zero()):
-                t = t + ea * diag[a]
+        t = pair(chi, e)
         if not t.is_rational():
             raise HopfkitError(f"non-square block trace at block {i}: {t}")
         q = t.as_fraction()

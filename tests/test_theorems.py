@@ -183,8 +183,6 @@ def _with_Lambda(integrals: IntegralPair, Lambda) -> IntegralPair:
         lambda_dual=integrals.lambda_dual,
         Lambda=Lambda,
         Lambda_scaled=integrals.Lambda_scaled,
-        semisimple=True,
-        cosemisimple=True,
     )
 
 
@@ -265,8 +263,6 @@ def test_corollary_negative_control(pipelines):
         lambda_dual=pipe.integrals.lambda_dual,
         Lambda=vec_scale(pipe.integrals.Lambda, Fraction(3)),
         Lambda_scaled=pipe.integrals.Lambda_scaled,
-        semisimple=True,
-        cosemisimple=True,
     )
     rep = verify_corollary(pipe.H, pipe.dual.blocks, bad, pipe.dual.table)
     assert rep.failures()
@@ -296,8 +292,6 @@ def test_section4_negative_control(pipelines):
         lambda_dual=pipe.integrals.lambda_dual,
         Lambda=(pipe.integrals.Lambda[0], 0 * pipe.integrals.Lambda[1]),
         Lambda_scaled=pipe.integrals.Lambda_scaled,
-        semisimple=True,
-        cosemisimple=True,
     )
     rep = verify_section4(
         pipe.H, pipe.blocks, bad, pipe.table, pipe.dual.blocks, pipe.dual.table
