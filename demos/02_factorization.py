@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
-"""Polynomial factorization over Q (Zassenhaus chain) and over Q(zeta_N)
-(Trager's norm method)."""
+"""Polynomial factorization over Q and over Q(zeta_N).
+
+Over Q the integer roots of each squarefree part are split off first and the
+Zassenhaus chain factors the rest; over Q(zeta_N) each Phi_d with d | N is
+split off first, as the linear factors x - zeta_N^k ordered by d and then k,
+and Trager's norm method factors the rest.
+"""
 
 from hopfkit import Poly, factor_over_cyclotomic, factor_rational
 

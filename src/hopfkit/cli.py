@@ -82,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, help_text in (
         ("check-axioms", "verify the Hopf axioms of a .hopf file"),
-        ("integrals", "compute and certify the integral pair"),
+        ("integrals", "compute and certify the integral pair (assumes H and H* are associative "
+                      "and unital, which check-axioms and report certify)"),
         ("wedderburn", "compute the block decomposition"),
         ("characters", "compute the character table and fusion ring"),
     ):

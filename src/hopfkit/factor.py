@@ -1,6 +1,10 @@
 """Univariate polynomial factorization over Q and over cyclotomic fields.
 
-The rational kernel is the classic Zassenhaus chain:
+The rational kernel peels the integer roots of each monic squarefree part
+(candidates 0 and the divisors of the lowest nonzero coefficient below the
+Cauchy bound, each confirmed by Horner evaluation and removed by exact
+division; a cofactor of degree <= 3 left without one is irreducible), then
+runs the classic Zassenhaus chain on what remains:
 
     Yun squarefree decomposition
       -> reduction mod the first prime p > 2^30 modulo which the monic
@@ -10,9 +14,12 @@ The rational kernel is the classic Zassenhaus chain:
       -> linear multifactor Hensel lifting past the Mignotte coefficient bound
       -> exhaustive subset recombination (factor counts stay tiny at desk scale)
 
-Factorization over Q(zeta_N) uses Trager's norm method: shift by an integer
-multiple of zeta_N until the resultant norm is squarefree, factor the norm
-over Q, and pull the factors back through gcds over the cyclotomic field.
+Factorization over Q(zeta_N) first divides out each cyclotomic polynomial
+Phi_d with d | N, whose roots are powers of zeta_N, and sends the rest to
+Trager's norm method: shift by an integer multiple s of zeta_N until the norm
+(the product of the conjugates p(x - s zeta_N^k), gcd(k, N) = 1) is
+squarefree, factor the norm over Q, and pull the factors back through gcds
+over the cyclotomic field.
 Everything is exact; returned factors are monic.
 
 Arithmetic on integer, rational and cyclotomic coefficient lists uses the one
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .polys import Poly
 from .rng import DeterministicRng
@@ -268,11 +275,69 @@ def _choose_prime(f: list[int]) -> int:
     return p
 
 
+# A sweep over this many candidates (a modulus test each, Horner only on the
+# divisors) costs about one Zassenhaus run on a quadratic: a prime search above
+# 2^30 and two 30-step powmods.  Past it the peel is skipped.
+_ROOT_CANDIDATE_CAP = 4096
+
+
+def _horner(f: list[int], t: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = acc * t + c
+    return acc
+
+
+def _peel_integer_roots(f: list[int]) -> tuple[list[list[int]], list[int], bool]:
+    """Split x - t off a monic squarefree integer f for each integer root t.
+
+    Returns the linear factors, the cofactor and whether every candidate was
+    tried.  The candidates are 0 and the divisors t of the lowest nonzero
+    coefficient with |t| < B, the least power of two with B^n > sum |a_i| B^i:
+    B exceeds the Cauchy radius (the positive root of x^n - sum |a_i| x^i,
+    itself at most 1 + max |a_i|), which bounds every root.  When there are
+    more than _ROOT_CANDIDATE_CAP candidates, only the root 0 is peeled.
+    """
+    linears: list[list[int]] = []
+    if len(f) > 2 and f[0] == 0:
+        linears.append([0, 1])
+        f = f[1:]
+    if len(f) > 2:
+        cauchy = [-abs(c) for c in f[:-1]] + [1]
+        bound = 1
+        while _horner(cauchy, bound) <= 0:
+            bound *= 2
+        limit = min(abs(f[0]), bound - 1)
+        if limit > _ROOT_CANDIDATE_CAP:
+            return linears, f, False
+        for t in range(1, limit + 1):
+            if len(f) > 2 and f[0] % t == 0:
+                for root in (t, -t):
+                    if _horner(f, root) == 0:
+                        linears.append([-root, 1])
+                        f = _poly_divmod(f, linears[-1])[0]
+    if len(f) == 2:  # a monic linear cofactor x - t is the last root
+        linears.append(f)
+        f = [1]
+    return linears, f, True
+
+
 def _factor_squarefree_monic_z(f: list[int]) -> list[list[int]]:
-    """Irreducible monic integer factors of a monic squarefree integer polynomial."""
-    n = len(f) - 1
-    if n <= 1:
-        return [list(f)] if n == 1 else []
+    """Irreducible monic integer factors of a monic squarefree integer
+    polynomial.  Integer roots are peeled first; a cofactor of degree <= 3
+    without one is irreducible, and any other goes to Zassenhaus."""
+    factors, rest, complete = _peel_integer_roots(f)
+    n = len(rest) - 1
+    if n > (3 if complete else 1):
+        factors += _zassenhaus(rest)
+    elif n:
+        factors.append(rest)
+    return factors
+
+
+def _zassenhaus(f: list[int]) -> list[list[int]]:
+    """Irreducible monic integer factors of a monic squarefree integer
+    polynomial of degree >= 2, by the Zassenhaus chain."""
     p = _choose_prime(f)
     rng = DeterministicRng(0xFAC7 ^ p)
     fp = _gf_monic([c % p for c in f], p)
@@ -306,7 +371,6 @@ def _factor_squarefree_monic_z(f: list[int]) -> list[list[int]]:
         size += 1
     if len(remaining) - 1 > 0:
         result.append(remaining)
-    result.sort(key=lambda fac: (len(fac), fac))
     return result
 
 
@@ -376,45 +440,24 @@ def factor_rational(p: Poly) -> list[tuple[Poly, int]]:
 # public: factorization over Q(zeta_N) (Trager's norm method)
 
 
-def _norm_by_interpolation(p_rat: list[Fraction], shift: int, order: int) -> list[Fraction]:
-    """Res_y(Phi_order(y), p(x - shift*y)) as a polynomial in x, computed by
-    evaluation at deg(p)*phi + 1 integer points and Lagrange interpolation.
-    The y-leading coefficient of p(x - s y) is a nonzero constant, so no
-    evaluation point degenerates."""
-    phi = euler_phi(order)
-    mod = [Fraction(c) for c in cyclotomic_coeffs(order)]
-    n = len(p_rat) - 1
-    degree = n * phi
-    xs = range(degree + 1)
-    values = []
-    for t in xs:
-        # q_t(y) = p(t - shift*y), by Horner
-        q: list[Fraction] = []
-        base = [Fraction(t), Fraction(-shift)]
-        for c in reversed(p_rat):
-            q = _poly_add(_poly_mul(q, base), [c])
-        values.append(resultant_q(mod, q))
-    return _lagrange(list(xs), values)
-
-
-def _lagrange(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
-    acc: list[Fraction] = []
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if not yi:
-            continue
-        num = [yi]
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j != i:
-                num = _poly_mul(num, [Fraction(-xj), Fraction(1)])
-                den *= xi - xj
-        acc = _poly_add(acc, [c / den for c in num])
-    return acc
+def _norm(p_rat: list[Fraction], shift: int, order: int) -> list[Fraction]:
+    """Res_y(Phi_order(y), p(x - shift*y)) as a polynomial in x: the product of
+    p(x - shift*zeta^k) over the k coprime to order.  Its factors are the
+    Galois conjugates of one another, so its coefficients are rational."""
+    p, norm = Poly(p_rat), Poly.one()
+    for k in range(1, order + 1):
+        if gcd(k, order) == 1:
+            norm = norm * p.compose(Poly([-shift * CycScalar.zeta(order, k), 1]))
+    return norm.rational_coeffs()
 
 
 def factor_over_cyclotomic(p: Poly, order: int) -> list[Poly]:
     """Factor a squarefree rational polynomial into monic irreducibles over
-    Q(zeta_order).  The factors multiply back to p / lc(p)."""
+    Q(zeta_order).  The factors multiply back to p / lc(p).
+
+    For order > 2 the linear factors x - zeta^((order/d) j), gcd(j, d) = 1, of
+    each Phi_d dividing p (d | order) come first, ordered by d and then j;
+    the factors Trager's method finds for the rest follow."""
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     p_rat = [c.as_fraction() for c in p.coeffs]
@@ -429,15 +472,37 @@ def factor_over_cyclotomic(p: Poly, order: int) -> list[Poly]:
     if euler_phi(order) == 1:
         return [f for f, _ in factor_rational(monic)]
 
-    zeta = CycScalar.zeta(order)
-    monic_rat = monic.rational_coeffs()
+    result: list[Poly] = []
+    rest = monic.rational_coeffs()
+    for d in range(1, order + 1):
+        if order % d == 0 and len(rest) > euler_phi(d):
+            quot, rem = _poly_divmod(rest, cyclotomic_coeffs(d))
+            if not rem:
+                rest = quot
+                step = order // d
+                result += [Poly([-CycScalar.zeta(order, step * j), 1]) for j in range(1, d + 1) if gcd(j, d) == 1]
+    if len(rest) > 2:
+        result += _trager(rest, order)
+    elif len(rest) == 2:
+        result.append(Poly(rest))
+    total = Poly.one()
+    for h in result:
+        total = total * h
+    if total != monic:
+        raise ArithmeticError("cyclotomic factors do not multiply back to the input")
+    return result
+
+
+def _trager(monic_rat: list[Fraction], order: int) -> list[Poly]:
+    """Trager's norm method for a monic squarefree rational polynomial."""
     for shift in _shift_candidates():
-        norm = _norm_by_interpolation(monic_rat, shift, order)
+        norm = _norm(monic_rat, shift, order)
         if len(_poly_gcd(norm, _poly_derivative(norm))) - 1 == 0:
             break
     else:  # pragma: no cover - candidate stream is unbounded
         raise ArithmeticError("no squarefree norm shift found")
 
+    zeta, monic = CycScalar.zeta(order), Poly(monic_rat)
     result: list[Poly] = []
     for q, _ in factor_rational(Poly(norm)):
         # pull back: gcd(p(x), q(x + shift*zeta)) over Q(zeta_order)
@@ -445,11 +510,6 @@ def factor_over_cyclotomic(p: Poly, order: int) -> list[Poly]:
         h = monic.gcd(shifted)
         if h.degree >= 1:
             result.append(h.monic())
-    total = Poly.one()
-    for h in result:
-        total = total * h
-    if total != monic:
-        raise ArithmeticError("cyclotomic factors do not multiply back to the input")
     return result
 
 

@@ -18,7 +18,9 @@ three trace identities
 each checked exactly; a failure means corrupt data.
 
 They make both integral spaces 1-dimensional, by a lemma that uses only that
-H and H* are associative unital algebras (which ``check_axioms`` certifies):
+H and H* are associative unital algebras.  That is assumed here, not checked:
+``check_axioms`` certifies it, and the ``check-axioms`` and ``report``
+subcommands run it, but the ``integrals`` subcommand does not.
 
 * Lambda' = Lambda / dim H is an idempotent: absorption gives
   Lambda' Lambda' = eps(Lambda') Lambda', and eps(Lambda') = 1.  So L_{Lambda'}

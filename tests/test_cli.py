@@ -192,6 +192,21 @@ def test_cyclotomic_flag_field_too_small(workdir, capsys):
     assert main(["wedderburn", str(out), "--cyclotomic", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "group,kind,order,factor",
+    [("C4", "group-algebra", 2, "x^2 + 1"), ("C3", "double", 1, "x^2 + x + 1")],
+)
+def test_report_field_too_small_names_the_factor(workdir, capsys, group, kind, order, factor):
+    path = workdir / f"{group}.grp"
+    path.write_text(builtin_grp_text(group))
+    assert main(["report", str(path), "--as", kind, "--cyclotomic", str(order)]) == 1
+    name = {"group-algebra": f"k[{group}]", "double": f"D({group})"}[kind]
+    assert capsys.readouterr().err == (
+        f"error: {name}: the minimal polynomial of center basis element z1 has the irreducible "
+        f"factor {factor}, which does not split over Q(zeta_{order}); increase the cyclotomic order\n"
+    )
+
+
 def test_report_byte_identical(workdir):
     r1, r2 = workdir / "r1.json", workdir / "r2.json"
     args = ["report", str(workdir / "s3.grp"), "--as", "group-algebra", "--json", "--seed", "5"]

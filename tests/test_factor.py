@@ -2,13 +2,22 @@
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
-from hopfkit import CycScalar, Poly, cyclotomic_coeffs, factor_over_cyclotomic, factor_rational
-from hopfkit.factor import _choose_prime, _next_prime, resultant_q
+from hopfkit import CycScalar, Poly, cyclotomic_coeffs, factor, factor_over_cyclotomic, factor_rational
+from hopfkit.factor import (
+    _ROOT_CANDIDATE_CAP,
+    _choose_prime,
+    _next_prime,
+    _norm,
+    _peel_integer_roots,
+    _zassenhaus,
+    resultant_q,
+)
 from hopfkit.rng import DeterministicRng
-from hopfkit.scalars import _poly_derivative, _poly_mul
+from hopfkit.scalars import _poly_add, _poly_derivative, _poly_mul
 
 
 def _product_with_lead(p: Poly, factors) -> Poly:
@@ -158,3 +167,134 @@ def test_prime_choice_matches_the_discriminant():
         assert _choose_prime(f) == _discriminant_prime(f), f
     assert [_choose_prime(f) > p0 for f in crafted] == [True, True, True]
     assert _choose_prime(crafted[1]) > p1
+
+
+# irreducible over Q: no rational root, and a cubic without one has no factor
+_QUADRATICS = ([1, 0, 1], [-2, 0, 1], [1, 1, 1], [9, 3, 1], [3, -5, 1], [16, 4, 1])
+_CUBICS = ([-2, 0, 0, 1], [1, 1, 0, 1], [1, -3, 0, 1], [3, -9, 0, 1])
+_BEYOND_CAP = _ROOT_CANDIDATE_CAP + 7
+
+
+def _sorted_z(factors):
+    return sorted(factors, key=lambda fac: (len(fac), fac))
+
+
+def _peel_cases():
+    """(roots, other irreducible factors) of seeded squarefree monic integer
+    products, then products with a root beyond the candidate cap."""
+    rng = DeterministicRng(1313)
+    for _ in range(40):
+        roots = sorted({rng.randint(-12, 12) for _ in range(rng.randint(0, 4))})
+        others = [_QUADRATICS[i] for i in sorted({rng.below(len(_QUADRATICS)) for _ in range(rng.randint(0, 2))})]
+        if rng.below(3) == 0:
+            others.append(_CUBICS[rng.below(len(_CUBICS))])
+        if len(roots) + 2 * len(others) >= 2:
+            yield roots, others
+    yield [_BEYOND_CAP], [[1, 0, 1]]
+    yield [-2, 3, _BEYOND_CAP], []
+    yield [0, -_BEYOND_CAP], [[1, 1, 1]]
+    yield [1, _BEYOND_CAP], [[-2, 0, 0, 1]]
+
+
+def _expand(roots, others):
+    f = [1]
+    for g in [[-t, 1] for t in roots] + others:
+        f = _poly_mul(f, g)
+    return f
+
+
+def test_integer_root_peel_equals_zassenhaus():
+    for roots, others in _peel_cases():
+        f = _expand(roots, others)
+        expected = _sorted_z([[-t, 1] for t in roots] + others)
+        assert _sorted_z(_zassenhaus(f)) == expected, f
+        factors = factor_rational(Poly(f))
+        assert [(fac.rational_coeffs(), m) for fac, m in factors] == [
+            ([Fraction(c) for c in g], 1) for g in expected
+        ], f
+        assert _product_with_lead(Poly(f), factors) == Poly(f)
+
+
+def test_integer_root_peel_finds_every_root():
+    for roots, others in _peel_cases():
+        f = _expand(roots, others)
+        linears, rest, complete = _peel_integer_roots(f)
+        if abs(max(roots, key=abs, default=0)) < _ROOT_CANDIDATE_CAP:
+            # every root is peeled, and what is left is the product of the others
+            assert complete, f
+            assert sorted(-g[0] for g in linears) == roots, f
+            assert rest == _expand([], others), f
+        else:
+            assert not complete, f
+            assert linears == ([[0, 1]] if 0 in roots else []), f
+
+
+def test_fraction_roots_are_peeled_after_scaling():
+    # factor_rational scales by L = 6 to (y - 3)(y + 4)(y^2 + 36)
+    p = Poly([Fraction(6)]) * Poly([Fraction(-1, 2), 1]) * Poly([Fraction(2, 3), 1]) * Poly([1, 0, 1])
+    factors = factor_rational(p)
+    assert factors == [
+        (Poly([Fraction(-1, 2), 1]), 1),
+        (Poly([Fraction(2, 3), 1]), 1),
+        (Poly([1, 0, 1]), 1),
+    ]
+    assert _product_with_lead(p, factors) == p
+
+
+def _roots_of_order(n, d):
+    """x - zeta_n^k for the k in [0, n) with zeta_n^k of multiplicative order d."""
+    return [Poly([-CycScalar.zeta(n, k), 1]) for k in range(n) if n // gcd(k, n) == d]
+
+
+@pytest.fixture()
+def trager_inputs(monkeypatch):
+    """The polynomials handed to Trager's method, in call order."""
+    seen = []
+    trager = factor._trager
+    monkeypatch.setattr(factor, "_trager", lambda f, order: seen.append(f) or trager(f, order))
+    return seen
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8, 12])
+def test_cyclotomic_peel_splits_every_phi_d(n, trager_inputs):
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for d in divisors:
+        phi = Poly(cyclotomic_coeffs(d))
+        factors = factor_over_cyclotomic(phi, n)
+        assert factors == _roots_of_order(n, d), d
+        assert all(phi.evaluate(-f[0]).is_zero() for f in factors)
+    # x^n - 1 = prod Phi_d: linear factors ordered by d, then by the power of zeta
+    factors = factor_over_cyclotomic(Poly([-1] + [0] * (n - 1) + [1]), n)
+    assert factors == [f for d in divisors for f in _roots_of_order(n, d)]
+    assert trager_inputs == []
+
+
+def test_cyclotomic_peel_sends_the_rest_to_trager(trager_inputs):
+    p = Poly([1, 1, 1]) * Poly([-2, 0, 1])
+    factors = factor_over_cyclotomic(p, 24)
+    assert factors[:2] == [Poly([-CycScalar.zeta(24, 8), 1]), Poly([-CycScalar.zeta(24, 16), 1])]
+    assert trager_inputs == [[-2, 0, 1]]
+    assert len(factors) == 4 and all(f.degree == 1 for f in factors)
+    assert all((f[0] * f[0]) == 2 for f in factors[2:])
+    total = Poly.one()
+    for f in factors:
+        total = total * f
+    assert total == p
+
+
+@pytest.mark.parametrize("order", [3, 8, 12])
+def test_trager_norm_is_the_resultant(order):
+    # Res_y(Phi_order(y), p(t - s y)) at integer points t, against the product
+    # of conjugates that _norm expands
+    phi = [Fraction(c) for c in cyclotomic_coeffs(order)]
+    for p_rat in ([16, 4, 1], [-2, 0, 1], [Fraction(1, 3), 0, 7, 1]):
+        p_rat = [Fraction(c) for c in p_rat]
+        for shift in (1, -1, 2):
+            norm = Poly(_norm(p_rat, shift, order))
+            assert norm.degree == (len(p_rat) - 1) * sum(gcd(k, order) == 1 for k in range(order))
+            for t in range(-2, 3):
+                q, power = [], [Fraction(1)]  # p(t - shift y) as a polynomial in y
+                for c in p_rat:
+                    q = _poly_add(q, [c * a for a in power])
+                    power = _poly_mul(power, [t, -shift])
+                assert norm.evaluate(CycScalar.from_rational(t)) == resultant_q(phi, q), (p_rat, shift, t)

@@ -13,7 +13,9 @@ routed through the cached dual algebra and before the fusion witness became
 the minimal polynomial.  The `wedderburn` text of D(S3) and D(S3)* and the
 D(Q8) report were recorded before the refinement factored each distinct
 minimal polynomial once and the idempotent system was certified by r
-products and one centrality sweep.
+products and one centrality sweep.  The D(C4) and D(D4) reports, whose centre
+eigenvalues include the roots of Phi_4, were recorded before factorisation
+split off integer roots and cyclotomic factors ahead of Zassenhaus and Trager.
 """
 
 import hashlib
@@ -45,6 +47,8 @@ GOLDEN = {
     ("S3", "double"): "5e48076e4eaca91f31ab6a6d5803e9b43d78efff31a2c400f4dee12b50240abd",
     ("S3", "double-dual"): "ae83d50f417f5ff6244af8a4610dea5acaaf9faefea781d9ea9b144c8e04401c",
     ("Q8", "double"): "d4029db3c833f3d5b6e31f804838f66e8ca15d5cd91cedb301a6bf8ff2f79d17",
+    ("C4", "double"): "b8c800b659661d40ce30a4ba75a8ffc30af7ba44c522ccb59e18a38f0af8e1c6",
+    ("D4", "double"): "f6a59030d035421e1856e5b30db532b3aae5aac75e1bc9bd78adf20594fc3f1f",
 }
 
 
