@@ -9,7 +9,6 @@ function algebras, Drinfeld doubles, and tensor products.
 """
 
 from .builders import drinfeld_double, function_algebra, group_algebra, tensor_product
-from .cli import SessionConfig
 from .characters import (
     CentralDecomposition,
     CharacterTable,
@@ -50,7 +49,7 @@ from .hopf import (
     pair,
     parse_hopf,
 )
-from .integrals import IntegralPair, compute_integrals, dual_integrals, integrals_report, is_two_sided
+from .integrals import IntegralPair, compute_integrals, dual_integrals, integrals_report
 from .linalg import Matrix, kernel_basis, minimal_polynomial, rank
 from .pipeline import SUITES, Pipeline
 from .polys import IntegralityCertificate, Poly, is_algebraic_integer, min_poly_scalar
@@ -89,7 +88,6 @@ __all__ = [
     "Poly",
     "ReportItem",
     "SUITES",
-    "SessionConfig",
     "VerificationReport",
     "block_degrees",
     "builtin_group",
@@ -123,7 +121,6 @@ __all__ = [
     "irreducible_characters",
     "is_algebraic_integer",
     "is_central_character",
-    "is_two_sided",
     "kaplansky_report",
     "kernel_basis",
     "min_poly_scalar",

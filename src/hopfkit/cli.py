@@ -1,21 +1,29 @@
-"""Command-line front end.
+"""Command-line front end: argv straight into a :class:`~hopfkit.pipeline.Pipeline`.
 
     hopfkit build group-algebra|function-algebra|double <file.grp> [-o out.hopf]
     hopfkit build tensor <a.hopf> <b.hopf> [-o out.hopf]
     hopfkit check-axioms <file.hopf>
     hopfkit integrals <file.hopf>
-    hopfkit wedderburn <file.hopf> [--cyclotomic N] [--seed s]
-    hopfkit characters <file.hopf> [--json]
-    hopfkit verify <file.hopf> [--suite <name>|all] [--json]
-    hopfkit report <file.grp|file.hopf> [--as <kind>] [--json]
+    hopfkit wedderburn <file.hopf>
+    hopfkit characters <file.hopf>
+    hopfkit verify <file.hopf> [--suite <name>|all]
+    hopfkit report <file.grp|file.hopf> [--as <kind>]
+
+The six analysis subcommands (all but ``build``) share four options:
+
+    --cyclotomic N   order of the splitting field Q(zeta_N), N >= 1
+                     (default: from the input)
+    --seed s         seed of the corollary suite's subset sample (default 0)
+    --json           emit JSON instead of text
+    -o, --output P   write to P instead of stdout (``build`` takes it too)
 
 Exit codes: 0 success, 1 verification failure (or a semantic error such as a
 non-semisimple input), 2 usage, parse or I/O error (files are read and written
 as UTF-8).  Scalars in files and reports always use the exact literal grammar;
-identical inputs and seed give byte-identical output.  ``--seed`` (accepted
-by every subcommand but ``build``) only chooses the sample of subset
-idempotents that the corollary suite checks when there are more than it can
-check exhaustively; the blocks and everything else do not depend on it.
+identical inputs and seed give byte-identical output.  ``--seed`` only chooses
+the sample of subset idempotents that the corollary suite checks when there
+are more than it can check exhaustively; the blocks and everything else do
+not depend on it.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .builders import drinfeld_double, function_algebra, group_algebra, tensor_product
@@ -44,41 +51,26 @@ _BUILDERS = {
 }
 
 
-@dataclass(frozen=True)
-class SessionConfig:
-    """One invocation's knobs: splitting-field order (None = derive from the
-    input), the seed of the corollary suite's subset sample, output format,
-    and output path."""
-
-    cyclotomic: int | None = None
-    seed: int = 0
-    json: bool = False
-    output: str | None = None
-
-    @classmethod
-    def from_args(cls, args) -> "SessionConfig":
-        cfg = cls(
-            cyclotomic=getattr(args, "cyclotomic", None),
-            seed=getattr(args, "seed", 0),
-            json=getattr(args, "json", False),
-            output=getattr(args, "output", None),
-        )
-        if cfg.cyclotomic is not None and cfg.cyclotomic < 1:
-            raise ParseError("--cyclotomic must be >= 1")
-        return cfg
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    # the four options shared by the analysis subcommands; build takes only -o
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--cyclotomic", type=int, default=None, metavar="N",
+                        help="cyclotomic order of the splitting field (default: from the file)")
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--json", action="store_true")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", help="write output to this path instead of stdout")
+    analysis = [shared, output]
+
     parser = argparse.ArgumentParser(
         prog="hopfkit",
         description="Exact verification toolkit for finite-dimensional semisimple Hopf algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    build = sub.add_parser("build", help="construct a .hopf file from group data")
+    build = sub.add_parser("build", parents=[output], help="construct a .hopf file from group data")
     build.add_argument("kind", choices=(*_BUILDERS, "tensor"))
     build.add_argument("inputs", nargs="+", help=".grp file (or two .hopf files for tensor)")
-    build.add_argument("-o", "--output", help="output .hopf path (default: stdout)")
 
     for name, help_text in (
         ("check-axioms", "verify the Hopf axioms of a .hopf file"),
@@ -87,31 +79,17 @@ def _build_parser() -> argparse.ArgumentParser:
         ("wedderburn", "compute the block decomposition"),
         ("characters", "compute the character table and fusion ring"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help=".hopf file")
-        p.add_argument("--cyclotomic", type=int, default=None, metavar="N",
-                       help="cyclotomic order of the splitting field (default: from the file)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("-o", "--output", help="write output to this path instead of stdout")
+        sub.add_parser(name, parents=analysis, help=help_text).add_argument("input", help=".hopf file")
 
-    verify = sub.add_parser("verify", help="run verification suites")
+    verify = sub.add_parser("verify", parents=analysis, help="run verification suites")
     verify.add_argument("input", help=".hopf file")
     verify.add_argument("--suite", default="all", choices=SUITES + ("all",))
-    verify.add_argument("--cyclotomic", type=int, default=None, metavar="N")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--json", action="store_true")
-    verify.add_argument("-o", "--output")
 
-    report = sub.add_parser("report", help="run every suite and emit one document")
+    report = sub.add_parser("report", parents=analysis, help="run every suite and emit one document")
     report.add_argument("input", help=".grp or .hopf file")
     report.add_argument("--as", dest="build_as", default=None,
                         choices=tuple(_BUILDERS),
                         help="how to build a Hopf algebra from a .grp input")
-    report.add_argument("--cyclotomic", type=int, default=None, metavar="N")
-    report.add_argument("--seed", type=int, default=0)
-    report.add_argument("--json", action="store_true")
-    report.add_argument("-o", "--output")
 
     return parser
 
@@ -144,6 +122,18 @@ def _load_algebra(path: str, build_as: str | None) -> HopfData:
     return _load_hopf(path)
 
 
+def _pipeline(args) -> Pipeline:
+    """The input of an analysis subcommand as a Pipeline under the shared
+    options; ``--cyclotomic`` is checked before the input is read."""
+    if args.cyclotomic is not None and args.cyclotomic < 1:
+        raise ParseError("--cyclotomic must be >= 1")
+    if args.command == "report":
+        h = _load_algebra(args.input, args.build_as)
+    else:
+        h = _load_hopf(args.input)
+    return Pipeline(h, order=args.cyclotomic, seed=args.seed)
+
+
 def _cmd_build(args) -> int:
     if args.kind == "tensor":
         if len(args.inputs) != 2:
@@ -157,29 +147,27 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _emit_document(pipe: Pipeline, reports: list[VerificationReport], cfg: SessionConfig) -> None:
+def _emit_document(pipe: Pipeline, reports: list[VerificationReport], output: str | None) -> None:
     doc = report_document(pipe.H.name, pipe.H.dim, reports)
-    _emit(json.dumps(doc, indent=2) + "\n", cfg.output)
+    _emit(json.dumps(doc, indent=2) + "\n", output)
 
 
 def _cmd_check_axioms(args) -> int:
-    cfg = SessionConfig.from_args(args)
-    pipe = Pipeline(_load_hopf(args.input), order=cfg.cyclotomic, seed=cfg.seed)
+    pipe = _pipeline(args)
     rep = pipe.axioms
-    if cfg.json:
-        _emit_document(pipe, [rep], cfg)
+    if args.json:
+        _emit_document(pipe, [rep], args.output)
     else:
-        _emit(rep.render_text() + "\n", cfg.output)
+        _emit(rep.render_text() + "\n", args.output)
     return 0 if rep.overall else 1
 
 
 def _cmd_integrals(args) -> int:
-    cfg = SessionConfig.from_args(args)
-    pipe = Pipeline(_load_hopf(args.input), order=cfg.cyclotomic, seed=cfg.seed)
+    pipe = _pipeline(args)
     p = pipe.integrals
     rep = integrals_report(pipe.H, p)
-    if cfg.json:
-        _emit_document(pipe, [rep], cfg)
+    if args.json:
+        _emit_document(pipe, [rep], args.output)
         return 0 if rep.overall else 1
     lines = [
         f"integrals of {pipe.H.name} (dim {pipe.H.dim})",
@@ -188,17 +176,16 @@ def _cmd_integrals(args) -> int:
         f"  Lambda' = {format_vector(p.Lambda_scaled)}",
         rep.render_text(),
     ]
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0 if rep.overall else 1
 
 
 def _cmd_wedderburn(args) -> int:
-    cfg = SessionConfig.from_args(args)
-    pipe = Pipeline(_load_hopf(args.input), order=cfg.cyclotomic, seed=cfg.seed)
+    pipe = _pipeline(args)
     blocks = pipe.blocks
     rep = blocks_report(pipe.H, blocks)
-    if cfg.json:
-        _emit_document(pipe, [rep], cfg)
+    if args.json:
+        _emit_document(pipe, [rep], args.output)
         return 0 if rep.overall else 1
     lines = [
         f"wedderburn decomposition of {pipe.H.name} (dim {pipe.H.dim}, Q(zeta_{pipe.order}))",
@@ -208,17 +195,16 @@ def _cmd_wedderburn(args) -> int:
     for label, deg, e in zip(blocks.labels, blocks.degrees, blocks.idempotents):
         lines.append(f"  {label} (dim {deg}): e = {format_vector(e)}")
     lines.append(rep.render_text())
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0 if rep.overall else 1
 
 
 def _cmd_characters(args) -> int:
-    cfg = SessionConfig.from_args(args)
-    pipe = Pipeline(_load_hopf(args.input), order=cfg.cyclotomic, seed=cfg.seed)
+    pipe = _pipeline(args)
     table = pipe.table
     fusion = pipe.fusion
     central = [is_central_character(chi, pipe.H) for chi in table.characters]
-    if cfg.json:
+    if args.json:
         doc = {
             "algebra": pipe.H.name,
             "dim": pipe.H.dim,
@@ -231,7 +217,7 @@ def _cmd_characters(args) -> int:
             "dual_map": list(fusion.dual_map),
             "unit": fusion.unit_index,
         }
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.output)
+        _emit(json.dumps(doc, indent=2) + "\n", args.output)
         return 0
     lines = [f"characters of {pipe.H.name} (dim {pipe.H.dim})"]
     for label, deg, chi, is_c in zip(table.labels, table.degrees, table.characters, central):
@@ -244,35 +230,30 @@ def _cmd_characters(args) -> int:
                 f"{n} chi_{fusion.labels[u]}" for u, n in enumerate(fusion.tensor[v][w]) if n
             ]
             lines.append(f"    chi_{lv} chi_{lw} = " + (" + ".join(terms) if terms else "0"))
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def _render_report(pipe: Pipeline, suites: list[str], cfg: SessionConfig) -> int:
+def _render_report(args, suites: tuple[str, ...]) -> int:
+    pipe = _pipeline(args)
     reports = [pipe.suite(name) for name in suites]
     overall = all(rep.overall for rep in reports if not rep.exploratory)
-    if cfg.json:
-        _emit_document(pipe, reports, cfg)
+    if args.json:
+        _emit_document(pipe, reports, args.output)
     else:
         lines = [f"verification of {pipe.H.name} (dim {pipe.H.dim})"]
         lines += [rep.render_text() for rep in reports]
         lines.append(f"overall: {'pass' if overall else 'FAIL'}")
-        _emit("\n".join(lines) + "\n", cfg.output)
+        _emit("\n".join(lines) + "\n", args.output)
     return 0 if overall else 1
 
 
 def _cmd_verify(args) -> int:
-    cfg = SessionConfig.from_args(args)
-    pipe = Pipeline(_load_hopf(args.input), order=cfg.cyclotomic, seed=cfg.seed)
-    suites = list(SUITES) if args.suite == "all" else [args.suite]
-    return _render_report(pipe, suites, cfg)
+    return _render_report(args, SUITES if args.suite == "all" else (args.suite,))
 
 
 def _cmd_report(args) -> int:
-    cfg = SessionConfig.from_args(args)
-    h = _load_algebra(args.input, args.build_as)
-    pipe = Pipeline(h, order=cfg.cyclotomic, seed=cfg.seed)
-    return _render_report(pipe, list(SUITES), cfg)
+    return _render_report(args, SUITES)
 
 
 _COMMANDS = {

@@ -135,11 +135,6 @@ def left_absorption_failure(H: HopfData, Lambda: Vector) -> int | None:
     return _absorption_failure(H, Lambda, True)
 
 
-def is_two_sided(H: HopfData, pair_: IntegralPair) -> bool:
-    """Check Lambda h = eps(h) Lambda for all basis h (unimodularity witness)."""
-    return _absorption_failure(H, pair_.Lambda, False) is None
-
-
 def integrals_report(H: HopfData, pair_: IntegralPair | None = None) -> VerificationReport:
     """The normalization identities as a verification suite."""
     report = VerificationReport(subject=H.name, dim=H.dim, suite="integrals")

@@ -38,10 +38,6 @@ class Poly:
     def one(cls) -> "Poly":
         return cls((ONE,))
 
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((ZERO, ONE))
-
     # -- basic queries --------------------------------------------------------
 
     @property

@@ -188,8 +188,29 @@ def test_cyclotomic_flag_field_too_small(workdir, capsys):
     capsys.readouterr()
     # forcing N = 1 makes the eigenvalues fall outside the field
     assert main(["wedderburn", str(out), "--cyclotomic", "1"]) == 1
-    assert "field" in capsys.readouterr().err or True
+    assert capsys.readouterr().err == (
+        "error: k[C3]: the minimal polynomial of center basis element z1 has the irreducible "
+        "factor x^2 + x + 1, which does not split over Q(zeta_1); increase the cyclotomic order\n"
+    )
     assert main(["wedderburn", str(out), "--cyclotomic", "0"]) == 2
+
+
+_ANALYSIS = ("check-axioms", "integrals", "wedderburn", "characters", "verify", "report")
+
+
+@pytest.mark.parametrize("command", _ANALYSIS)
+def test_shared_options_on_every_analysis_subcommand(workdir, capsys, command):
+    ks3 = workdir / "ks3.hopf"
+    main(["build", "group-algebra", str(workdir / "s3.grp"), "-o", str(ks3)])
+    capsys.readouterr()
+    out = workdir / "out.json"
+    assert main([command, str(ks3), "--seed", "3", "--json", "-o", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert json.loads(out.read_text())["algebra"] == "k[S3]"
+    # --cyclotomic is checked before the input is read
+    missing = workdir / "missing.hopf"
+    assert main([command, str(missing), "--cyclotomic", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: --cyclotomic must be >= 1\n")
 
 
 @pytest.mark.parametrize(
