@@ -35,7 +35,7 @@ from pathlib import Path
 
 from .builders import drinfeld_double, function_algebra, group_algebra, tensor_product
 from .characters import is_central_character
-from .errors import HopfkitError, ParseError
+from .errors import HopfkitError, NotSemisimpleError, ParseError
 from .groups import parse_group
 from .hopf import HopfData, format_hopf, format_vector, parse_hopf
 from .integrals import integrals_report
@@ -129,6 +129,12 @@ def _pipeline(args) -> Pipeline:
         raise ParseError("--cyclotomic must be >= 1")
     if args.command == "report":
         h = _load_algebra(args.input, args.build_as)
+    elif args.input.endswith(".grp"):
+        raise ParseError(
+            f"{args.input} is a group file; build a .hopf file with "
+            f"'hopfkit build group-algebra|function-algebra|double {args.input}', "
+            f"or run 'hopfkit report {args.input} --as ...'"
+        )
     else:
         h = _load_hopf(args.input)
     return Pipeline(h, order=args.cyclotomic, seed=args.seed)
@@ -236,7 +242,17 @@ def _cmd_characters(args) -> int:
 
 def _render_report(args, suites: tuple[str, ...]) -> int:
     pipe = _pipeline(args)
-    reports = [pipe.suite(name) for name in suites]
+    try:
+        reports = [pipe.suite(name) for name in suites]
+    except NotSemisimpleError as exc:
+        # the integral certificate presumes the Hopf axioms; blame a failed one
+        failed = [item.id for item in pipe.axioms.failures()]
+        if not failed:
+            raise
+        raise HopfkitError(
+            f"{pipe.H.name} fails the Hopf axioms {', '.join(failed)}, so it was not "
+            f"analysed further; 'hopfkit check-axioms {args.input}' shows the witnesses"
+        ) from exc
     overall = all(rep.overall for rep in reports if not rep.exploratory)
     if args.json:
         _emit_document(pipe, reports, args.output)

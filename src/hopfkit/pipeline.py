@@ -3,7 +3,12 @@
 A :class:`Pipeline` lazily computes axioms, integrals, blocks, characters,
 fusion, and the same stack for the dual algebra ``H.dual``, so the
 verification suites share work within a process.  The integral pair is computed
-once, on H; the dual pipeline derives its pair from it.  Everything downstream
+once, on H; the dual pipeline derives its pair from it.  The integrals stage is
+the one semisimplicity certificate of both sides: ``compute_integrals`` proves
+that Lambda is a left integral of H with <eps, Lambda> = dim H, and that lambda
+is a left integral of H* with lambda(1) = 1, which is Maschke's criterion for H
+and, through Lambda* = dim H * lambda, for H*.  So the blocks stages split the
+center without certifying it again.  Everything downstream
 is a pure function of (H, cyclotomic order, seed), and the seed only chooses
 the corollary suite's subset sample; two pipelines with equal inputs produce
 identical reports.
@@ -25,7 +30,7 @@ from .theorems import (
     verify_proposition,
     verify_section4,
 )
-from .wedderburn import BlockDecomposition, primitive_idempotents
+from .wedderburn import BlockDecomposition, split_center
 
 # suite name -> its report, read from a pipeline's cached stages
 _SUITE_RUNNERS = {
@@ -69,7 +74,8 @@ class Pipeline:
 
     @cached_property
     def blocks(self) -> BlockDecomposition:
-        return primitive_idempotents(self.H, order=self.order, integrals=self.integrals)
+        self.integrals  # the semisimplicity certificate
+        return split_center(self.H, order=self.order)
 
     @cached_property
     def table(self) -> CharacterTable:

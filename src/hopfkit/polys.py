@@ -180,8 +180,11 @@ def format_poly(p: Poly, var: str = "x") -> str:
 
 
 def min_poly_scalar(a: CycScalar) -> Poly:
-    """Monic minimal polynomial of a cyclotomic scalar over Q: the first linear
-    dependency among the power-basis coordinates of 1, a, a^2, ..."""
+    """Monic minimal polynomial of a cyclotomic scalar over Q: x - a for a
+    rational a, else the first linear dependency among the power-basis
+    coordinates of 1, a, a^2, ..."""
+    if a.is_rational():
+        return Poly([-a, ONE])
     from .linalg import minimal_polynomial  # linalg imports this module
 
     return minimal_polynomial(ONE, lambda p: p * a, lambda p: [as_scalar(c) for c in p.lift(a.order)])[0]

@@ -20,6 +20,18 @@ reports exact witnesses:
 
 Suites never skip silently: a failed hypothesis becomes an explicit
 "skipped" item naming the reason.
+
+The corollary's subset sums run on plain numbers.  Each single-block
+coordinate is converted once to an int or Fraction when it is rational (on a
+genuine algebra every one is a non-negative integer); a subset's coordinates
+are then integer sums compared with integers, and a scalar is built only to
+print a failing witness.  An irrational coordinate stays a scalar, and the
+mixed sums equal the all-scalar sums value for value and order for order.
+
+An integrality certificate is made once per distinct value within one suite
+call: the proposition, section4 and central-fusion suites each keep a dict of
+certificates, keyed by (order, coords), for the length of the call; nothing
+is kept between calls.
 """
 
 from __future__ import annotations
@@ -38,22 +50,66 @@ from .characters import (
 from .hopf import HopfData, format_vector, hit_act_alg_on_dual, hit_act_dual_on_alg
 from .integrals import IntegralPair
 from .linalg import Matrix, combine, kernel_basis, same_span, vec_eq, vec_scale
-from .polys import format_poly, is_algebraic_integer
+from .polys import IntegralityCertificate, format_poly, is_algebraic_integer
 from .report import VerificationReport
 from .rng import DeterministicRng
-from .scalars import ZERO, CycScalar, as_scalar
+from .scalars import CycScalar, as_scalar
 from .wedderburn import BlockDecomposition
 
 _SUBSET_BUDGET = 256
 
 
-def _sparse_sum(vectors) -> dict[int, CycScalar]:
+def _plain(x: CycScalar):
+    """x as an int or Fraction when rational, else x itself.  Plain numbers
+    add and compare exactly like order-1 scalars, also mixed with scalars, so
+    sums of plain values equal the scalar sums, order for order."""
+    return x.coords[0] if x.is_rational() else x
+
+
+def _sparse_sum(vectors) -> dict[int, object]:
     """Exact entrywise sum of sparse {index: value} vectors."""
-    out: dict[int, CycScalar] = {}
+    out: dict[int, object] = {}
     for vec in vectors:
         for j, x in vec.items():
             out[j] = out[j] + x if j in out else x
     return out
+
+
+def _integrality(a: CycScalar, memo: dict) -> IntegralityCertificate:
+    """``is_algebraic_integer(a)``, computed once per value: ``memo`` is a
+    dict local to one suite call, keyed by (order, coords)."""
+    key = (a.order, a.coords)
+    cert = memo.get(key)
+    if cert is None:
+        cert = memo[key] = is_algebraic_integer(a)
+    return cert
+
+
+def _subset_failure(coords, residuals, degrees, subsets) -> tuple[str, int]:
+    """(witness, subsets checked) of the corollary's subset item, witness ""
+    when every subset passes.  ``coords`` and ``residuals`` hold the plain
+    (``_plain``) single-block values; a subset's are their sums, so a passing
+    subset costs integer additions and comparisons only, and a scalar is
+    formatted only for a failing witness."""
+    # with every single residual 0, no subset can leave the span
+    any_residual = any(residuals)
+    for checked, subset in enumerate(subsets):
+        if any_residual and any(_sparse_sum(residuals[m] for m in subset).values()):
+            return f"delta Lambda left the character span for T = {subset}", checked
+        summed = _sparse_sum(coords[m] for m in subset)
+        for m in range(len(degrees)):
+            c = summed.get(m, 0)
+            if isinstance(c, CycScalar):
+                c = _plain(c)  # irrational terms may cancel
+            if isinstance(c, CycScalar) or c.denominator != 1 or c < 0:
+                return f"non-integer coordinate {as_scalar(c)} at block {m} for T = {subset}", checked
+            expected = degrees[m] if m in subset else 0
+            if c != expected:
+                return (
+                    f"multiplicity mismatch for T = {subset}: coordinate {m} is {as_scalar(c)}, "
+                    f"expected dim = {expected}"
+                ), checked
+    return "", len(subsets)
 
 
 def verify_lemma1(
@@ -118,8 +174,8 @@ def verify_corollary(
     ):
         lhs = hit_act_dual_on_alg(delta_m, integrals.Lambda, H)
         c, res = dual_table.solver.coordinates(lhs)
-        coords.append({j: x for j, x in enumerate(c) if x})
-        residuals.append({j: x for j, x in enumerate(res) if x})
+        coords.append({j: _plain(x) for j, x in enumerate(c) if x})
+        residuals.append({j: _plain(x) for j, x in enumerate(res) if x})
         rhs = vec_scale(chi_m, as_scalar(deg))
         ok = vec_eq(lhs, rhs)
         report.add(
@@ -139,39 +195,12 @@ def verify_corollary(
         for _ in range(_SUBSET_BUDGET):
             mask = rng.next_u64() & ((1 << r) - 1)
             subsets.append(tuple(m for m in range(r) if mask >> m & 1))
-    ok = True
-    witness = ""
-    checked = 0
-    # with every single residual 0, no subset can leave the span
-    any_residual = any(residuals)
-    for subset in subsets:
-        if any_residual and any(_sparse_sum(residuals[m] for m in subset).values()):
-            ok = False
-            witness = f"delta Lambda left the character span for T = {subset}"
-            break
-        summed = _sparse_sum(coords[m] for m in subset)
-        expected = [dual_blocks.degrees[m] if m in subset else 0 for m in range(r)]
-        for m in range(r):
-            c = summed.get(m, ZERO)
-            if not c.is_rational() or c.as_fraction().denominator != 1 or c.as_fraction() < 0:
-                ok = False
-                witness = f"non-integer coordinate {c} at block {m} for T = {subset}"
-                break
-            if not (c - expected[m]).is_zero():
-                ok = False
-                witness = (
-                    f"multiplicity mismatch for T = {subset}: coordinate {m} is {c}, "
-                    f"expected dim = {expected[m]}"
-                )
-                break
-        if not ok:
-            break
-        checked += 1
+    witness, checked = _subset_failure(coords, residuals, dual_blocks.degrees, subsets)
     report.add(
         "subset-idempotents",
         "delta Lambda has non-negative integer character coordinates, equal to the "
         "multiplicity vector (dim M)_{M in T}, for every tested idempotent delta",
-        ok,
+        not witness,
         witness or f"{checked} subset idempotents checked",
     )
     return report
@@ -186,6 +215,7 @@ def verify_proposition(
     integrals: IntegralPair,
 ) -> VerificationReport:
     report = VerificationReport(subject=H.name, dim=H.dim, suite="proposition")
+    certs_seen: dict = {}
     for label, deg, chi in zip(blocks.labels, blocks.degrees, table.characters):
         if not is_central_character(chi, H):
             report.add(
@@ -205,7 +235,7 @@ def verify_proposition(
 
         zeta = H.dual.apply_antipode(chi)
         decomp = central_decomposition(zeta, dual_blocks)
-        certs = [is_algebraic_integer(v) for v in decomp.values]
+        certs = [_integrality(v, certs_seen) for v in decomp.values]
         ok = all(c.is_integer for c in certs)
         witness = "; ".join(
             f"f_{m}(S*chi) = {v} with min poly {format_poly(c.minimal_polynomial)}"
@@ -228,7 +258,7 @@ def verify_proposition(
                 "decomposition failed",
             )
             continue
-        coord_certs = [is_algebraic_integer(c) for c in coords]
+        coord_certs = [_integrality(c, certs_seen) for c in coords]
         coords_ok = all(c.is_integer for c in coord_certs)
         match_ok = all(
             (c - v * dual_blocks.degrees[m]).is_zero()
@@ -253,6 +283,7 @@ def verify_section4(
     dual_table: CharacterTable,
 ) -> VerificationReport:
     report = VerificationReport(subject=H.name, dim=H.dim, suite="section4")
+    certs_seen: dict = {}
 
     report.add(
         "f-bijective",
@@ -295,7 +326,7 @@ def verify_section4(
             (c - (expected if blocks.labels[m] == label else 0)).is_zero()
             for m, c in enumerate(coords)
         )
-        cert = is_algebraic_integer(coords[blocks.labels.index(label)])
+        cert = _integrality(coords[blocks.labels.index(label)], certs_seen)
         divides = H.dim % deg == 0
         equivalence = cert.is_integer == divides
         report.add(
@@ -366,6 +397,7 @@ def explore_central_fusion(
             ints = [n // g for n in ints]
         central_elements.append(ints)
 
+    certs_seen: dict = {}
     report.add(
         "center-rank",
         f"exploratory: the center of G0({H.name}) has rank {len(central_elements)} "
@@ -386,7 +418,7 @@ def explore_central_fusion(
                 "decomposition failed",
             )
             continue
-        certs = [is_algebraic_integer(c) for c in coords]
+        certs = [_integrality(c, certs_seen) for c in coords]
         ok = all(c.is_integer for c in certs)
         report.add(
             f"xi{t}",

@@ -13,6 +13,17 @@ ones.  Basis elements with the same minimal polynomial share one
 factorisation within a call.  A non-splitting factor is the hard error
 "field too small".
 
+The minimal polynomial is found in Z(H) coordinates, r = dim Z(H) numbers
+per power instead of dim H, by the free-column lemma: ``center`` returns the
+kernel basis read off a reduced row echelon form, one vector z_j per free
+column c_j, with z_j[c_j] = 1 and z_k[c_j] = 0 for k != j (z_k is nonzero
+only at its own free column and at pivot columns left of it, so c_k is its
+last nonzero index).  A central p = sum_k a_k z_k therefore has
+p[c_j] = a_j.  Powers of a central z stay in Z(H), so the entries at the free
+columns are exact coordinates of every power, and the first linear
+dependency among them, hence the minimal polynomial and the powers, is the
+same as among the full vectors.
+
 The system e_1..e_r is then certified exactly by r products, the sum and one
 centrality sweep, by two lemmas (characteristic 0):
 
@@ -26,6 +37,13 @@ centrality sweep, by two lemmas (characteristic 0):
   w.  Hence w central implies every e_i central.
 
 The square block traces are checked by ``block_degrees``.
+
+Semisimplicity is certified once, before the split.  :func:`split_center`
+assumes it; ``compute_integrals`` has proved it for the integral pair a
+``Pipeline`` holds, so the pipeline calls the split directly.  The public
+:func:`primitive_idempotents` certifies the pair it is given (Maschke: Lambda
+a left integral with eps(Lambda) != 0) or computes, and so certifies, its
+own.
 
 Blocks are ordered by degree, then lexicographically by idempotent
 coordinates, so labels are stable.
@@ -76,17 +94,24 @@ def center(H: HopfData) -> list[Vector]:
     return sparse_kernel_basis(H.dim, entries())
 
 
-def _min_poly_on_center(H: HopfData, z: Vector) -> tuple[Poly, list[Vector]]:
+def _min_poly_on_center(H: HopfData, z: Vector, free: list[int]) -> tuple[Poly, list[Vector]]:
     """Monic minimal polynomial m of multiplication-by-z with the powers 1, z,
-    ..., z^(deg m - 1); powers of a central z stay in Z(H), so deg m <= dim Z(H)."""
-    return minimal_polynomial(H.unit, lambda p: H.multiply(p, z))
+    ..., z^(deg m - 1), for z in Z(H).  ``free`` holds the free columns of the
+    ``center`` basis, whose entries are the Z(H) coordinates of a central
+    element (the free-column lemma in the module docstring); the dependency
+    search runs on them, so deg m <= dim Z(H)."""
+    return minimal_polynomial(H.unit, lambda p: H.multiply(p, z), lambda p: [p[c] for c in free])
 
 
-def _structure_is_rational(H: HopfData) -> bool:
-    return all(
+def _require_rational(H: HopfData) -> None:
+    if not all(
         c.is_rational()
         for c in (*H.unit, *H.counit, *H.mult.values(), *H.comult.values(), *H.antipode.values())
-    )
+    ):
+        raise HopfkitError(
+            "primitive_idempotents needs rational structure constants; "
+            "rebase the input or split by other means"
+        )
 
 
 def primitive_idempotents(
@@ -96,23 +121,34 @@ def primitive_idempotents(
 
     Requires semisimple H with rational structure constants (all built-in
     families).  Semisimplicity is certified from the integral Lambda of
-    ``integrals`` (computed here when absent): Lambda must be a left integral
-    with eps(Lambda) != 0 (Maschke).  Raises FieldTooSmallError when an
-    eigenvalue of a center basis element lives outside Q(zeta_order).
+    ``integrals`` (computed, and so certified, here when absent): Lambda must
+    be a left integral with eps(Lambda) != 0 (Maschke).  Raises
+    FieldTooSmallError when an eigenvalue of a center basis element lives
+    outside Q(zeta_order).
     """
+    _require_rational(H)
+    if integrals is None:
+        compute_integrals(H)
+    else:
+        _certify_semisimple(H, integrals)
+    return split_center(H, order)
+
+
+def split_center(H: HopfData, order: int | None = None) -> BlockDecomposition:
+    """The block decomposition of an H already certified semisimple (see
+    :func:`primitive_idempotents` for the certificate and the errors).  The
+    returned idempotent system and block traces are still certified exactly;
+    on an uncertified input only the error raised may differ."""
     if order is None:
         order = H.cyclotomic_order
-    if not _structure_is_rational(H):
-        raise HopfkitError(
-            "primitive_idempotents needs rational structure constants; "
-            "rebase the input or split by other means"
-        )
-    _certify_semisimple(H, integrals if integrals is not None else compute_integrals(H))
+    _require_rational(H)
 
     zbasis = center(H)
     r = len(zbasis)
     if r == 0:
         raise HopfkitError("empty center; input is corrupt")
+    # the free column of each basis vector is its last nonzero index
+    free = [max(i for i, x in enumerate(z) if x) for z in zbasis]
 
     idempotents = [H.unit]
     # the projector coefficients q / q(mu) of each minimal polynomial already
@@ -122,7 +158,7 @@ def primitive_idempotents(
     for k, z in enumerate(zbasis):
         if len(idempotents) == r:
             break
-        min_poly, powers = _min_poly_on_center(H, z)
+        min_poly, powers = _min_poly_on_center(H, z, free)
         key = tuple(c.as_fraction() for c in min_poly.coeffs)
         if key not in deflated:
             deflated[key] = [_deflate(min_poly, mu) for mu in _eigenvalues(H, min_poly, order, k)]

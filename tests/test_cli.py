@@ -213,6 +213,36 @@ def test_shared_options_on_every_analysis_subcommand(workdir, capsys, command):
     assert capsys.readouterr() == ("", "error: --cyclotomic must be >= 1\n")
 
 
+@pytest.mark.parametrize("command", [c for c in _ANALYSIS if c != "report"])
+def test_grp_input_names_the_file_and_the_fix(workdir, capsys, command):
+    grp = workdir / "s3.grp"
+    assert main([command, str(grp)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: {grp} is a group file; build a .hopf file with "
+        f"'hopfkit build group-algebra|function-algebra|double {grp}', "
+        f"or run 'hopfkit report {grp} --as ...'\n"
+    ))
+
+
+@pytest.mark.parametrize("argv", [["report"], ["report", "--json"], ["verify"]])
+def test_failed_axioms_are_named_before_semisimplicity(workdir, capsys, monkeypatch, argv):
+    # Delta(b1) = b1 (x) b0 breaks the counit and antipode axioms; the integral
+    # certificate then fails too, but the error names the axioms
+    monkeypatch.chdir(workdir)
+    (workdir / "bad.hopf").write_text(
+        "hopf broken\ndim 2\ncyclotomic 1\n"
+        "MULT\n0 0 0 1\n0 1 1 1\n1 0 1 1\n1 1 0 1\n"
+        "COMULT\n0 0 0 1\n1 0 1 1\n"
+        "UNIT\n0 1\nCOUNIT\n0 1\n1 1\n"
+        "ANTIPODE\n0 0 1\n1 1 1\n"
+    )
+    assert main([*argv, "bad.hopf"]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: broken fails the Hopf axioms counit, antipode-left, antipode-right, so it "
+        "was not analysed further; 'hopfkit check-axioms bad.hopf' shows the witnesses\n"
+    ))
+
+
 @pytest.mark.parametrize(
     "group,kind,order,factor",
     [("C4", "group-algebra", 2, "x^2 + 1"), ("C3", "double", 1, "x^2 + x + 1")],

@@ -37,6 +37,19 @@ def test_min_poly_rational():
     assert min_poly_scalar(CycScalar.from_rational(5)) == Poly([-5, 1])
 
 
+def test_min_poly_rational_runs_no_dependency_search(monkeypatch):
+    from hopfkit.linalg import IncrementalDependency
+
+    def refused(self, vec):
+        raise AssertionError("a rational needs no dependency search")
+
+    monkeypatch.setattr(IncrementalDependency, "add", refused)
+    for q in (0, 5, Fraction(-3, 4)):
+        a = CycScalar.from_rational(q)
+        assert min_poly_scalar(a) == Poly([-q, 1])
+        assert is_algebraic_integer(a).is_integer == (Fraction(q).denominator == 1)
+
+
 def test_min_poly_zeta3_is_cyclotomic():
     assert min_poly_scalar(CycScalar.zeta(3)) == Poly([1, 1, 1])
 

@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import perturbed
 
+import hopfkit.wedderburn as wedderburn
 from hopfkit import (
     HopfData,
     Pipeline,
@@ -25,8 +26,9 @@ from hopfkit import (
     check_axioms,
     function_algebra,
     group_algebra,
+    primitive_idempotents,
 )
-from hopfkit.linalg import PreparedSolver, unit_vector
+from hopfkit.linalg import PreparedSolver, minimal_polynomial, unit_vector, vec_eq
 
 _DIM = 6  # S3
 _ALGEBRAS = {"kS3": group_algebra(builtin_group("S3")), "k^S3": function_algebra(builtin_group("S3"))}
@@ -142,3 +144,43 @@ def test_dense_change_of_basis_axioms(name):
     broken = perturbed(dense, comult={mid: dense.comult[mid] + 1})
     failed = {item.id: item.witness for item in check_axioms(broken).items if not item.passed}
     assert failed == _DENSE_PERTURBED_FAILURES
+
+
+# the 8 x 8 Hilbert matrix: dense, invertible, and far from 0/1
+_HILBERT_8 = [[Fraction(1, i + j + 1) for j in range(8)] for i in range(8)]
+
+
+@pytest.mark.parametrize("name", ["kS3", "kQ8"])
+def test_center_coordinates_give_the_full_vector_split(name, monkeypatch):
+    # the split searches for each minimal polynomial on the dim Z(H) free-column
+    # entries of the powers; on a dense rebase the center basis has general
+    # rational entries, and the result must equal the search on full vectors
+    if name == "kS3":
+        h = _rebase(_ALGEBRAS["kS3"], _DENSE_P)
+    else:
+        h = _rebase(group_algebra(builtin_group("Q8")), _HILBERT_8)
+    assert any(not s.is_integer() for s in h.mult.values())
+    on_center = wedderburn._min_poly_on_center
+    seen = []
+
+    def recorded(H, z, free):
+        out = on_center(H, z, free)
+        seen.append((z, out))
+        return out
+
+    monkeypatch.setattr(wedderburn, "_min_poly_on_center", recorded)
+    got = primitive_idempotents(h)
+    assert seen
+    for z, (poly, powers) in seen:
+        full_poly, full_powers = minimal_polynomial(h.unit, lambda p: h.multiply(p, z))
+        assert poly == full_poly
+        assert len(powers) == len(full_powers) and all(map(vec_eq, powers, full_powers))
+
+    monkeypatch.setattr(
+        wedderburn,
+        "_min_poly_on_center",
+        lambda H, z, free: minimal_polynomial(H.unit, lambda p: H.multiply(p, z)),
+    )
+    want = primitive_idempotents(h)
+    assert (got.degrees, got.labels) == (want.degrees, want.labels)
+    assert all(map(vec_eq, got.idempotents, want.idempotents))

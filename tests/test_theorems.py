@@ -225,6 +225,22 @@ def test_corollary_matches_per_subset_reference(pipelines):
         assert got[-1][3].startswith(witness), (name, got[-1])
 
 
+def test_corollary_irrational_coordinates_match_per_subset_reference(pipelines):
+    # zeta_3 Lambda and (1 + zeta_3) Lambda give irrational coordinates, which
+    # the subset sums keep as scalars: the witness matches the all-scalar one
+    from hopfkit.scalars import CycScalar
+
+    ks3 = pipelines("kS3")
+    z = CycScalar.zeta(3)
+    for factor in (z, 1 + z):
+        integrals = _with_Lambda(ks3.integrals, vec_scale(ks3.integrals.Lambda, factor))
+        args = (ks3.H, ks3.dual.blocks, integrals, ks3.dual.table, 0)
+        got = [(i.id, i.passed, i.statement, i.witness) for i in verify_corollary(*args).items]
+        want = [(i.id, i.passed, i.statement, i.witness) for i in _corollary_reference(*args).items]
+        assert got == want
+        assert got[-1][3].startswith("non-integer coordinate z")
+
+
 # -- negative controls -------------------------------------------------------
 
 
@@ -356,3 +372,54 @@ def test_report_prepares_one_solver_per_family(examples, monkeypatch):
     }
     assert prepared and set(prepared) <= families
     assert len(prepared) == len(set(prepared))
+
+
+@pytest.mark.parametrize("name", ["kS3", "D(S3)"])
+def test_passing_corollary_subset_loop_does_no_scalar_arithmetic(pipelines, monkeypatch, name):
+    import hopfkit.theorems as theorems
+    from hopfkit.scalars import CycScalar
+
+    pipe = pipelines(name)
+    assert pipe.dual.table.count  # the stages are built outside the count
+    ops = []
+    inside = [False]
+    for attr in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "inverse", "__eq__"):
+        def counted(self, *args, _op=getattr(CycScalar, attr), _attr=attr):
+            if inside[0]:
+                ops.append(_attr)
+            return _op(self, *args)
+        monkeypatch.setattr(CycScalar, attr, counted)
+    subset_failure = theorems._subset_failure
+
+    def in_loop(*args):
+        inside[0] = True
+        try:
+            return subset_failure(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(theorems, "_subset_failure", in_loop)
+    rep = pipe.suite("corollary")
+    assert rep.overall and rep.items[-1].id == "subset-idempotents"
+    assert ops == []
+
+
+def test_integrality_is_certified_once_per_value(monkeypatch):
+    # D(C3): the central values f_i(S* chi) are roots of unity, repeated
+    # across blocks; each suite call certifies each distinct value once
+    import hopfkit.theorems as theorems
+
+    pipe = Pipeline(drinfeld_double(builtin_group("C3")))
+    certified = []
+    certify = theorems.is_algebraic_integer
+
+    def recorded(a):
+        certified.append((a.order, a.coords))
+        return certify(a)
+
+    monkeypatch.setattr(theorems, "is_algebraic_integer", recorded)
+    for suite in ("proposition", "section4", "central-fusion"):
+        certified.clear()
+        assert pipe.suite(suite).items
+        assert len(certified) == len(set(certified))

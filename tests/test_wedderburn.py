@@ -363,3 +363,38 @@ def test_field_too_small_names_first_failing_element_with_memo(monkeypatch):
     h = group_algebra(builtin_group("C3"))
     with pytest.raises(FieldTooSmallError, match=r"element z1 .* factor x\^2 \+ x \+ 1"):
         _count_factorisations(monkeypatch, lambda: primitive_idempotents(h, order=1))
+
+
+def test_report_runs_five_absorption_sweeps(examples, monkeypatch):
+    # compute_integrals certifies both sides (2 sweeps) and the integrals suite
+    # reports left, dual and two-sided absorption (3); the blocks stages of H
+    # and H* rely on the integrals stage instead of sweeping again
+    import hopfkit.integrals as integrals
+
+    sweeps = []
+    absorption = integrals._absorption_failure
+
+    def counted(H, x, left):
+        sweeps.append(H.name)
+        return absorption(H, x, left)
+
+    monkeypatch.setattr(integrals, "_absorption_failure", counted)
+    Pipeline(examples["D(S3)"]).report_document()
+    assert len(sweeps) == 5
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_split_dependency_vectors_have_center_length(examples, monkeypatch, dual):
+    from hopfkit.linalg import IncrementalDependency
+
+    h = dualize(examples["D(S3)"]) if dual else examples["D(S3)"]
+    lengths = []
+    add = IncrementalDependency.add
+
+    def counted(self, vec):
+        lengths.append(len(vec))
+        return add(self, vec)
+
+    monkeypatch.setattr(IncrementalDependency, "add", counted)
+    primitive_idempotents(h)
+    assert lengths and set(lengths) == {len(center(h))} and len(center(h)) < h.dim
