@@ -137,12 +137,11 @@ def fusion_ring(table: CharacterTable, H: HopfData) -> FusionRing:
             for u, c in enumerate(coeffs):
                 if not c.is_rational():
                     raise HopfkitError("fusion coefficient is irrational")
-                q = c.as_fraction()
-                if q.denominator != 1 or q < 0:
+                if not c.is_integer() or c.nums[0] < 0:
                     raise HopfkitError(
-                        f"fusion coefficient n[{v}][{w}][{u}] = {q} is not a non-negative integer"
+                        f"fusion coefficient n[{v}][{w}][{u}] = {c} is not a non-negative integer"
                     )
-                tensor[v][w][u] = int(q)
+                tensor[v][w][u] = c.nums[0]
 
     # unit block: the character equal to the counit
     unit_index = next(

@@ -78,31 +78,6 @@ def _next_prime(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# resultants over Q
-
-
-def resultant_q(a: list[Fraction], b: list[Fraction]) -> Fraction:
-    """Resultant of two polynomials over Q (or Q(zeta_N)) via the Euclidean
-    remainder chain."""
-    a, b = _poly_trim(a), _poly_trim(b)
-    if not a or not b:
-        return Fraction(0)
-    res = Fraction(1)
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        if db == 0:
-            return res * b[0] ** da
-        r = _poly_divmod(a, b)[1]
-        dr = len(r) - 1 if r else -1
-        if not r:
-            return Fraction(0)
-        if (da * db) % 2 == 1:
-            res = -res
-        res *= b[-1] ** (da - dr)
-        a, b = b, r
-
-
-# ---------------------------------------------------------------------------
 # GF(p) polynomial arithmetic (coefficient lists of ints in [0, p))
 
 

@@ -121,7 +121,7 @@ def _absorption_failure(H: HopfData, x: Vector, left: bool) -> int | None:
     """The first basis index i with b_i x (``left``) or x b_i != eps(b_i) x."""
     scaled: dict[tuple, Vector] = {}  # eps(b_i) x, once per distinct counit value
     for i, e in enumerate(H.counit):
-        key = (e.order, e.coords)
+        key = e.key()
         if key not in scaled:
             scaled[key] = vec_scale(x, e)
         if not vec_eq(_times_basis(H, x, i, left), scaled[key]):

@@ -5,9 +5,9 @@ container that the elimination routines read (it has no arithmetic).
 Everything runs Gaussian elimination with exact field arithmetic, so results
 are equalities, not approximations: kernels and ranks, a prepared solver for
 many right-hand sides over one column family, and the first linear dependency
-among the powers of an element (:func:`minimal_polynomial`).  Dimensions stay
-at desk scale (structure tensors of algebras of dimension <= 64), which keeps
-dense elimination comfortably fast.
+among the powers of an element (:func:`minimal_polynomial`).  The systems are
+dense and eliminated row by row, touching only each pivot row's support; a
+D(S4) report (dimension 576) runs through them.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def sparse_kernel_basis(n_cols: int, entries: Iterable[tuple[object, int, CycSca
     seen: set[tuple] = set()
     for key in sorted(cells):
         support = [(k, c) for k, c in sorted(cells[key].items()) if not c.is_zero()]
-        signature = tuple((k, c.order, c.coords) for k, c in support)
+        signature = tuple((k, c.key()) for k, c in support)
         if support and signature not in seen:
             seen.add(signature)
             row = [ZERO] * n_cols

@@ -159,13 +159,13 @@ def format_poly(p: Poly, var: str = "x") -> str:
         if c.is_zero():
             continue
         if c.is_rational():
-            q = c.as_fraction()
-            neg, mag = q < 0, abs(q)
+            neg = c.nums[0] < 0
+            mag = str(-c if neg else c)
             if k == 0:
-                body = str(mag)
+                body = mag
             else:
                 power = var if k == 1 else f"{var}^{k}"
-                body = power if mag == 1 else f"{mag}*{power}"
+                body = power if mag == "1" else f"{mag}*{power}"
         else:
             neg = False
             body = f"({c})" if k == 0 else f"({c})*" + (var if k == 1 else f"{var}^{k}")
@@ -198,15 +198,6 @@ class IntegralityCertificate:
     subject: CycScalar
     minimal_polynomial: Poly
     is_integer: bool
-
-    def recheck(self) -> bool:
-        """Re-derive the verdict from the witness data."""
-        p = self.minimal_polynomial
-        return (
-            p.is_monic()
-            and p.evaluate(self.subject).is_zero()
-            and (p.has_integer_coeffs() == self.is_integer)
-        )
 
 
 def is_algebraic_integer(a: CycScalar) -> IntegralityCertificate:

@@ -1,15 +1,18 @@
 """Exact scalars: arbitrary-precision rationals and cyclotomic field elements.
 
-A :class:`CycScalar` of order N is an element of Q(zeta_N), stored by its
-rational coordinates over the power basis {1, z, z^2, ..., z^(phi(N)-1)} with z
-a fixed primitive N-th root of unity; coordinates are kept reduced modulo the
-N-th cyclotomic polynomial.  A coordinate is a plain ``int`` when it is
-integral and a ``fractions.Fraction`` (denominator > 1) otherwise, never a
-``float``: most values the checks touch are integers, and int arithmetic skips
-the gcd that every Fraction operation pays.  All arithmetic is exact.  Scalars
-of different orders combine by lifting both into Q(zeta_lcm); a value whose
-non-constant coordinates vanish is normalized down to order 1, so purely
-rational work never pays the cyclotomic overhead.
+A :class:`CycScalar` of order N is an element of Q(zeta_N), written over the
+power basis {1, z, z^2, ..., z^(phi(N)-1)} with z a fixed primitive N-th root
+of unity as integer numerators ``nums`` over one common denominator ``den``
+(the form of FLINT/ANTIC's ``fmpq_poly`` and ``nf_elem``).  The form is
+canonical: den > 0, gcd(den, *nums) = 1, the numerators are reduced modulo the
+N-th cyclotomic polynomial, and a value whose non-constant numerators vanish
+is stored at order 1, with zero as ``(0,)`` over 1.  So zero tests are O(1),
+equality at one order compares the fields, and every operation runs on plain
+ints: Phi_N is monic with integer coefficients, so a product reduces in Z,
+and one gcd per result runs only when den != 1.  No float is ever involved.
+``coords`` gives the rational coordinates (an int when integral, a Fraction
+otherwise), which formats and traces read.  Scalars of different orders
+combine by lifting both into Q(zeta_lcm).
 
 The scalar literal grammar used by file formats and reports:
 
@@ -25,14 +28,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ParseError
-
-
-def _coord(x):
-    """The canonical coordinate of an int or Fraction x: int when integral."""
-    return x.numerator if x.denominator == 1 else x
 
 
 @lru_cache(maxsize=None)
@@ -99,7 +97,8 @@ def _poly_inv(lead):
     """1 / lead, exact: a canonical int or Fraction for a rational lead, never
     a float."""
     if isinstance(lead, (int, Fraction)):
-        return _coord(Fraction(1, lead))
+        q = Fraction(1, lead)
+        return q.numerator if q.denominator == 1 else q
     return 1 / lead
 
 
@@ -177,31 +176,40 @@ def _reduce_mod_cyclotomic(coeffs: list, order: int) -> list:
     return c
 
 
+def _canonical(order: int, nums: list, den: int) -> "CycScalar":
+    """The scalar (sum_i nums[i] z^i) / den in canonical form, for phi(order)
+    integer numerators and a positive integer den: order 1 when every
+    non-constant numerator is 0, and gcd(den, *nums) = 1."""
+    if order > 1 and not any(nums[1:]):
+        order, nums = 1, nums[:1]
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+    return CycScalar(order, tuple(nums), den)
+
+
 class CycScalar:
-    """An exact element of the cyclotomic field Q(zeta_order)."""
+    """An exact element of the cyclotomic field Q(zeta_order): the integer
+    numerators ``nums`` over the power basis, divided by ``den``."""
 
-    __slots__ = ("order", "coords")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order: int, coords: tuple[int | Fraction, ...]):
-        # trusted constructor: length must already equal phi(order), a
-        # rational value must already have been collapsed to order 1, and
-        # every coordinate must already be canonical (see _coord)
+    def __init__(self, order: int, nums: tuple[int, ...], den: int = 1):
+        # trusted constructor: the form must already be canonical (see
+        # _canonical): len(nums) == phi(order), den > 0, gcd(den, *nums) == 1,
+        # and a rational value at order 1
         self.order = order
-        self.coords = coords
+        self.nums = nums
+        self.den = den
 
     # -- construction -----------------------------------------------------
 
-    @staticmethod
-    def _make(order: int, coords: list) -> "CycScalar":
-        if order > 1:
-            for c in coords[1:]:
-                if c:
-                    return CycScalar(order, tuple(map(_coord, coords)))
-        return CycScalar(1, (_coord(coords[0]),))
-
     @classmethod
     def from_rational(cls, value: Fraction | int) -> "CycScalar":
-        return cls(1, (_coord(Fraction(value)),))
+        q = Fraction(value)
+        return cls(1, (q.numerator,), q.denominator)
 
     @classmethod
     def from_coords(cls, order: int, coords) -> "CycScalar":
@@ -209,155 +217,167 @@ class CycScalar:
         (arbitrary length; reduced modulo the cyclotomic polynomial)."""
         if order < 1:
             raise ValueError("order must be >= 1")
-        cs = [_coord(Fraction(c)) for c in coords]
-        return cls._make(order, _reduce_mod_cyclotomic(cs, order))
+        qs = [Fraction(c) for c in coords]
+        den = lcm(*(q.denominator for q in qs))
+        nums = [q.numerator * (den // q.denominator) for q in qs]
+        return _canonical(order, _reduce_mod_cyclotomic(nums, order), den)
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "CycScalar":
         """zeta_order ** power."""
         if order < 1:
             raise ValueError("order must be >= 1")
-        power %= order
-        coeffs = [0] * power + [1]
-        return cls._make(order, _reduce_mod_cyclotomic(coeffs, order))
+        return _canonical(order, _reduce_mod_cyclotomic([0] * (power % order) + [1], order), 1)
 
     # -- predicates and conversions ---------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return self.order == 1 and not self.nums[0]
+
+    def __bool__(self) -> bool:
+        return self.order != 1 or self.nums[0] != 0
 
     def is_rational(self) -> bool:
         return self.order == 1
 
+    def is_integer(self) -> bool:
+        return self.order == 1 and self.den == 1
+
     def as_fraction(self) -> Fraction:
         if self.order != 1:
             raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.coords[0])
+        return Fraction(self.nums[0], self.den)
 
-    def is_integer(self) -> bool:
-        return self.order == 1 and self.coords[0].denominator == 1
+    @property
+    def coords(self) -> tuple[int | Fraction, ...]:
+        """The rational coordinates over the power basis, each an int when
+        integral and a Fraction otherwise."""
+        return _coords(self.nums, self.den)
 
-    def __bool__(self) -> bool:
-        return any(self.coords)
+    def key(self) -> tuple:
+        """A hashable key of the canonical form: equal values at one order
+        have equal keys, and every rational value sits at order 1."""
+        return (self.order, self.nums, self.den)
 
     # -- order lifting ------------------------------------------------------
 
-    def lift(self, order: int) -> list:
-        """Coordinates of this value in Q(zeta_order); self.order must divide order."""
+    def _lift(self, order: int) -> list[int]:
+        """The numerators of this value in Q(zeta_order), over the same den."""
         if order == self.order:
-            return list(self.coords)
+            return list(self.nums)
         if order % self.order != 0:
             raise ValueError(f"cannot lift order {self.order} into order {order}")
         k = order // self.order
-        out = [0] * ((len(self.coords) - 1) * k + 1)
-        for i, c in enumerate(self.coords):
-            if c:
-                out[i * k] = c
-        return [_coord(c) for c in _reduce_mod_cyclotomic(out, order)]
+        out = [0] * ((len(self.nums) - 1) * k + 1)
+        for i, c in enumerate(self.nums):
+            out[i * k] = c
+        return _reduce_mod_cyclotomic(out, order)
 
-    def _common(self, other: "CycScalar") -> tuple[int, list, list]:
+    def lift(self, order: int) -> list:
+        """Coordinates of this value in Q(zeta_order); self.order must divide order."""
+        return list(_coords(self._lift(order), self.den))
+
+    def _common(self, other: "CycScalar") -> tuple[int, tuple | list, tuple | list]:
         if self.order == other.order:
-            return self.order, list(self.coords), list(other.coords)
+            return self.order, self.nums, other.nums
         n = lcm(self.order, other.order)
-        return n, self.lift(n), other.lift(n)
+        return n, self._lift(n), other._lift(n)
 
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def _coerce(value) -> "CycScalar":
-        if isinstance(value, CycScalar):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return CycScalar(1, (_coord(value),))
-        return NotImplemented  # type: ignore[return-value]
-
     def __add__(self, other) -> "CycScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.order == 1 and other.order == 1:
-            return CycScalar(1, (_coord(self.coords[0] + other.coords[0]),))
-        n, a, b = self._common(other)
-        return self._make(n, [x + y for x, y in zip(a, b)])
+        if not isinstance(other, CycScalar):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.den, other.den
+        if self.order == 1 == other.order:
+            if a == b == 1:
+                return CycScalar(1, (self.nums[0] + other.nums[0],))
+            n, d = self.nums[0] * b + other.nums[0] * a, a * b
+            g = gcd(n, d)
+            return CycScalar(1, (n // g,), d // g)
+        n, x, y = self._common(other)
+        if a == b:
+            return _canonical(n, [p + q for p, q in zip(x, y)], a)
+        return _canonical(n, [p * b + q * a for p, q in zip(x, y)], a * b)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycScalar":
-        return CycScalar(self.order, tuple(-c for c in self.coords))
+        return CycScalar(self.order, tuple([-c for c in self.nums]), self.den)
 
     def __sub__(self, other) -> "CycScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.order == 1 and other.order == 1:
-            return CycScalar(1, (_coord(self.coords[0] - other.coords[0]),))
-        n, a, b = self._common(other)
-        return self._make(n, [x - y for x, y in zip(a, b)])
+        if not isinstance(other, CycScalar):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.order == 1 == other.order and self.den == other.den == 1:
+            return CycScalar(1, (self.nums[0] - other.nums[0],))
+        return self + -other
 
     def __rsub__(self, other) -> "CycScalar":
         return (-self) + other
 
     def __mul__(self, other) -> "CycScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.order == 1 and other.order == 1:
-            return CycScalar(1, (_coord(self.coords[0] * other.coords[0]),))
-        if self.order == 1:
-            q = self.coords[0]
+        if not isinstance(other, CycScalar):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        den = self.den * other.den
+        if self.order == 1 == other.order:
+            n = self.nums[0] * other.nums[0]
+            if den == 1:
+                return CycScalar(1, (n,))
+            g = gcd(n, den)
+            return CycScalar(1, (n // g,), den // g)
+        if self.order == 1 or other.order == 1:
+            q, v = (self.nums[0], other) if self.order == 1 else (other.nums[0], self)
             if not q:
                 return ZERO
-            return self._make(other.order, [q * c for c in other.coords])
-        if other.order == 1:
-            q = other.coords[0]
-            if not q:
-                return ZERO
-            return self._make(self.order, [q * c for c in self.coords])
-        n, a, b = self._common(other)
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return self._make(n, _reduce_mod_cyclotomic(prod, n))
+            return _canonical(v.order, [q * c for c in v.nums], den)
+        n, x, y = self._common(other)
+        prod = [0] * (len(x) + len(y) - 1)
+        for i, p in enumerate(x):
+            if p:
+                for j, q in enumerate(y):
+                    if q:
+                        prod[i + j] += p * q
+        return _canonical(n, _reduce_mod_cyclotomic(prod, n), den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycScalar":
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("division by zero cyclotomic scalar")
-        if self.order == 1:
-            return CycScalar(1, (_coord(Fraction(1, self.coords[0])),))
-        # extended Euclid against Phi_order: t * self == gcd (a nonzero constant)
-        n = self.order
-        r0 = list(cyclotomic_coeffs(n))
-        r1 = _poly_trim(self.coords)
-        t0: list = []
-        t1: list = [1]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-        g = _poly_trim(r0)
-        if len(g) != 1:
-            raise ArithmeticError("cyclotomic modulus not coprime to element")
-        inv_g = Fraction(1, g[0])
-        coeffs = _reduce_mod_cyclotomic([c * inv_g for c in t0], n)
-        return self._make(n, coeffs)
+        n, a = self.order, list(self.nums)
+        if n == 1:
+            return CycScalar(1, (self.den,), a[0]) if a[0] > 0 else CycScalar(1, (-self.den,), -a[0])
+        # 1/a = C/N(a) with C the product of the conjugates sigma_k(a), k a
+        # unit mod n other than 1, and the norm N(a) = a C; Q(zeta_n) is
+        # totally complex for n > 2, so N(a) is a product of squares
+        # |sigma_k(a)|^2 and positive
+        conj = [1]
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                s = [0] * n
+                for i, c in enumerate(a):
+                    s[i * k % n] = c
+                conj = _reduce_mod_cyclotomic(_poly_mul(conj, _reduce_mod_cyclotomic(s, n)), n)
+        norm = _reduce_mod_cyclotomic(_poly_mul(a, conj), n)
+        if any(norm[1:]) or norm[0] <= 0:
+            raise ArithmeticError("the norm of a cyclotomic scalar is not a positive rational")
+        return _canonical(n, [self.den * c for c in conj], norm[0])
 
     def __truediv__(self, other) -> "CycScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.order == 1 and other.order == 1:
-            if not other.coords[0]:
-                raise ZeroDivisionError("division by zero cyclotomic scalar")
-            return CycScalar(1, (_coord(Fraction(self.coords[0], other.coords[0])),))
+        if not isinstance(other, CycScalar):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other) -> "CycScalar":
-        num = self._coerce(other)
+        num = _coerce(other)
         if num is NotImplemented:
             return NotImplemented
         return num * self.inverse()
@@ -378,13 +398,20 @@ class CycScalar:
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, CycScalar):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        # lifting keeps a form canonical: were a prime p to divide den and
+        # every lifted numerator, nums / p would be integral in Q(zeta_order),
+        # whose ring of integers is Z[zeta_order]; so equal values have equal
+        # dens, whatever their orders
+        if self.den != other.den:
+            return False
         if self.order == other.order:
-            return self.coords == other.coords
-        n, a, b = self._common(other)
-        return a == b
+            return self.nums == other.nums
+        n, x, y = self._common(other)
+        return x == y
 
     __hash__ = None  # type: ignore[assignment]  # values of equal worth may live at different orders
 
@@ -407,13 +434,26 @@ ZERO = CycScalar(1, (0,))
 ONE = CycScalar(1, (1,))
 
 
+def _coords(nums, den: int) -> tuple[int | Fraction, ...]:
+    if den == 1:
+        return tuple(nums)
+    return tuple(c // den if c % den == 0 else Fraction(c, den) for c in nums)
+
+
+def _coerce(value) -> CycScalar:
+    """An int or Fraction operand as a scalar; NotImplemented for others."""
+    if isinstance(value, (int, Fraction)):
+        return CycScalar(1, (value.numerator,), value.denominator)
+    return NotImplemented  # type: ignore[return-value]
+
+
 def as_scalar(value) -> CycScalar:
     """Coerce an int / Fraction / CycScalar to a CycScalar."""
     if isinstance(value, CycScalar):
         return value
     if not isinstance(value, (int, Fraction)):
         value = Fraction(value)
-    return CycScalar(1, (_coord(value),))
+    return CycScalar(1, (value.numerator,), value.denominator)
 
 
 # -- literal grammar -----------------------------------------------------------

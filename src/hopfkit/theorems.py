@@ -30,7 +30,7 @@ mixed sums equal the all-scalar sums value for value and order for order.
 
 An integrality certificate is made once per distinct value within one suite
 call: the proposition, section4 and central-fusion suites each keep a dict of
-certificates, keyed by (order, coords), for the length of the call; nothing
+certificates, keyed by the canonical form, for the length of the call; nothing
 is kept between calls.
 """
 
@@ -63,7 +63,9 @@ def _plain(x: CycScalar):
     """x as an int or Fraction when rational, else x itself.  Plain numbers
     add and compare exactly like order-1 scalars, also mixed with scalars, so
     sums of plain values equal the scalar sums, order for order."""
-    return x.coords[0] if x.is_rational() else x
+    if not x.is_rational():
+        return x
+    return x.nums[0] if x.den == 1 else x.as_fraction()
 
 
 def _sparse_sum(vectors) -> dict[int, object]:
@@ -77,8 +79,8 @@ def _sparse_sum(vectors) -> dict[int, object]:
 
 def _integrality(a: CycScalar, memo: dict) -> IntegralityCertificate:
     """``is_algebraic_integer(a)``, computed once per value: ``memo`` is a
-    dict local to one suite call, keyed by (order, coords)."""
-    key = (a.order, a.coords)
+    dict local to one suite call, keyed by ``a.key()``."""
+    key = a.key()
     cert = memo.get(key)
     if cert is None:
         cert = memo[key] = is_algebraic_integer(a)
@@ -385,14 +387,9 @@ def explore_central_fusion(
     # scale each rational kernel vector to a primitive integer vector
     central_elements = []
     for vec in basis:
-        fracs = [c.as_fraction() for c in vec]
-        denom = 1
-        for q in fracs:
-            denom = lcm(denom, q.denominator)
-        ints = [int(q * denom) for q in fracs]
-        g = 0
-        for n in ints:
-            g = gcd(g, abs(n))
+        denom = lcm(*(c.den for c in vec))
+        ints = [c.nums[0] * (denom // c.den) for c in vec]
+        g = gcd(*ints)
         if g > 1:
             ints = [n // g for n in ints]
         central_elements.append(ints)

@@ -152,14 +152,14 @@ def split_center(H: HopfData, order: int | None = None) -> BlockDecomposition:
 
     idempotents = [H.unit]
     # the projector coefficients q / q(mu) of each minimal polynomial already
-    # factored in this call, keyed by its rational coefficients; an entry is
+    # factored in this call, keyed by its coefficients; an entry is
     # stored only once the polynomial has split
     deflated: dict[tuple, list[list[CycScalar]]] = {}
     for k, z in enumerate(zbasis):
         if len(idempotents) == r:
             break
         min_poly, powers = _min_poly_on_center(H, z, free)
-        key = tuple(c.as_fraction() for c in min_poly.coeffs)
+        key = tuple(c.key() for c in min_poly.coeffs)
         if key not in deflated:
             deflated[key] = [_deflate(min_poly, mu) for mu in _eigenvalues(H, min_poly, order, k)]
         # spectral projectors q(z) / q(mu) with q = m / (x - mu), combinations
@@ -268,14 +268,10 @@ def block_degrees(H: HopfData, idempotents: list[Vector]) -> list[int]:
     degrees = []
     for i, e in enumerate(idempotents):
         t = pair(chi, e)
-        if not t.is_rational():
+        q = t.nums[0]
+        root = isqrt(q) if t.is_integer() and q >= 0 else None
+        if root is None or root * root != q:
             raise HopfkitError(f"non-square block trace at block {i}: {t}")
-        q = t.as_fraction()
-        if q.denominator != 1 or q < 0:
-            raise HopfkitError(f"non-square block trace at block {i}: {q}")
-        root = isqrt(q.numerator)
-        if root * root != q.numerator:
-            raise HopfkitError(f"non-square block trace at block {i}: {q}")
         degrees.append(root)
     return degrees
 

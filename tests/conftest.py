@@ -12,6 +12,7 @@ import pytest
 
 from hopfkit import (
     HopfData,
+    IntegralityCertificate,
     Pipeline,
     builtin_group,
     drinfeld_double,
@@ -19,6 +20,7 @@ from hopfkit import (
     group_algebra,
     tensor_product,
 )
+from hopfkit.scalars import _poly_divmod, _poly_trim
 
 _GROUPS = ("C2", "C3", "C2xC2", "S3", "D4", "Q8")
 
@@ -80,6 +82,36 @@ def charpoly(rows) -> list:
              for i in range(n)]
         coeffs[n - k] = -sum((m[i][i] for i in range(n)), Fraction(0)) / k
     return coeffs
+
+
+def resultant_q(a: list, b: list) -> Fraction:
+    """Resultant of two polynomials (coefficient lists, low to high) over Q or
+    Q(zeta_N), by the Euclidean remainder chain of the scalars' kit."""
+    a, b = _poly_trim(a), _poly_trim(b)
+    if not a or not b:
+        return Fraction(0)
+    res = Fraction(1)
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        if db == 0:
+            return res * b[0] ** da
+        r = _poly_divmod(a, b)[1]
+        if not r:
+            return Fraction(0)
+        if (da * db) % 2 == 1:
+            res = -res
+        res *= b[-1] ** (da - (len(r) - 1))
+        a, b = b, r
+
+
+def recheck_integrality(cert: IntegralityCertificate) -> bool:
+    """Re-derive an integrality certificate's verdict from its witness data."""
+    p = cert.minimal_polynomial
+    return (
+        p.is_monic()
+        and p.evaluate(cert.subject).is_zero()
+        and p.has_integer_coeffs() == cert.is_integer
+    )
 
 
 def fusion_matrix_rows(tensor: list, v: int) -> list[list[int]]:

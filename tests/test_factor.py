@@ -6,6 +6,8 @@ from math import gcd
 
 import pytest
 
+from conftest import resultant_q
+
 from hopfkit import CycScalar, Poly, cyclotomic_coeffs, factor, factor_over_cyclotomic, factor_rational
 from hopfkit.factor import (
     _ROOT_CANDIDATE_CAP,
@@ -14,7 +16,6 @@ from hopfkit.factor import (
     _norm,
     _peel_integer_roots,
     _zassenhaus,
-    resultant_q,
 )
 from hopfkit.rng import DeterministicRng
 from hopfkit.scalars import _poly_add, _poly_derivative, _poly_mul

@@ -14,7 +14,7 @@ from functools import lru_cache
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from conftest import perturbed
 
@@ -54,6 +54,19 @@ def _change_of_basis(draw):
         for row in p:  # column j += t * column i
             row[j] += t * row[i]
     return p
+
+
+@st.composite
+def _dense_change_of_basis(draw):
+    """P = L D U with L unit lower and U unit upper triangular, each with every
+    off-diagonal entry nonzero, and D an invertible diagonal: invertible by
+    construction, and dense, so the structure constants of the rebased algebra
+    are general rationals."""
+    n = _DIM
+    lower = [[Fraction(i == j) if j >= i else draw(_shear) for j in range(n)] for i in range(n)]
+    upper = [[Fraction(i == j) if j <= i else draw(_shear) for j in range(n)] for i in range(n)]
+    diag = [draw(_scale) for _ in range(n)]
+    return [[sum(lower[i][k] * diag[k] * upper[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
 def _rebase(H: HopfData, p: list[list[Fraction]]) -> HopfData:
@@ -109,6 +122,29 @@ def test_change_of_basis_keeps_degrees_and_suite_status(name, p):
     rebased = _rebase(_ALGEBRAS[name], p)
     assume(any(not s.is_integer() for s in (*rebased.mult.values(), *rebased.comult.values())))
     assert _invariants(rebased) == _expected(name)
+
+
+def _degrees_and_verdicts(H: HopfData):
+    """Block degrees and the kaplansky and proposition verdicts, per item kind:
+    the block labels V0, V1, ... follow the idempotents' coordinates, so a
+    change of basis may permute them."""
+    pipe = Pipeline(H)
+    return sorted(pipe.blocks.degrees), [
+        (rep.suite, rep.overall, sorted((item.id.partition("-")[2], item.passed) for item in rep.items))
+        for rep in (pipe.suite("kaplansky"), pipe.suite("proposition"))
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(_ALGEBRAS))
+# no shrinking: a smaller dense matrix is no simpler, and each draw runs a pipeline
+@settings(max_examples=5, deadline=None, derandomize=True, database=None, phases=[Phase.generate])
+@given(p=_dense_change_of_basis())
+def test_dense_change_of_basis_keeps_degrees_and_verdicts(name, p):
+    # the split, the characters and both suites run on scalars with den > 1
+    rebased = _rebase(_ALGEBRAS[name], p)
+    assert sum(1 for row in p for x in row if x) >= _DIM * _DIM - _DIM
+    assert any(not s.is_integer() for s in rebased.mult.values())
+    assert _degrees_and_verdicts(rebased) == _degrees_and_verdicts(_ALGEBRAS[name])
 
 
 # a fixed dense change of basis: every entry is nonzero, and so is every one of

@@ -1,11 +1,13 @@
 """Exact cyclotomic scalar arithmetic, the literal grammar, and field axioms."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfkit import CycScalar, ParseError, cyclotomic_coeffs, euler_phi, format_scalar, parse_scalar
-from hopfkit.scalars import ONE, as_scalar
+from hopfkit.scalars import ONE, _poly_divmod, _poly_mul, _poly_sub, _poly_trim, as_scalar
 from hopfkit.rng import DeterministicRng
 
 
@@ -183,3 +185,128 @@ def test_pipeline_vectors_are_canonical(pipelines):
     for vec in vectors:
         for x in vec:
             assert _canonical(x.coords), x.coords
+
+
+# -- the integer kernel against a Fraction-coordinate reference ----------------
+# A reference value is (order, Fraction coordinates over the power basis); its
+# arithmetic is the coefficient-list kit reduced modulo Phi_order by division,
+# and its inverse the extended Euclid against Phi_order, so it shares no code
+# with CycScalar's numerator/denominator arithmetic.
+
+_ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
+_RATIONAL = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def _reference_operand(draw):
+    """An order and phi(order) coordinates; one draw in four is rational."""
+    order = draw(st.sampled_from(_ORDERS))
+    rest = euler_phi(order) - 1
+    rational = draw(st.integers(0, 3)) == 0
+    return order, [draw(_RATIONAL)] + [Fraction(0) if rational else draw(_RATIONAL) for _ in range(rest)]
+
+
+def _ref_reduce(coeffs, order):
+    r = _poly_divmod([Fraction(c) for c in coeffs], [Fraction(c) for c in cyclotomic_coeffs(order)])[1]
+    return r + [Fraction(0)] * (euler_phi(order) - len(r))
+
+
+def _ref_lift(ref, order):
+    n, coords = ref
+    k = order // n
+    out = [Fraction(0)] * ((len(coords) - 1) * k + 1)
+    for i, c in enumerate(coords):
+        out[i * k] = c
+    return _ref_reduce(out, order)
+
+
+def _ref_add(a, b, sign=1):
+    n = lcm(a[0], b[0])
+    return n, [x + sign * y for x, y in zip(_ref_lift(a, n), _ref_lift(b, n))]
+
+
+def _ref_mul(a, b):
+    n = lcm(a[0], b[0])
+    return n, _ref_reduce(_poly_mul(_ref_lift(a, n), _ref_lift(b, n)), n)
+
+
+def _ref_inverse(a):
+    n, coords = a
+    r0, r1 = [Fraction(c) for c in cyclotomic_coeffs(n)], _poly_trim(list(coords))
+    t0, t1 = [], [Fraction(1)]
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
+    (g,) = r0  # Phi_n is irreducible, so the gcd is a nonzero constant
+    return n, _ref_reduce([c / g for c in t0], n)
+
+
+def _ref_pow(a, e):
+    base, out = (_ref_inverse(a) if e < 0 else a), (1, [Fraction(1)])
+    for _ in range(abs(e)):
+        out = _ref_mul(out, base)
+    return out
+
+
+def _check(v, ref):
+    """v equals the reference value and is in canonical form."""
+    n = lcm(v.order, ref[0])
+    assert v.lift(n) == _ref_lift(ref, n), (v, ref)
+    assert type(v.den) is int and v.den > 0
+    assert len(v.nums) == euler_phi(v.order) and all(type(x) is int for x in v.nums)
+    assert gcd(v.den, *v.nums) == 1
+    assert (v.order == 1) == (not any(_ref_lift(ref, n)[1:])), (v, ref)  # rational <=> order 1
+    assert v.is_zero() == (not any(ref[1])) == (not v)
+    assert v.coords == tuple(Fraction(x, v.den) for x in v.nums) and _canonical(v.coords)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(a=_reference_operand(), b=_reference_operand(), q=_RATIONAL, e=st.integers(-3, 4))
+def test_integer_kernel_matches_fraction_reference(a, b, q, e):
+    x, y = CycScalar.from_coords(*a), CycScalar.from_coords(*b)
+    _check(x, a)
+    _check(y, b)
+    rq = (1, [q])
+    _check(x + y, _ref_add(a, b))
+    _check(x - y, _ref_add(a, b, -1))
+    _check(x * y, _ref_mul(a, b))
+    _check(-x, _ref_add((1, [Fraction(0)]), a, -1))
+    _check(x + q, _ref_add(a, rq))
+    _check(q - x, _ref_add(rq, a, -1))
+    _check(q * x, _ref_mul(rq, a))
+    if q:
+        _check(x / q, _ref_mul(a, _ref_inverse(rq)))
+    if any(b[1]):
+        _check(y.inverse(), _ref_inverse(b))
+        _check(x / y, _ref_mul(a, _ref_inverse(b)))
+        _check(q / y, _ref_mul(rq, _ref_inverse(b)))
+    if e >= 0 or any(a[1]):
+        _check(x**e, _ref_pow(a, e))
+    assert (x == y) == (_ref_add(a, b, -1)[1] == [0] * euler_phi(lcm(a[0], b[0])))
+    assert (x == q) == (_ref_add(a, rq, -1)[1] == [0] * euler_phi(a[0]))
+    # the same value stored at a multiple of its order
+    for m in (2 * a[0], 3 * a[0]):
+        z = CycScalar.from_coords(m, x.lift(m))
+        _check(z, (m, _ref_lift(a, m)))
+        assert z == x and x == z and (z - x).is_zero() and (z * y == x * y)
+        assert (z == x / 2) == x.is_zero()
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    # + - * == run on the integer numerators alone, den > 1 included; a
+    # Fraction appears only where the coordinates are read
+    values = [CycScalar.from_coords(n, range(1, euler_phi(n) + 1)) / d for n in (1, 3, 4, 6, 12) for d in (1, 2)]
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: made.append(a) or new(cls, *a, **k)))
+    for x in values:
+        for y in values:
+            x + y, x - y, x * y, x == y, x + 2, 3 * x, 1 - x, x == 0
+    assert made == []
+    values[-1].coords
+    assert made

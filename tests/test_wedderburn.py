@@ -197,6 +197,48 @@ GROUP_DEGREES = {
 }
 
 
+# -- an oracle for doubles that shares no code with wedderburn ------------------
+# The irreducibles of D(G) are indexed by a conjugacy class C, g in C, and an
+# irreducible rho of the centraliser C_G(g); their degree is |C| dim rho
+# (Dijkgraaf-Pasquier-Roche 1990).  For the groups of order <= 8 the degrees
+# of a group follow from its order and class count alone: an abelian group has
+# only linear characters, and the non-abelian ones are S3 (6, 3 classes) and
+# D4, Q8 (8, 5 classes).
+
+_NON_ABELIAN_DEGREES = {(6, 3): [1, 1, 2], (8, 5): [1, 1, 1, 1, 2]}
+
+
+def _conjugacy_classes(g, members: list[int]) -> list[set[int]]:
+    classes: list[set[int]] = []
+    for x in members:
+        if not any(x in c for c in classes):
+            classes.append({g.mul(g.mul(a, x), g.inv(a)) for a in members})
+    return classes
+
+
+def _group_degrees(g, members: list[int]) -> list[int]:
+    order, count = len(members), len(_conjugacy_classes(g, members))
+    return [1] * order if count == order else _NON_ABELIAN_DEGREES[order, count]
+
+
+def _double_degrees(g) -> list[int]:
+    degrees = []
+    for cls in _conjugacy_classes(g, list(range(g.order))):
+        x = min(cls)
+        centraliser = [a for a in range(g.order) if g.mul(a, x) == g.mul(x, a)]
+        degrees += [len(cls) * d for d in _group_degrees(g, centraliser)]
+    return sorted(degrees)
+
+
+@pytest.mark.parametrize("group", sorted(GROUP_DEGREES))
+def test_double_blocks_follow_the_centralisers(group):
+    g = builtin_group(group)
+    assert _group_degrees(g, list(range(g.order))) == GROUP_DEGREES[group]
+    degrees = _double_degrees(g)
+    assert sum(d * d for d in degrees) == g.order ** 2
+    assert primitive_idempotents(drinfeld_double(g)).degrees == degrees
+
+
 @pytest.mark.parametrize("group", sorted(GROUP_DEGREES))
 def test_double_dual_blocks_are_group_blocks_repeated(group):
     # D(G) is the tensor coalgebra k^G (x) kG, so D(G)* is the algebra
