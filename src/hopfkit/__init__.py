@@ -15,7 +15,6 @@ from .characters import (
     FusionRing,
     central_decomposition,
     f_map,
-    f_matrix,
     fusion_ring,
     irreducible_characters,
     is_central_character,
@@ -50,7 +49,7 @@ from .hopf import (
     parse_hopf,
 )
 from .integrals import IntegralPair, compute_integrals, dual_integrals, integrals_report
-from .linalg import Matrix, kernel_basis, minimal_polynomial, rank
+from .linalg import Matrix, kernel_basis, minimal_polynomial
 from .pipeline import SUITES, Pipeline
 from .polys import IntegralityCertificate, Poly, is_algebraic_integer, min_poly_scalar
 from .report import ReportItem, VerificationReport
@@ -106,7 +105,6 @@ __all__ = [
     "euler_phi",
     "explore_central_fusion",
     "f_map",
-    "f_matrix",
     "factor_over_cyclotomic",
     "factor_rational",
     "format_grp",
@@ -130,7 +128,6 @@ __all__ = [
     "parse_hopf",
     "parse_scalar",
     "primitive_idempotents",
-    "rank",
     "tensor_product",
     "verify_corollary",
     "verify_lemma1",

@@ -17,8 +17,9 @@ Gauss's lemma its coefficients must be integers, and it must annihilate chi_V
 under convolution.
 
 The linear map f(phi) = phi Lambda transports the character span onto the
-center (and the dual center onto the dual character span); its matrix is
-invertible for every semisimple input.
+center (and the dual center onto the dual character span).  It is a bijection
+H* -> H with the explicit inverse h -> S(h) lambda when lambda(Lambda) = 1
+(Larson-Sweedler), so no matrix of f is ever built.
 """
 
 from __future__ import annotations
@@ -37,12 +38,10 @@ from .hopf import (
 )
 from .integrals import IntegralPair
 from .linalg import (
-    Matrix,
     PreparedSolver,
     Vector,
     combine,
     minimal_polynomial,
-    rank,
     vec_eq,
     vec_is_zero,
     vec_scale,
@@ -116,6 +115,16 @@ def irreducible_characters(H: HopfData, blocks: BlockDecomposition, integrals: I
     )
 
 
+def dual_characters(table: CharacterTable, H: HopfData) -> list[tuple[Vector, int | None]]:
+    """(S* chi_V, index of the character it equals, or None) for each chi_V."""
+    out = []
+    for chi in table.characters:
+        image = H.dual.apply_antipode(chi)
+        w = next((u for u, other in enumerate(table.characters) if vec_eq(other, image)), None)
+        out.append((image, w))
+    return out
+
+
 def is_central_character(chi: Vector, H: HopfData) -> bool:
     """Whether chi commutes with every dual basis vector under convolution."""
     return commutes_with_basis(chi, H.comult_nz)
@@ -152,9 +161,7 @@ def fusion_ring(table: CharacterTable, H: HopfData) -> FusionRing:
 
     # duality permutation from the dual antipode
     dual_map = []
-    for v in range(r):
-        image = H.dual.apply_antipode(table.characters[v])
-        w = next((u for u in range(r) if vec_eq(table.characters[u], image)), None)
+    for v, (_, w) in enumerate(dual_characters(table, H)):
         if w is None:
             raise HopfkitError(f"S* chi_{table.labels[v]} is not an irreducible character")
         dual_map.append(w)
@@ -211,14 +218,3 @@ def central_decomposition(zeta: Vector, dual_blocks: BlockDecomposition) -> Cent
 def f_map(phi: Vector, integrals: IntegralPair, H: HopfData) -> Vector:
     """f(phi) = phi Lambda, the linear map H* -> H."""
     return hit_act_dual_on_alg(phi, integrals.Lambda, H)
-
-
-def f_matrix(integrals: IntegralPair, H: HopfData) -> Matrix:
-    """Matrix of f on the dual basis (columns f(phi_j)); invertible for every
-    semisimple input."""
-    cols = [f_map(H.basis_vector(j), integrals, H) for j in range(H.dim)]
-    return Matrix.from_columns(cols)
-
-
-def f_is_bijective(integrals: IntegralPair, H: HopfData) -> bool:
-    return rank(f_matrix(integrals, H)) == H.dim

@@ -1,13 +1,14 @@
 """Exact linear algebra over the cyclotomic scalars.
 
-Vectors are plain tuples of scalars; a :class:`Matrix` is a checked dense
-container that the elimination routines read (it has no arithmetic).
-Everything runs Gaussian elimination with exact field arithmetic, so results
-are equalities, not approximations: kernels and ranks, a prepared solver for
-many right-hand sides over one column family, and the first linear dependency
-among the powers of an element (:func:`minimal_polynomial`).  The systems are
-dense and eliminated row by row, touching only each pivot row's support; a
-D(S4) report (dimension 576) runs through them.
+Vectors are plain tuples of scalars.  Everything runs Gaussian elimination
+with exact field arithmetic, so results are equalities, not approximations:
+the kernel of a sparsely given system (:func:`sparse_kernel_basis`, which
+hands its distinct rows to :func:`kernel_basis` as a shape-checked
+:class:`Matrix`), a prepared solver for many right-hand sides over one column
+family, and the first linear dependency among the powers of an element
+(:func:`minimal_polynomial`).  The systems are dense and eliminated row by
+row, touching only each pivot row's support; a D(S4) report (dimension 576)
+runs through them.
 """
 
 from __future__ import annotations
@@ -63,14 +64,6 @@ class Matrix:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix rows")
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":
-        cols = [list(c) for c in columns]
-        if not cols:
-            return cls([])
-        n = len(cols[0])
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
-
 
 def _rref(data: list[list[CycScalar]]) -> tuple[list[list[CycScalar]], list[int]]:
     """Reduced row echelon form, computed in place: the row lists are the
@@ -109,11 +102,6 @@ def _rref(data: list[list[CycScalar]]) -> tuple[list[list[CycScalar]], list[int]
         if r == n_rows:
             break
     return data, pivots
-
-
-def rank(a: Matrix) -> int:
-    _, pivots = _rref([list(row) for row in a._rows])
-    return len(pivots)
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
@@ -210,19 +198,6 @@ class PreparedSolver:
         outside the span."""
         coeffs, residual = self.coordinates(v)
         return None if any(residual) else coeffs
-
-
-def same_span(rows_a: Sequence[Sequence[CycScalar]], rows_b: Sequence[Sequence[CycScalar]]) -> bool:
-    """Exact subspace equality of two row families."""
-    a = Matrix(list(rows_a)) if rows_a else None
-    b = Matrix(list(rows_b)) if rows_b else None
-    if a is None or b is None:
-        return (a is None or rank(a) == 0) and (b is None or rank(b) == 0)
-    ra, rb = rank(a), rank(b)
-    if ra != rb:
-        return False
-    both = Matrix(list(rows_a) + list(rows_b))
-    return rank(both) == ra
 
 
 class IncrementalDependency:

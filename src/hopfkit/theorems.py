@@ -11,9 +11,12 @@ reports exact witnesses:
   proposition     dim V | dim H for blocks with central character, with
                   algebraic-integrality certificates for the central values
                   f_i(S* chi_V)
-  section4        f is bijective, f(C(H)) = Z(H) and f(Z(H*)) = C(H*) as
-                  exact subspaces, and the divisibility-integrality
-                  equivalence witnessed on each block
+  section4        f is bijective, by its explicit inverse: f(S(b_k) lambda)
+                  = b_k for every k; f(C(H)) = Z(H), since S* permutes the
+                  characters, f(S* chi_V) = (dim H/dim V) e_V and r =
+                  dim Z(H); f(Z(H*)) = C(H*), since f(delta_M) = (dim M)
+                  chi_M and r* = dim Z(H*); and the divisibility-
+                  integrality equivalence witnessed on each block
   kaplansky       the degree-divisibility table (findings, never assertions,
                   where the central-character hypothesis fails)
   central-fusion  exploratory: integrality of f on the center of G0(H)
@@ -43,13 +46,13 @@ from .characters import (
     CharacterTable,
     FusionRing,
     central_decomposition,
-    f_is_bijective,
+    dual_characters,
     f_map,
     is_central_character,
 )
 from .hopf import HopfData, format_vector, hit_act_alg_on_dual, hit_act_dual_on_alg
 from .integrals import IntegralPair
-from .linalg import Matrix, combine, kernel_basis, same_span, vec_eq, vec_scale
+from .linalg import combine, sparse_kernel_basis, vec_eq, vec_scale
 from .polys import IntegralityCertificate, format_poly, is_algebraic_integer
 from .report import VerificationReport
 from .rng import DeterministicRng
@@ -287,34 +290,69 @@ def verify_section4(
     report = VerificationReport(subject=H.name, dim=H.dim, suite="section4")
     certs_seen: dict = {}
 
+    # f has the explicit right inverse h -> S(h) lambda (Larson-Sweedler, with
+    # lambda(Lambda) = 1), so f maps H* onto H, and dim H* = dim H
+    def f_of_inverse(k: int):  # f(S(b_k) lambda)
+        dual_k = hit_act_alg_on_dual(H.apply_antipode(H.basis_vector(k)), integrals.lambda_dual, H)
+        return f_map(dual_k, integrals, H)
+
+    bad_k = next((k for k in range(H.dim) if not vec_eq(f_of_inverse(k), H.basis_vector(k))), None)
     report.add(
         "f-bijective",
         "f(phi) = phi Lambda is a linear bijection H* -> H",
-        f_is_bijective(integrals, H),
-        f"rank = dim H = {H.dim}",
+        bad_k is None,
+        f"rank = dim H = {H.dim}" if bad_k is None else f"f(S(b{bad_k}) lambda) != b{bad_k}",
     )
 
-    f_of_chars = [f_map(chi, integrals, H) for chi in table.characters]
-    ok = same_span(f_of_chars, blocks.center_basis)
+    # f(S* chi_V) in idempotent coordinates, per block.  S* is injective, and
+    # the exact closures keep the characters distinct, so S* permutes them once
+    # each image is one; then f(S* chi_V) = (dim H/dim V) e_V carries C(H) onto
+    # the span of the r independent central e_V, which is Z(H) when r = dim Z(H)
+    duals = dual_characters(table, H)
+    closure = []
+    for v, ((dual_chi, _), deg) in enumerate(zip(duals, blocks.degrees)):
+        coords = blocks.solver.decompose(f_map(dual_chi, integrals, H))
+        expected = as_scalar(Fraction(H.dim, deg))
+        exact = coords is not None and all(
+            (c - (expected if m == v else 0)).is_zero() for m, c in enumerate(coords)
+        )
+        closure.append((coords, exact))
+    witness = next((
+        f"S* chi_{label} is not an irreducible character" if w is None
+        else f"f(chi_{label}*) != (dim H/dim {label}) e_{label}"
+        for label, (_, w), (_, exact) in zip(blocks.labels, duals, closure)
+        if w is None or not exact
+    ), "")
+    r = len(blocks.center_basis)
+    if not witness and not table.count == blocks.count == r:
+        witness = f"{table.count} characters and {blocks.count} blocks, but dim Z(H) = {r}"
     report.add(
         "f-characters-center",
         "f(C(H)) = Z(H) as exact subspaces",
-        ok,
-        f"rank {len(blocks.center_basis)} witnessed on both sides" if ok else "span mismatch",
+        not witness,
+        witness or f"rank {r} witnessed on both sides",
     )
 
-    f_of_dual_center = [f_map(z, integrals, H) for z in dual_blocks.center_basis]
-    ok = same_span(f_of_dual_center, dual_table.characters)
+    # f(delta_M) = (dim M) chi_M carries the r* independent delta_M, a basis of
+    # Z(H*) when r* = dim Z(H*), onto nonzero multiples of the characters of H*
+    witness = next((
+        f"f(delta_{label}) != (dim {label}) chi_{label}"
+        for label, delta, deg, chi in zip(
+            dual_blocks.labels, dual_blocks.idempotents, dual_blocks.degrees, dual_table.characters
+        )
+        if not vec_eq(f_map(delta, integrals, H), vec_scale(chi, deg))
+    ), "")
+    r = len(dual_blocks.center_basis)
+    if not witness and not dual_table.count == dual_blocks.count == r:
+        witness = f"{dual_table.count} characters and {dual_blocks.count} blocks, but dim Z(H*) = {r}"
     report.add(
         "f-dualcenter-characters",
         "f(Z(H*)) = C(H*) as exact subspaces",
-        ok,
-        f"rank {len(dual_blocks.center_basis)} witnessed on both sides" if ok else "span mismatch",
+        not witness,
+        witness or f"rank {r} witnessed on both sides",
     )
 
-    for label, deg, chi in zip(blocks.labels, blocks.degrees, table.characters):
-        image = f_map(H.dual.apply_antipode(chi), integrals, H)
-        coords = blocks.solver.decompose(image)
+    for v, (label, deg, (coords, exact)) in enumerate(zip(blocks.labels, blocks.degrees, closure)):
         if coords is None:
             report.add(
                 f"{label}-closure",
@@ -323,12 +361,7 @@ def verify_section4(
                 "decomposition failed",
             )
             continue
-        expected = as_scalar(Fraction(H.dim, deg))
-        exact = all(
-            (c - (expected if blocks.labels[m] == label else 0)).is_zero()
-            for m, c in enumerate(coords)
-        )
-        cert = _integrality(coords[blocks.labels.index(label)], certs_seen)
+        cert = _integrality(coords[v], certs_seen)
         divides = H.dim % deg == 0
         equivalence = cert.is_integer == divides
         report.add(
@@ -336,7 +369,7 @@ def verify_section4(
             f"f(chi_{label}*) = (dim H/dim {label}) e_{label}; its e-coordinate is an "
             f"algebraic integer iff dim {label} | dim H",
             exact and equivalence,
-            f"coordinate = {coords[blocks.labels.index(label)]}, min poly "
+            f"coordinate = {coords[v]}, min poly "
             f"{format_poly(cert.minimal_polynomial)}, divides = {divides}",
         )
     return report
@@ -373,16 +406,11 @@ def explore_central_fusion(
         subject=H.name, dim=H.dim, suite="central-fusion", exploratory=True
     )
     r = table.count
-    rows = []
-    for w in range(r):
-        for u in range(r):
-            row = [fusion.tensor[v][w][u] - fusion.tensor[w][v][u] for v in range(r)]
-            if any(row):
-                rows.append(row)
-    if rows:
-        basis = kernel_basis(Matrix(rows))
-    else:
-        basis = [tuple(as_scalar(1 if v == t else 0) for v in range(r)) for t in range(r)]
+    n = fusion.tensor
+    basis = sparse_kernel_basis(r, (
+        ((w, u), v, as_scalar(n[v][w][u] - n[w][v][u]))
+        for w in range(r) for u in range(r) for v in range(r) if n[v][w][u] != n[w][v][u]
+    ))
 
     # scale each rational kernel vector to a primitive integer vector
     central_elements = []

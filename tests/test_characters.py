@@ -9,11 +9,10 @@ from hopfkit import (
     builtin_group,
     central_decomposition,
     f_map,
-    f_matrix,
+    hit_act_alg_on_dual,
     is_algebraic_integer,
     is_central_character,
     pair,
-    rank,
 )
 from hopfkit.characters import convolution_poly_eval
 from hopfkit.linalg import vec_eq, vec_is_zero, vec_scale
@@ -226,10 +225,15 @@ def test_f_of_dual_character_is_scaled_idempotent(pipelines):
             assert vec_eq(image, expected), (name, v)
 
 
-def test_f_matrix_invertible_everywhere(examples, pipelines):
+def test_f_has_the_explicit_inverse_everywhere(examples, pipelines):
+    # Larson-Sweedler: with lambda(Lambda) = 1, h -> S(h) lambda inverts f
     for name in ("kC2", "kS3", "k^S3", "kQ8", "D(C2)", "kS3(x)k^C2", "D(S3)"):
         pipe = pipelines(name)
-        assert rank(f_matrix(pipe.integrals, pipe.H)) == pipe.H.dim, name
+        h, lam = pipe.H, pipe.integrals.lambda_dual
+        assert pair(lam, pipe.integrals.Lambda) == ONE, name
+        for k in range(h.dim):
+            phi = hit_act_alg_on_dual(h.apply_antipode(h.basis_vector(k)), lam, h)
+            assert vec_eq(f_map(phi, pipe.integrals, h), h.basis_vector(k)), (name, k)
 
 
 def test_commutes_with_basis_matches_products(examples, pipelines):

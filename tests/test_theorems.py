@@ -4,6 +4,7 @@ Every suite must pass on the genuine examples, and each must produce at least
 one failing item when run against a deliberately corrupted input (documented
 mutation per suite)."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from hopfkit import (
     verify_proposition,
     verify_section4,
 )
+from hopfkit.characters import CharacterTable
 from hopfkit.hopf import format_vector, hit_act_dual_on_alg
 from hopfkit.integrals import IntegralPair
 from hopfkit.linalg import combine, unit_vector, vec_eq, vec_scale
@@ -313,6 +315,25 @@ def test_section4_negative_control(pipelines):
         pipe.H, pipe.blocks, bad, pipe.table, pipe.dual.blocks, pipe.dual.table
     )
     assert rep.failures()
+    # the explicit inverse fails, and the witness names the first basis index
+    bijective = next(item for item in rep.items if item.id == "f-bijective")
+    assert not bijective.passed
+    assert re.fullmatch(r"f\(S\(b(\d+)\) lambda\) != b\1", bijective.witness)
+
+
+def test_section4_corrupted_table_fails_the_center_item(pipelines):
+    pipe = pipelines("kC3")
+    table = pipe.table
+    # the first block that is not self-dual: scaling its character leaves
+    # S* chi_V = 2 chi_V* outside the table, so S* no longer permutes it
+    v = next(v for v, w in enumerate(pipe.fusion.dual_map) if v != w)
+    chars = list(table.characters)
+    chars[v] = vec_scale(chars[v], 2)
+    bad = CharacterTable(characters=chars, degrees=list(table.degrees), labels=list(table.labels))
+    rep = verify_section4(pipe.H, pipe.blocks, pipe.integrals, bad, pipe.dual.blocks, pipe.dual.table)
+    center = next(item for item in rep.items if item.id == "f-characters-center")
+    assert not center.passed
+    assert center.witness == f"S* chi_{table.labels[v]} is not an irreducible character"
 
 
 def test_kaplansky_negative_control(pipelines):

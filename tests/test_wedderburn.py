@@ -16,7 +16,7 @@ from hopfkit import (
     group_algebra,
     primitive_idempotents,
 )
-from hopfkit.linalg import vec_eq
+from hopfkit.linalg import combine, vec_eq
 from hopfkit.polys import format_poly
 from hopfkit.scalars import CycScalar, as_scalar
 from hopfkit.wedderburn import BlockDecomposition, _verify_idempotent_system, blocks_report
@@ -42,10 +42,13 @@ def test_ks3_center_spanned_by_class_sums(examples):
         classes.append(orbit)
         seen |= orbit
     assert len(classes) == 3 == len(basis)
-    from hopfkit.linalg import same_span
-
-    class_sums = [[1 if k in cl else 0 for k in range(6)] for cl in classes]
-    assert same_span(class_sums, basis)
+    # free-column lemma: a central p equals the basis combined with p's entries
+    # at the free columns; the class sums have disjoint supports, so they are
+    # 3 independent elements of Z(kS3) and span it
+    free = [max(i for i, x in enumerate(z) if x) for z in basis]
+    for cl in classes:
+        class_sum = tuple(as_scalar(int(k in cl)) for k in range(6))
+        assert vec_eq(combine([class_sum[c] for c in free], basis, 6), class_sum)
 
 
 DEGREES = {
