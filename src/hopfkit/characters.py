@@ -177,7 +177,6 @@ def fusion_ring(table: CharacterTable, H: HopfData) -> FusionRing:
         minpoly, _ = minimal_polynomial(
             [int(u == unit_index) for u in range(r)],
             lambda power: [sum(n_v[w][u] * x for w, x in enumerate(power) if x) for u in range(r)],
-            lambda power: [as_scalar(x) for x in power],
         )
         if not minpoly.has_integer_coeffs():
             raise HopfkitError(f"fusion minimal polynomial of {table.labels[v]} not integral")

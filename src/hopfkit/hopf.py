@@ -23,7 +23,8 @@ key only for each nonzero product b_i b_j, ``mult_by_output[k]`` lists the
 products with a b_k term, ``comult_nz[k]`` the terms of Delta(b_k) and
 ``antipode_nz[j]`` those of S(b_j).  They take O(d + nnz) memory.
 
-There is one product loop (:meth:`HopfData.multiply`) and one hit loop
+There are two product loops, :meth:`HopfData.multiply` and
+``integrals._times_basis`` (b_i x or x b_i), and one hit loop
 (:func:`hit_act_dual_on_alg`).  Every operation on H* is the operation on the
 cached dual algebra ``H.dual`` (built once by :func:`dualize`, with
 ``H.dual.dual is H``): convolution is ``H.dual.multiply``, the action of H on
@@ -41,6 +42,7 @@ Operations are pure functions and never modify their inputs.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 from math import lcm
 from typing import Mapping, Sequence
@@ -127,11 +129,15 @@ class HopfData:
             buckets[j].append((i, c))
         return [tuple(b) for b in buckets]
 
-    @cached_property
+    @property
     def dual(self) -> "HopfData":
-        """The dual Hopf algebra H*, built once; ``H.dual.dual is H``."""
-        dual = dualize(self)
-        dual.__dict__["dual"] = self
+        """The dual Hopf algebra H*, built once; ``H.dual.dual is H``.  H* holds H
+        weakly, so no reference cycle keeps the pair alive once H is dropped."""
+        link = self.__dict__.get("_dual")
+        dual = link() if isinstance(link, weakref.ref) else link
+        if dual is None:
+            dual = dualize(self)
+            dual._dual, self._dual = weakref.ref(self), dual
         return dual
 
     # -- element-level helpers -------------------------------------------------
@@ -182,8 +188,7 @@ class HopfData:
 
 
 # ---------------------------------------------------------------------------
-# the evaluation pairing, convolution, and the two hit actions: one product
-# loop (HopfData.multiply), one hit loop, and every operation on H* runs on H.dual
+# the evaluation pairing, convolution and the two hit actions; H* operations run on H.dual
 
 
 def pair(phi: Sequence[CycScalar], h: Sequence[CycScalar]) -> CycScalar:

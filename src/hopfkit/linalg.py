@@ -1,14 +1,15 @@
 """Exact linear algebra over the cyclotomic scalars.
 
 Vectors are plain tuples of scalars.  Everything runs Gaussian elimination
-with exact field arithmetic, so results are equalities, not approximations:
-the kernel of a sparsely given system (:func:`sparse_kernel_basis`, which
-hands its distinct rows to :func:`kernel_basis` as a shape-checked
-:class:`Matrix`), a prepared solver for many right-hand sides over one column
-family, and the first linear dependency among the powers of an element
-(:func:`minimal_polynomial`).  The systems are dense and eliminated row by
-row, touching only each pivot row's support; a D(S4) report (dimension 576)
-runs through them.
+with exact field arithmetic, so results are equalities, not approximations.
+Kernels (:func:`sparse_kernel_basis`, which hands its distinct rows to
+:func:`kernel_basis` as a shape-checked :class:`Matrix`) are read off a
+reduced row echelon form, and ``_rref`` runs only there.  Every other solve
+goes through one reducer, :class:`IncrementalDependency`: the first linear
+dependency among the powers of an element (:func:`minimal_polynomial`), and
+:class:`PreparedSolver`, which decomposes many right-hand sides over one
+column family.  Each elimination touches only each pivot row's support; a
+D(S4) report (dimension 576) runs through them.
 """
 
 from __future__ import annotations
@@ -105,9 +106,18 @@ def _rref(data: list[list[CycScalar]]) -> tuple[list[list[CycScalar]], list[int]
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
-    """Exact basis of the right null space {v : A v = 0}."""
+    """Exact basis of the right null space {v : A v = 0}, one vector per free
+    column of the reduced row echelon form."""
     data, pivots = _rref([list(row) for row in a._rows])
-    return _rref_kernel(data, pivots, a.cols)
+    pivot_set = set(pivots)
+    basis: list[Vector] = []
+    for fc in (c for c in range(a.cols) if c not in pivot_set):
+        v = [ZERO] * a.cols
+        v[fc] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -data[r][fc]
+        basis.append(tuple(v))
+    return basis
 
 
 def sparse_kernel_basis(n_cols: int, entries: Iterable[tuple[object, int, CycScalar]]) -> list[Vector]:
@@ -137,61 +147,79 @@ def sparse_kernel_basis(n_cols: int, entries: Iterable[tuple[object, int, CycSca
     return kernel_basis(Matrix(rows))
 
 
-def _rref_kernel(data: list[list[CycScalar]], pivots: list[int], n_cols: int) -> list[Vector]:
-    """Kernel basis read off an RREF whose first n_cols columns hold the
-    matrix (one vector per free column)."""
-    pivot_set = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
-    basis: list[Vector] = []
-    for fc in free:
-        v = [ZERO] * n_cols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -data[r][fc]
-        basis.append(tuple(v))
-    return basis
+class IncrementalDependency:
+    """Feed vectors one at a time; detect the first linear dependency.
+
+    ``add`` returns None while the fed vectors stay independent; at the first
+    dependent vector it returns coefficients c with v_k + sum c_i v_i = 0
+    (monic-polynomial layout for minimal-polynomial searches).  Each kept
+    echelon row is its pivot (first nonzero index, where it is 1), its support
+    right of the pivot and the support of the combination of fed vectors it
+    equals; a row is 0 at the pivots of the rows kept before it.
+    """
+
+    def __init__(self) -> None:
+        self._rows: list[tuple[int, tuple, tuple]] = []
+        self._count = 0
+
+    def _reduce(self, vec: Sequence) -> tuple[list[CycScalar], list[CycScalar]]:
+        """(remainder, combination), linear in vec: vec = remainder + sum_j
+        combination_j v_j over the fed v_j, and subtracting the rows in order
+        leaves the remainder 0 at every pivot, so 0 exactly on their span."""
+        v = [as_scalar(x) for x in vec]
+        combo = [ZERO] * self._count
+        for piv, support, rcombo in self._rows:
+            f = v[piv]
+            if not f.is_zero():
+                v[piv] = ZERO
+                for j, x in support:
+                    v[j] = v[j] - f * x
+                for i, c in rcombo:
+                    combo[i] = combo[i] + f * c
+        return v, combo
+
+    def _store(self, remainder: list[CycScalar], combo: list[CycScalar]) -> bool:
+        """Count the vector that ``_reduce`` gave (remainder, combo) as fed and
+        keep its remainder as a row; False when the remainder is 0."""
+        piv = next((j for j, x in enumerate(remainder) if not x.is_zero()), None)
+        self._count += 1
+        if piv is None:
+            return False
+        inv = remainder[piv].inverse()
+        # remainder = v_k - sum_j combo_j v_j with k = len(combo), scaled to 1 at the pivot
+        support = tuple((j, x * inv) for j, x in enumerate(remainder) if j > piv and not x.is_zero())
+        rcombo = [(i, -c * inv) for i, c in enumerate(combo) if not c.is_zero()] + [(len(combo), inv)]
+        self._rows.append((piv, support, tuple(rcombo)))
+        return True
+
+    def add(self, vec: Sequence) -> list[CycScalar] | None:
+        remainder, combo = self._reduce(vec)
+        if self._store(remainder, combo):
+            return None
+        return [-c for c in combo]  # 0 = v_k - sum_{j<k} combo_j v_j
 
 
 class PreparedSolver:
-    """RREF of a fixed tall matrix, reused to decompose many right-hand sides
-    over the same column family (e.g. coordinates in a character basis)."""
+    """Echelon rows of a fixed family of independent columns, reused to
+    decompose many right-hand sides over it (e.g. character coordinates)."""
 
     def __init__(self, columns: Sequence[Sequence]):
-        cols = [[as_scalar(e) for e in c] for c in columns]
-        self.n_cols = len(cols)
-        self.height = len(cols[0]) if cols else 0
-        # rref of [C | I] yields [R | E] with E C = R; the C-block pivots come
-        # first because the C columns come first
-        aug = [
-            [cols[j][i] for j in range(self.n_cols)] + list(unit_vector(self.height, i))
-            for i in range(self.height)
-        ]
-        data, pivots = _rref(aug)
-        # independent columns make every C column a pivot, so E-block row j
-        # (j < n_cols) gives coefficient j and the rows below give the residual
-        if sum(p < self.n_cols for p in pivots) != self.n_cols:
-            raise InconsistentSystemError("columns are linearly dependent")
-        # the nonzero (i, e) of each E-block row; E is sparse for the 0/1 families
-        n = self.n_cols
-        self._erows = [
-            tuple((i, e) for i, e in enumerate(row[n:]) if not e.is_zero()) for row in data
-        ]
+        self.n_cols = len(columns)
+        self.height = len(columns[0]) if columns else 0
+        self._echelon = IncrementalDependency()
+        for column in columns:
+            if not self._echelon._store(*self._echelon._reduce(column)):
+                raise InconsistentSystemError("columns are linearly dependent")
+        pivots = {piv for piv, _, _ in self._echelon._rows}
+        self._off_pivot = [i for i in range(self.height) if i not in pivots]
 
     def coordinates(self, v: Sequence) -> tuple[Vector, Vector]:
-        """(coeffs, residual), both linear in v: the residual is the E-block
-        rows below the pivots (the zero rows of R), so v lies in the column
-        span exactly when the residual is 0, and then sum_j coeffs_j *
-        column_j == v."""
-        w = [as_scalar(e) for e in v]
-        out = []
-        for erow in self._erows:
-            acc = ZERO
-            for i, e in erow:
-                x = w[i]
-                if not x.is_zero():
-                    acc = acc + e * x
-            out.append(acc)
-        return tuple(out[:self.n_cols]), tuple(out[self.n_cols:])
+        """(coeffs, residual), both linear in v: v = sum_j coeffs_j *
+        column_j + remainder, and the residual is the remainder off the
+        pivots (length height - n_cols), so v lies in the column span
+        exactly when the residual is 0."""
+        remainder, coeffs = self._echelon._reduce(v)
+        return tuple(coeffs), tuple(remainder[i] for i in self._off_pivot)
 
     def decompose(self, v: Sequence) -> Vector | None:
         """Coefficients c with sum_j c_j * column_j == v, or None if v is
@@ -200,49 +228,13 @@ class PreparedSolver:
         return None if any(residual) else coeffs
 
 
-class IncrementalDependency:
-    """Feed vectors one at a time; detect the first linear dependency.
-
-    ``add`` returns None while the fed vectors stay independent; at the first
-    dependent vector it returns coefficients c with v_k + sum c_i v_i = 0
-    (monic-polynomial layout for minimal-polynomial searches).
-    """
-
-    def __init__(self) -> None:
-        self._rows: list[list[CycScalar]] = []
-        self._combos: list[list[CycScalar]] = []
-        self._pivots: list[int] = []
-        self._count = 0
-
-    def add(self, vec: Sequence[CycScalar]) -> list[CycScalar] | None:
-        v = list(vec)
-        combo = [ZERO] * self._count + [ONE]
-        for row, rcombo, piv in zip(self._rows, self._combos, self._pivots):
-            f = v[piv]
-            if not f.is_zero():
-                v = [a - f * b for a, b in zip(v, row)]
-                for i, c in enumerate(rcombo):
-                    if not c.is_zero():
-                        combo[i] = combo[i] - f * c
-        piv = next((i for i, c in enumerate(v) if not c.is_zero()), None)
-        self._count += 1
-        if piv is None:
-            # 0 = sum combo[j] v_j with combo[k] = 1, so v_k + sum_{j<k} combo[j] v_j = 0
-            return combo[:-1]
-        inv = v[piv].inverse()
-        self._rows.append([c * inv for c in v])
-        self._combos.append([c * inv for c in combo])
-        self._pivots.append(piv)
-        return None
-
-
 def minimal_polynomial(one, step: Callable, coords: Callable = lambda p: p) -> tuple[Poly, list]:
     """Monic minimal polynomial m of an element x, from the first linear
     dependency among the coordinate vectors of its powers 1, x, x^2, ...:
     ``one`` is x^0, ``step(p)`` is p x, and ``coords(p)`` is the coordinate
-    vector of p (p itself by default).  Returns m together with the
-    independent powers 1, x, ..., x^(deg m - 1).  For coordinate vectors of
-    length n a dependency appears by x^n at the latest."""
+    vector of p, with int, Fraction or scalar entries (p itself by default).
+    Returns m with the independent powers 1, x, ..., x^(deg m - 1).  For
+    coordinate vectors of length n a dependency appears by x^n at the latest."""
     tracker = IncrementalDependency()
     powers = []
     power = one

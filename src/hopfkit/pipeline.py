@@ -59,8 +59,6 @@ class Pipeline:
         self.H = H
         self.order = order if order is not None else H.cyclotomic_order
         self.seed = seed
-        # the pipeline this one is the dual of; its integral pair gives ours
-        self._primal: Pipeline | None = None
 
     @cached_property
     def axioms(self) -> VerificationReport:
@@ -68,8 +66,6 @@ class Pipeline:
 
     @cached_property
     def integrals(self) -> IntegralPair:
-        if self._primal is not None:
-            return dual_integrals(self._primal.integrals, self.H.dim)
         return compute_integrals(self.H)
 
     @cached_property
@@ -87,8 +83,9 @@ class Pipeline:
 
     @cached_property
     def dual(self) -> "Pipeline":
+        # H*'s integral pair is read off H's here, so the dual needs no link back
         dual = Pipeline(self.H.dual, order=self.order, seed=self.seed)
-        dual._primal = self
+        dual.__dict__["integrals"] = dual_integrals(self.integrals, self.H.dim)
         return dual
 
     # -- suites ----------------------------------------------------------------

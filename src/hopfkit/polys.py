@@ -187,7 +187,7 @@ def min_poly_scalar(a: CycScalar) -> Poly:
         return Poly([-a, ONE])
     from .linalg import minimal_polynomial  # linalg imports this module
 
-    return minimal_polynomial(ONE, lambda p: p * a, lambda p: [as_scalar(c) for c in p.lift(a.order)])[0]
+    return minimal_polynomial(ONE, lambda p: p * a, lambda p: p.lift(a.order))[0]
 
 
 @dataclass(frozen=True)

@@ -124,7 +124,8 @@ def primitive_idempotents(
     ``integrals`` (computed, and so certified, here when absent): Lambda must
     be a left integral with eps(Lambda) != 0 (Maschke).  Raises
     FieldTooSmallError when an eigenvalue of a center basis element lives
-    outside Q(zeta_order).
+    outside Q(zeta_order), and NotSemisimpleError when its minimal polynomial
+    has a repeated factor (on a Hopf algebra, the certificate rules this out).
     """
     _require_rational(H)
     if integrals is None:
@@ -212,9 +213,15 @@ def _certify_semisimple(H: HopfData, integrals: IntegralPair) -> None:
 
 def _eigenvalues(H: HopfData, m: Poly, order: int, k: int) -> list[CycScalar]:
     """The roots in Q(zeta_order) of the minimal polynomial m of center basis
-    element z_k."""
+    element z_k.  The center of a semisimple H is a product of fields, so a
+    repeated factor of m proves H not semisimple."""
     roots: list[CycScalar] = []
-    for factor, _ in factor_rational(m):
+    for factor, multiplicity in factor_rational(m):
+        if multiplicity > 1:
+            raise NotSemisimpleError(
+                f"{H.name} is not semisimple: the minimal polynomial {format_poly(m)} of "
+                f"center basis element z{k} has the repeated factor {format_poly(factor)}"
+            )
         linears = [factor] if factor.degree == 1 else factor_over_cyclotomic(factor, order)
         if any(linear.degree != 1 for linear in linears):
             raise FieldTooSmallError(

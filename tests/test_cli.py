@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hopfkit import builtin_grp_text, format_hopf, parse_hopf
+from hopfkit import builtin_group, builtin_grp_text, drinfeld_double, format_hopf, parse_hopf
 from hopfkit.cli import main
 
 
@@ -241,6 +241,34 @@ def test_failed_axioms_are_named_before_semisimplicity(workdir, capsys, monkeypa
         "error: broken fails the Hopf axioms counit, antipode-left, antipode-right, so it "
         "was not analysed further; 'hopfkit check-axioms bad.hopf' shows the witnesses\n"
     ))
+
+
+def _unmultiplied_double_dual() -> str:
+    """D(C2)* without its MULT line 3 3 1 1: the coproduct is no longer an
+    algebra map, and z3 in the centre has minimal polynomial x^2."""
+    lines = format_hopf(drinfeld_double(builtin_group("C2")).dual).splitlines(keepends=True)
+    return "".join(line for line in lines if line != "3 3 1 1\n")
+
+
+@pytest.mark.parametrize("command", ["report", "verify", "wedderburn", "characters"])
+def test_repeated_eigenvalue_is_not_semisimple(workdir, capsys, monkeypatch, command):
+    # the integral certificate passes on this non-Hopf input; the split then
+    # meets the repeated factor x of x^2, which a semisimple centre cannot have
+    monkeypatch.chdir(workdir)
+    (workdir / "bad.hopf").write_text(_unmultiplied_double_dual())
+    assert main([command, "bad.hopf"]) == 1
+    if command in ("report", "verify"):
+        err = (
+            "error: dual(D(C2)) fails the Hopf axioms comult-alg-map, antipode-left, "
+            "antipode-right, so it was not analysed further; 'hopfkit check-axioms bad.hopf' "
+            "shows the witnesses\n"
+        )
+    else:
+        err = (
+            "error: dual(D(C2)) is not semisimple: the minimal polynomial x^2 of center "
+            "basis element z3 has the repeated factor x\n"
+        )
+    assert capsys.readouterr() == ("", err)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Hopf structure: axioms, dualization, pairing, convolution, hit actions,
 and the .hopf text format."""
 
+import gc
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -14,6 +16,7 @@ from hopfkit import (
     check_axioms,
     compute_integrals,
     convolve,
+    drinfeld_double,
     dualize,
     format_hopf,
     function_algebra,
@@ -90,6 +93,28 @@ def test_cached_dual_links_back(examples):
         assert h.dual.dual is h
         assert h.dual == dualize(h)
         assert Pipeline(h).dual.H is h.dual
+
+
+def test_dropped_report_needs_no_cycle_collector():
+    # H* holds H weakly and the dual pipeline holds no link back, so a report's
+    # objects go with their last reference; a cycle would keep them until a
+    # collection, and a short process may never run the one that frees them
+    from hopfkit import Pipeline
+
+    h = drinfeld_double(builtin_group("C2"))
+    pipe = Pipeline(h)
+    assert pipe.report_document()["overall"]
+    refs = [weakref.ref(x) for x in (h, h.dual, pipe, pipe.dual, pipe.dual.table)]
+    gc.disable()
+    try:
+        del h, pipe
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+    # a dual that outlives its primal dualizes again, and links to the new one
+    dual = group_algebra(builtin_group("S3")).dual
+    assert dual.dual == group_algebra(builtin_group("S3"))
+    assert dual.dual is dual.dual and dual.dual.dual is dual
 
 
 def test_dual_of_double_passes_axioms(examples):

@@ -7,6 +7,7 @@ import pytest
 from conftest import charpoly
 
 from hopfkit import CycScalar, Matrix, Poly, kernel_basis, minimal_polynomial
+from hopfkit.errors import InconsistentSystemError
 from hopfkit.linalg import (
     PreparedSolver,
     _rref,
@@ -192,6 +193,25 @@ def test_rref_oracle_on_rational_matrices(order):
 
         # elimination works on copies: the inputs are untouched
         assert _coords(a) == a_before and _coords(aug) == aug_before
+
+
+def test_solver_residual_is_the_remainder_off_the_pivots():
+    # the pivots of (0, 1, 2, 0) and (0, 0, 1, 3) are 1 and 2, so the residual
+    # reads the remainder at 0 and 3
+    solver = PreparedSolver([tuple(map(as_scalar, c)) for c in ((0, 1, 2, 0), (0, 0, 1, 3))])
+    v = tuple(map(as_scalar, (5, 1, 3, 3)))
+    assert solver.coordinates(v) == ((1, 1), (5, 0))
+    assert solver.decompose(v) is None
+    assert solver.coordinates((0,) + v[1:]) == ((1, 1), (0, 0))
+
+
+def test_solver_rejects_dependent_columns():
+    a = tuple(map(as_scalar, (1, 2, 0)))
+    b = tuple(map(as_scalar, (Fraction(1, 2), 3, 1)))
+    with pytest.raises(InconsistentSystemError, match="linearly dependent"):
+        PreparedSolver([a, b, combine([2, Fraction(-1, 3)], [a, b], 3)])
+    with pytest.raises(InconsistentSystemError):
+        PreparedSolver([a, a])
 
 
 @pytest.mark.parametrize("order", [1, 3])

@@ -28,7 +28,8 @@ from hopfkit import (
     group_algebra,
     primitive_idempotents,
 )
-from hopfkit.linalg import PreparedSolver, minimal_polynomial, unit_vector, vec_eq
+from hopfkit.hopf import convolve
+from hopfkit.linalg import PreparedSolver, combine, minimal_polynomial, unit_vector, vec_eq
 
 _DIM = 6  # S3
 _ALGEBRAS = {"kS3": group_algebra(builtin_group("S3")), "k^S3": function_algebra(builtin_group("S3"))}
@@ -222,3 +223,70 @@ def test_center_coordinates_give_the_full_vector_split(name, monkeypatch):
     want = primitive_idempotents(h)
     assert (got.degrees, got.labels) == (want.degrees, want.labels)
     assert all(map(vec_eq, got.idempotents, want.idempotents))
+
+
+def _ldu(n: int) -> list[list[Fraction]]:
+    """A fixed dense P = L D U: L unit lower and U unit upper triangular with
+    every off-diagonal entry nonzero, D an invertible diagonal."""
+    lower = [[Fraction(i == j) if j >= i else Fraction((-1) ** (i + j) * (i + 1), j + 2) for j in range(n)]
+             for i in range(n)]
+    upper = [[Fraction(i == j) if j <= i else Fraction(j - i, (-2) ** i) for j in range(n)] for i in range(n)]
+    diag = [Fraction(2 * k + 1, 3) * (-1) ** k for k in range(n)]
+    return [[sum(lower[i][k] * diag[k] * upper[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _fraction_solve(columns, v) -> list[Fraction] | None:
+    """c with sum_j c_j columns_j = v, by plain Fraction Gauss-Jordan
+    elimination of [C | v] (the columns independent), or None when v is
+    outside their span."""
+    n = len(columns)
+    rows = [[col[i].as_fraction() for col in columns] + [v[i].as_fraction()] for i in range(len(v))]
+    for r in range(n):
+        p = next(i for i in range(r, len(rows)) if rows[i][r])
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][r] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[r]:
+                rows[i] = [x - row[r] * y for x, y in zip(row, rows[r])]
+    if any(row[n] for row in rows[n:]):
+        return None
+    return [row[n] for row in rows[:n]]
+
+
+@pytest.mark.parametrize("rebase", ["ldu", "hilbert"])
+@pytest.mark.parametrize("name", ["kS3", "kQ8"])
+def test_solver_coordinates_match_fraction_elimination(name, rebase):
+    # the character and idempotent families of a densely rebased algebra, with
+    # vectors inside their span (products, the unit) and outside it (basis
+    # vectors, shifted products)
+    base = _ALGEBRAS["kS3"] if name == "kS3" else group_algebra(builtin_group("Q8"))
+    n = base.dim
+    p = _ldu(n) if rebase == "ldu" else [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
+    h = _rebase(base, p)
+    assert any(not s.is_integer() for s in h.mult.values())
+    pipe = Pipeline(h)
+    chars, idems = pipe.table.characters, pipe.blocks.idempotents
+    units = [unit_vector(n, k) for k in range(n)]
+    families = {
+        "characters": (chars, [convolve(x, y, h) for x in chars for y in chars[:2]] + units
+                       + [combine([1, 1], [convolve(chars[-1], chars[-1], h), units[0]], n)]),
+        "idempotents": (idems, [h.unit, combine([2, -1], idems[:2], n)] + units
+                        + [h.multiply(e, units[-1]) for e in idems]),
+    }
+    for family, (columns, vectors) in families.items():
+        solver = PreparedSolver(columns)
+        outside = 0
+        for v in vectors:
+            want = _fraction_solve(columns, v)
+            coeffs, residual = solver.coordinates(v)
+            assert len(coeffs) == len(columns) and len(residual) == n - len(columns)
+            if want is None:
+                outside += 1
+                assert solver.decompose(v) is None and any(residual), family
+            else:
+                assert [c.as_fraction() for c in coeffs] == want and not any(residual), family
+                assert solver.decompose(v) == coeffs
+            # the residual is v - sum_j coeffs_j column_j off the pivots, where it is 0
+            remainder = [x - y for x, y in zip(v, combine(coeffs, columns, n))]
+            assert [x for x in remainder if x] == [x for x in residual if x], family
+        assert outside, family

@@ -1,0 +1,72 @@
+"""Seeded line mutations of .hopf texts through the command line.
+
+Every input must end in an exit code, 0 (verified), 1 (a verification
+failure or a semantic error such as a non-semisimple input) or 2 (a parse or
+usage error), and never in an escaped exception.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import Phase, example, given, settings, strategies as st
+
+from hopfkit import builtin_group, drinfeld_double, format_hopf, group_algebra
+from hopfkit.cli import main
+
+_BASES = {
+    "kC2": format_hopf(group_algebra(builtin_group("C2"))).splitlines(),
+    "kS3": format_hopf(group_algebra(builtin_group("S3"))).splitlines(),
+    "D(C2)*": format_hopf(drinfeld_double(builtin_group("C2")).dual).splitlines(),
+}
+_COMMANDS = ("report", "wedderburn", "characters", "integrals", "check-axioms")
+_TOKENS = ("0", "1", "2", "3", "-1", "1/2", "-2/3", "z", "2*z^3", "z^9", "dim", "MULT", "", "x")
+
+# delete, duplicate, replace or swap a line, or replace one token of it; the
+# two integers pick the lines and the token position modulo their counts
+_edit = st.tuples(
+    st.sampled_from(("delete", "duplicate", "line", "swap", "token")),
+    st.integers(0, 1 << 16),
+    st.integers(0, 1 << 16),
+    st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=4),
+)
+
+
+def _mutate(lines: list[str], edits) -> str:
+    lines = list(lines)
+    for op, i, j, tokens in edits:
+        if not lines:
+            break
+        i %= len(lines)
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "line":
+            lines[i] = " ".join(tokens)
+        elif op == "swap":
+            j %= len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            words = lines[i].split() or [""]
+            words[j % len(words)] = tokens[0]
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.hopf"
+
+
+# no shrinking: a failure is reported with the input that produced it
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          phases=[Phase.explicit, Phase.generate])
+@given(base=st.sampled_from(sorted(_BASES)), edits=st.lists(_edit, min_size=1, max_size=3),
+       command=st.sampled_from(_COMMANDS))
+# without MULT line 3 3 1 1, D(C2)* passes the integral certificate and its
+# centre holds an element with minimal polynomial x^2
+@example(base="D(C2)*", edits=[("delete", _BASES["D(C2)*"].index("3 3 1 1"), 0, ["0"])],
+         command="report")
+def test_mutated_hopf_text_exits_cleanly(fuzz_file, base, edits, command):
+    fuzz_file.write_text(_mutate(_BASES[base], edits))
+    assert main([command, str(fuzz_file)]) in (0, 1, 2)

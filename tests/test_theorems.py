@@ -395,6 +395,19 @@ def test_report_prepares_one_solver_per_family(examples, monkeypatch):
     assert len(prepared) == len(set(prepared))
 
 
+def test_report_runs_rref_only_behind_kernels(examples, monkeypatch):
+    # the solvers reduce by echelon rows; only the kernel routine takes a
+    # reduced row echelon form
+    import hopfkit.linalg
+
+    rrefs, kernels = [], []
+    rref, kernel = hopfkit.linalg._rref, hopfkit.linalg.kernel_basis
+    monkeypatch.setattr(hopfkit.linalg, "_rref", lambda data: rrefs.append(1) or rref(data))
+    monkeypatch.setattr(hopfkit.linalg, "kernel_basis", lambda a: kernels.append(1) or kernel(a))
+    assert Pipeline(examples["D(S3)"]).report_document()["overall"]
+    assert kernels and len(rrefs) == len(kernels)
+
+
 @pytest.mark.parametrize("name", ["kS3", "D(S3)"])
 def test_passing_corollary_subset_loop_does_no_scalar_arithmetic(pipelines, monkeypatch, name):
     import hopfkit.theorems as theorems
