@@ -31,6 +31,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 
 from .builders import drinfeld_double, function_algebra, group_algebra, tensor_product
@@ -51,7 +53,9 @@ _BUILDERS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args leaves the parser unchanged
     # the four options shared by the analysis subcommands; build takes only -o
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--cyclotomic", type=int, default=None, metavar="N",
@@ -140,6 +144,24 @@ def _pipeline(args) -> Pipeline:
     return Pipeline(h, order=args.cyclotomic, seed=args.seed)
 
 
+@contextmanager
+def _analysed(args):
+    """The input's Pipeline, for the subcommands that split its centre: a
+    NotSemisimpleError raised inside is blamed on the failed Hopf axioms, if
+    any, since the integral certificate presumes them."""
+    pipe = _pipeline(args)
+    try:
+        yield pipe
+    except NotSemisimpleError as exc:
+        failed = [item.id for item in pipe.axioms.failures()]
+        if not failed:
+            raise
+        raise HopfkitError(
+            f"{pipe.H.name} fails the Hopf axioms {', '.join(failed)}, so it was not "
+            f"analysed further; 'hopfkit check-axioms {args.input}' shows the witnesses"
+        ) from exc
+
+
 def _cmd_build(args) -> int:
     if args.kind == "tensor":
         if len(args.inputs) != 2:
@@ -187,8 +209,8 @@ def _cmd_integrals(args) -> int:
 
 
 def _cmd_wedderburn(args) -> int:
-    pipe = _pipeline(args)
-    blocks = pipe.blocks
+    with _analysed(args) as pipe:
+        blocks = pipe.blocks
     rep = blocks_report(pipe.H, blocks)
     if args.json:
         _emit_document(pipe, [rep], args.output)
@@ -206,9 +228,9 @@ def _cmd_wedderburn(args) -> int:
 
 
 def _cmd_characters(args) -> int:
-    pipe = _pipeline(args)
-    table = pipe.table
-    fusion = pipe.fusion
+    with _analysed(args) as pipe:
+        table = pipe.table
+        fusion = pipe.fusion
     central = [is_central_character(chi, pipe.H) for chi in table.characters]
     if args.json:
         doc = {
@@ -241,18 +263,8 @@ def _cmd_characters(args) -> int:
 
 
 def _render_report(args, suites: tuple[str, ...]) -> int:
-    pipe = _pipeline(args)
-    try:
+    with _analysed(args) as pipe:
         reports = [pipe.suite(name) for name in suites]
-    except NotSemisimpleError as exc:
-        # the integral certificate presumes the Hopf axioms; blame a failed one
-        failed = [item.id for item in pipe.axioms.failures()]
-        if not failed:
-            raise
-        raise HopfkitError(
-            f"{pipe.H.name} fails the Hopf axioms {', '.join(failed)}, so it was not "
-            f"analysed further; 'hopfkit check-axioms {args.input}' shows the witnesses"
-        ) from exc
     overall = all(rep.overall for rep in reports if not rep.exploratory)
     if args.json:
         _emit_document(pipe, reports, args.output)
@@ -284,9 +296,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; normalize
         return 0 if exc.code == 0 else 2

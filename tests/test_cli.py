@@ -5,7 +5,7 @@ import json
 import pytest
 
 from hopfkit import builtin_group, builtin_grp_text, drinfeld_double, format_hopf, parse_hopf
-from hopfkit.cli import main
+from hopfkit.cli import _build_parser, main
 
 
 @pytest.fixture()
@@ -171,13 +171,26 @@ def test_usage_error_exits_2(capsys):
     assert main(["build", "tensor", "just-one.hopf"]) == 2
 
 
+def test_one_parser_per_process_keeps_help_and_usage_errors(capsys):
+    assert _build_parser() is _build_parser()
+    for _ in range(2):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: hopfkit")
+        assert main(["verify", "x.hopf", "--suite", "nope"]) == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        assert main(["check-axioms"]) == 2
+        assert "required: input" in capsys.readouterr().err
+
+
 def test_nonsemisimple_exits_1(workdir, capsys, sweedler):
     path = workdir / "sw.hopf"
     path.write_text(format_hopf(sweedler))
     assert main(["check-axioms", str(path)]) == 0
     capsys.readouterr()
-    assert main(["integrals", str(path)]) == 1
-    assert "not semisimple" in capsys.readouterr().err
+    # every axiom passes, so the subcommands that split the centre blame semisimplicity too
+    for command in ("integrals", "wedderburn", "characters", "verify", "report"):
+        assert main([command, str(path)]) == 1
+        assert "not semisimple" in capsys.readouterr().err
 
 
 def test_cyclotomic_flag_field_too_small(workdir, capsys):
@@ -253,21 +266,16 @@ def _unmultiplied_double_dual() -> str:
 @pytest.mark.parametrize("command", ["report", "verify", "wedderburn", "characters"])
 def test_repeated_eigenvalue_is_not_semisimple(workdir, capsys, monkeypatch, command):
     # the integral certificate passes on this non-Hopf input; the split then
-    # meets the repeated factor x of x^2, which a semisimple centre cannot have
+    # meets the repeated factor x of x^2, which a semisimple centre cannot have,
+    # and every subcommand that splits the centre blames the failed axioms
     monkeypatch.chdir(workdir)
     (workdir / "bad.hopf").write_text(_unmultiplied_double_dual())
     assert main([command, "bad.hopf"]) == 1
-    if command in ("report", "verify"):
-        err = (
-            "error: dual(D(C2)) fails the Hopf axioms comult-alg-map, antipode-left, "
-            "antipode-right, so it was not analysed further; 'hopfkit check-axioms bad.hopf' "
-            "shows the witnesses\n"
-        )
-    else:
-        err = (
-            "error: dual(D(C2)) is not semisimple: the minimal polynomial x^2 of center "
-            "basis element z3 has the repeated factor x\n"
-        )
+    err = (
+        "error: dual(D(C2)) fails the Hopf axioms comult-alg-map, antipode-left, "
+        "antipode-right, so it was not analysed further; 'hopfkit check-axioms bad.hopf' "
+        "shows the witnesses\n"
+    )
     assert capsys.readouterr() == ("", err)
 
 
