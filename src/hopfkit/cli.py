@@ -11,7 +11,7 @@
 
 The six analysis subcommands (all but ``build``) share four options:
 
-    --cyclotomic N   order of the splitting field Q(zeta_N), N >= 1
+    --cyclotomic N   order of the splitting field Q(zeta_N), 1 <= N <= 1000
                      (default: from the input)
     --seed s         seed of the corollary suite's subset sample (default 0)
     --json           emit JSON instead of text
@@ -33,6 +33,7 @@ import json
 import sys
 from contextlib import contextmanager
 from functools import cache
+from math import lcm
 from pathlib import Path
 
 from .builders import drinfeld_double, function_algebra, group_algebra, tensor_product
@@ -43,7 +44,7 @@ from .hopf import HopfData, format_hopf, format_vector, parse_hopf
 from .integrals import integrals_report
 from .pipeline import SUITES, Pipeline
 from .report import VerificationReport, report_document
-from .scalars import format_scalar
+from .scalars import MAX_CYCLOTOMIC_ORDER, format_scalar
 from .wedderburn import blocks_report
 
 _BUILDERS = {
@@ -131,6 +132,8 @@ def _pipeline(args) -> Pipeline:
     options; ``--cyclotomic`` is checked before the input is read."""
     if args.cyclotomic is not None and args.cyclotomic < 1:
         raise ParseError("--cyclotomic must be >= 1")
+    if args.cyclotomic is not None and args.cyclotomic > MAX_CYCLOTOMIC_ORDER:
+        raise ParseError(f"--cyclotomic must be <= {MAX_CYCLOTOMIC_ORDER}")
     if args.command == "report":
         h = _load_algebra(args.input, args.build_as)
     elif args.input.endswith(".grp"):
@@ -166,7 +169,15 @@ def _cmd_build(args) -> int:
     if args.kind == "tensor":
         if len(args.inputs) != 2:
             raise ParseError("build tensor needs exactly two .hopf inputs")
-        h = tensor_product(_load_hopf(args.inputs[0]), _load_hopf(args.inputs[1]))
+        h1, h2 = map(_load_hopf, args.inputs)
+        order = lcm(h1.cyclotomic_order, h2.cyclotomic_order)
+        if order > MAX_CYCLOTOMIC_ORDER:
+            raise ParseError(
+                f"the tensor product of {args.inputs[0]} and {args.inputs[1]} needs cyclotomic order "
+                f"lcm({h1.cyclotomic_order}, {h2.cyclotomic_order}) = {order}, "
+                f"above the maximum {MAX_CYCLOTOMIC_ORDER}"
+            )
+        h = tensor_product(h1, h2)
     else:
         if len(args.inputs) != 1:
             raise ParseError(f"build {args.kind} needs exactly one .grp input")

@@ -49,7 +49,7 @@ from typing import Mapping, Sequence
 from .axioms import _acc_add, check_axioms
 from .errors import ParseError
 from .linalg import Vector
-from .scalars import CycScalar, ONE, ZERO, as_scalar, format_scalar, parse_scalar
+from .scalars import MAX_CYCLOTOMIC_ORDER, CycScalar, ONE, ZERO, as_scalar, format_scalar, parse_scalar
 
 
 def format_vector(v: Sequence[CycScalar]) -> str:
@@ -294,6 +294,17 @@ def dualize(H: HopfData) -> HopfData:
 _SECTIONS = ("MULT", "COMULT", "UNIT", "COUNIT", "ANTIPODE")
 
 
+def _header_count(tokens: list[str], lineno: int) -> int:
+    """The one positive integer after a header word."""
+    try:
+        count = int(tokens[1]) if len(tokens) == 2 and tokens[1].isdecimal() else 0
+    except ValueError:  # more digits than int() converts (4300 by default)
+        count = 0
+    if count < 1:
+        raise ParseError(f"{tokens[0]} expects one positive integer", lineno)
+    return count
+
+
 def parse_hopf(text: str) -> HopfData:
     """Parse the `.hopf` text format (sparse structure-constant lines)."""
     name: str | None = None
@@ -320,14 +331,12 @@ def parse_hopf(text: str) -> HopfData:
             name = line[len("hopf"):].strip()
             continue
         if head == "dim":
-            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
-                raise ParseError("dim expects one positive integer", lineno)
-            dim = int(tokens[1])
+            dim = _header_count(tokens, lineno)
             continue
         if head == "cyclotomic":
-            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
-                raise ParseError("cyclotomic expects one positive integer", lineno)
-            order = int(tokens[1])
+            order = _header_count(tokens, lineno)
+            if order > MAX_CYCLOTOMIC_ORDER:
+                raise ParseError(f"cyclotomic order {order} exceeds the maximum {MAX_CYCLOTOMIC_ORDER}", lineno)
             continue
         if head in _SECTIONS:
             if len(tokens) != 1:

@@ -2,14 +2,15 @@
 
 Vectors are plain tuples of scalars.  Everything runs Gaussian elimination
 with exact field arithmetic, so results are equalities, not approximations.
-Kernels (:func:`sparse_kernel_basis`, which hands its distinct rows to
-:func:`kernel_basis` as a shape-checked :class:`Matrix`) are read off a
-reduced row echelon form, and ``_rref`` runs only there.  Every other solve
-goes through one reducer, :class:`IncrementalDependency`: the first linear
-dependency among the powers of an element (:func:`minimal_polynomial`), and
-:class:`PreparedSolver`, which decomposes many right-hand sides over one
-column family.  Each elimination touches only each pivot row's support; a
-D(S4) report (dimension 576) runs through them.
+There is one elimination, :class:`IncrementalDependency`, which takes vectors
+in order and keeps each one independent of the earlier ones as an echelon
+row, and it has three uses: every dependency among the columns of a matrix
+is a kernel vector (:func:`kernel_basis`, behind :func:`sparse_kernel_basis`);
+the first dependency among the powers of an element gives its minimal
+polynomial (:func:`minimal_polynomial`); and reduction by the kept rows of a
+fixed column family gives coordinates over it (:class:`PreparedSolver`).
+Each reduction touches only each kept row's support; a D(S4) report
+(dimension 576) runs through it.
 """
 
 from __future__ import annotations
@@ -66,57 +67,18 @@ class Matrix:
                 raise ValueError("ragged matrix rows")
 
 
-def _rref(data: list[list[CycScalar]]) -> tuple[list[list[CycScalar]], list[int]]:
-    """Reduced row echelon form, computed in place: the row lists are the
-    caller's to give up (never a Matrix's own rows).  Returns (rows, pivot
-    column list)."""
-    if not data:
-        return data, []
-    n_rows, n_cols = len(data), len(data[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if not data[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        data[r], data[pivot_row] = data[pivot_row], data[r]
-        prow = data[r]
-        # rows r.. are zero left of c, so the pivot row's support starts at c
-        support = [j for j in range(c, n_cols) if not prow[j].is_zero()]
-        if prow[c] != ONE:
-            inv = prow[c].inverse()
-            for j in support:
-                prow[j] = prow[j] * inv
-        pairs = [(j, prow[j]) for j in support]
-        for i in range(n_rows):
-            row = data[i]
-            f = row[c]
-            if i != r and not f.is_zero():
-                for j, y in pairs:
-                    row[j] = row[j] - f * y
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return data, pivots
-
-
 def kernel_basis(a: Matrix) -> list[Vector]:
-    """Exact basis of the right null space {v : A v = 0}, one vector per free
-    column of the reduced row echelon form."""
-    data, pivots = _rref([list(row) for row in a._rows])
-    pivot_set = set(pivots)
+    """Exact basis of the right null space {v : A v = 0}, one vector per
+    column that depends on the columns left of it: the column c_k =
+    sum_j x_j c_j gives (-x_0, ..., -x_(k-1), 1, 0, ..., 0).  Row operations
+    keep every relation among columns, so these are the free columns of the
+    reduced row echelon form and the vectors read off it."""
+    echelon = IncrementalDependency()
     basis: list[Vector] = []
-    for fc in (c for c in range(a.cols) if c not in pivot_set):
-        v = [ZERO] * a.cols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -data[r][fc]
-        basis.append(tuple(v))
+    for k, column in enumerate(zip(*a._rows)):
+        remainder, combo = echelon._reduce(column)
+        if not echelon._store(remainder, combo):
+            basis.append(tuple(-x for x in combo) + (ONE,) + (ZERO,) * (a.cols - k - 1))
     return basis
 
 

@@ -140,6 +140,14 @@ def _poly_gcd(a, b):
     return _poly_monic(a) if a else a
 
 
+# The largest cyclotomic order that input may ask for: a `.hopf` header,
+# `--cyclotomic`, or the lcm of the orders of `build tensor`'s two inputs.
+# Phi_N is computed from a list of N + 1 coefficients, one division per
+# divisor of N, so an unchecked order from a file sizes time and memory; every
+# built-in group exponent is at most 12.
+MAX_CYCLOTOMIC_ORDER = 1000
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients (constant term first) of the n-th cyclotomic

@@ -14,11 +14,11 @@ factorisation within a call.  A non-splitting factor is the hard error
 "field too small".
 
 The minimal polynomial is found in Z(H) coordinates, r = dim Z(H) numbers
-per power instead of dim H, by the free-column lemma: ``center`` returns the
-kernel basis read off a reduced row echelon form, one vector z_j per free
-column c_j, with z_j[c_j] = 1 and z_k[c_j] = 0 for k != j (z_k is nonzero
-only at its own free column and at pivot columns left of it, so c_k is its
-last nonzero index).  A central p = sum_k a_k z_k therefore has
+per power instead of dim H, by the free-column lemma: ``center`` returns one
+vector z_j per free column c_j of the commutator system, a column that
+depends on the columns left of it.  z_j is 1 at c_j and nonzero elsewhere
+only at independent columns left of it, so c_j is its last nonzero index and
+z_k[c_j] = 0 for k != j.  A central p = sum_k a_k z_k therefore has
 p[c_j] = a_j.  Powers of a central z stay in Z(H), so the entries at the free
 columns are exact coordinates of every power, and the first linear
 dependency among them, hence the minimal polynomial and the powers, is the

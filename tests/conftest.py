@@ -20,7 +20,7 @@ from hopfkit import (
     group_algebra,
     tensor_product,
 )
-from hopfkit.scalars import _poly_divmod, _poly_trim
+from hopfkit.scalars import ONE, ZERO, _poly_divmod, _poly_trim, as_scalar
 
 _GROUPS = ("C2", "C3", "C2xC2", "S3", "D4", "Q8")
 
@@ -82,6 +82,43 @@ def charpoly(rows) -> list:
              for i in range(n)]
         coeffs[n - k] = -sum((m[i][i] for i in range(n)), Fraction(0)) / k
     return coeffs
+
+
+def rref(rows) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form of the given rows, with its pivot columns, by
+    plain Gauss-Jordan elimination on a copy (entries coerced with as_scalar):
+    the reference that hopfkit's kernels and ranks are compared against."""
+    data = [[as_scalar(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(data[0]) if data else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(data)) if data[i][c]), None)
+        if p is None:
+            continue
+        data[r], data[p] = data[p], data[r]
+        inv = data[r][c].inverse()
+        data[r] = [x * inv for x in data[r]]
+        for i, row in enumerate(data):
+            if i != r and row[c]:
+                data[i] = [x - row[c] * y for x, y in zip(row, data[r])]
+        pivots.append(c)
+    return data, pivots
+
+
+def rref_kernel(rows) -> list[tuple]:
+    """The kernel basis read off the reduced row echelon form: for each free
+    column f, the vector that is 1 at f, -R[k][f] at the k-th pivot column and
+    0 elsewhere."""
+    data, pivots = rref(rows)
+    n_cols = len(data[0]) if data else 0
+    basis = []
+    for f in (c for c in range(n_cols) if c not in pivots):
+        v = [ZERO] * n_cols
+        v[f] = ONE
+        for k, pc in enumerate(pivots):
+            v[pc] = -data[k][f]
+        basis.append(tuple(v))
+    return basis
 
 
 def resultant_q(a: list, b: list) -> Fraction:

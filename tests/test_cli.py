@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hopfkit import builtin_group, builtin_grp_text, drinfeld_double, format_hopf, parse_hopf
+from hopfkit import builtin_group, builtin_grp_text, drinfeld_double, format_hopf, group_algebra, parse_hopf
 from hopfkit.cli import _build_parser, main
 
 
@@ -121,6 +121,28 @@ def test_parse_error_exits_2(workdir, capsys):
     oversized.write_text("hopf x\ndim 1000000\nMULT\n0 0 0 1\n")  # dim beyond the data
     assert main(["check-axioms", str(oversized)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cyclotomic_order_above_the_maximum_exits_2(workdir, capsys):
+    # checked where the order enters: the .hopf header, --cyclotomic and the
+    # lcm that build tensor would write
+    kc2 = format_hopf(group_algebra(builtin_group("C2")))
+    assert "\ncyclotomic 2\n" in kc2
+    for order, code in ((1000, 0), (1009, 2)):
+        (workdir / "order.hopf").write_text(kc2.replace("\ncyclotomic 2\n", f"\ncyclotomic {order}\n"))
+        assert main(["check-axioms", str(workdir / "order.hopf")]) == code
+    assert capsys.readouterr().err == "error: line 3: cyclotomic order 1009 exceeds the maximum 1000\n"
+    assert main(["report", str(workdir / "missing.hopf"), "--cyclotomic", "1009"]) == 2
+    assert capsys.readouterr() == ("", "error: --cyclotomic must be <= 1000\n")
+    a, b = workdir / "a.hopf", workdir / "b.hopf"
+    a.write_text(kc2.replace("\ncyclotomic 2\n", "\ncyclotomic 32\n"))
+    b.write_text(kc2.replace("\ncyclotomic 2\n", "\ncyclotomic 33\n"))
+    assert main(["build", "tensor", str(a), str(b), "-o", str(workdir / "t.hopf")]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: the tensor product of {a} and {b} needs cyclotomic order lcm(32, 33) = 1056, "
+        "above the maximum 1000\n"
+    ))
+    assert not (workdir / "t.hopf").exists()
 
 
 def test_missing_file_exits_2(capsys):

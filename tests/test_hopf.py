@@ -285,6 +285,8 @@ def test_parse_hopf_errors():
         parse_hopf("hopf x\ndim \u00b2\n")
     with pytest.raises(ParseError):
         parse_hopf("hopf x\ndim 2\ncyclotomic \u00b2\n")
+    with pytest.raises(ParseError, match="dim expects"):  # more digits than int() converts
+        parse_hopf("hopf x\ndim 1" + "0" * 5000 + "\n")
     with pytest.raises(ParseError):  # fewer MULT entries than 1 b_k = b_k needs
         parse_hopf("hopf x\ndim 1000000\nMULT\n0 0 0 1\n")
 

@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import charpoly
+from conftest import charpoly, rref, rref_kernel
 
 from hopfkit import CycScalar, Matrix, Poly, kernel_basis, minimal_polynomial
 from hopfkit.errors import InconsistentSystemError
 from hopfkit.linalg import (
     PreparedSolver,
-    _rref,
     combine,
     sparse_kernel_basis,
     unit_vector,
@@ -59,13 +58,15 @@ def _poly_at_matrix(p: Poly, rows) -> list[list]:
 
 
 def _rank(m: Matrix) -> int:
-    """The number of pivots of the reduced row echelon form of a copy of m."""
-    return len(_rref([list(row) for row in m._rows])[1])
+    """The number of pivots of the reference reduced row echelon form of m."""
+    return len(rref(m._rows)[1])
 
 
 def test_kernel_basis_cases():
     assert kernel_basis(Matrix(_identity(3))) == []
     assert len(kernel_basis(Matrix([[0, 0], [0, 0]]))) == 2
+    for data in (_identity(4), [[0] * 3] * 2, [[0] * 4], [[1, 2, 0]]):
+        assert kernel_basis(Matrix(data)) == rref_kernel(data)
     k = kernel_basis(Matrix([[1, -1]]))
     assert len(k) == 1 and k[0][0] == k[0][1]
 
@@ -179,6 +180,7 @@ def test_rref_oracle_on_rational_matrices(order):
         a_before, aug_before = _coords(a), _coords(aug)
 
         kern = kernel_basis(a)
+        assert kern == rref_kernel(data)
         for v in kern:
             assert not any(_apply(data, v))
         assert _rank(a) + len(kern) == cols
@@ -186,6 +188,7 @@ def test_rref_oracle_on_rational_matrices(order):
         # B = A X lies in the column space of A, so [A | B] has the rank of A
         # and its kernel is two dimensions larger
         aug_kern = kernel_basis(aug)
+        assert aug_kern == rref_kernel(aug_data)
         assert _rank(aug) == _rank(a)
         assert len(aug_kern) == len(kern) + 2
         for v in aug_kern:

@@ -16,7 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from conftest import perturbed
+from conftest import perturbed, rref_kernel
 
 import hopfkit.wedderburn as wedderburn
 from hopfkit import (
@@ -30,6 +30,8 @@ from hopfkit import (
 )
 from hopfkit.hopf import convolve
 from hopfkit.linalg import PreparedSolver, combine, minimal_polynomial, unit_vector, vec_eq
+from hopfkit.scalars import as_scalar
+from hopfkit.wedderburn import center
 
 _DIM = 6  # S3
 _ALGEBRAS = {"kS3": group_algebra(builtin_group("S3")), "k^S3": function_algebra(builtin_group("S3"))}
@@ -253,17 +255,36 @@ def _fraction_solve(columns, v) -> list[Fraction] | None:
     return [row[n] for row in rows[:n]]
 
 
+def _dense(name: str, rebase: str) -> HopfData:
+    """kS3 or kQ8 rebased by a dense L D U or Hilbert matrix: every structure
+    constant is a general rational."""
+    base = _ALGEBRAS["kS3"] if name == "kS3" else group_algebra(builtin_group("Q8"))
+    n = base.dim
+    p = _ldu(n) if rebase == "ldu" else [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
+    h = _rebase(base, p)
+    assert any(not s.is_integer() for s in h.mult.values())
+    return h
+
+
+@pytest.mark.parametrize("rebase", ["ldu", "hilbert"])
+@pytest.mark.parametrize("name", ["kS3", "kQ8"])
+def test_center_is_the_reduced_echelon_kernel(name, rebase):
+    # row (i, r), column a of the commutator system holds (b_a b_i - b_i b_a)_r
+    h = _dense(name, rebase)
+    zero = as_scalar(0)
+    rows = [[h.mult.get((a, i, r), zero) - h.mult.get((i, a, r), zero) for a in range(h.dim)]
+            for i in range(h.dim) for r in range(h.dim)]
+    assert center(h) == rref_kernel(rows)
+
+
 @pytest.mark.parametrize("rebase", ["ldu", "hilbert"])
 @pytest.mark.parametrize("name", ["kS3", "kQ8"])
 def test_solver_coordinates_match_fraction_elimination(name, rebase):
     # the character and idempotent families of a densely rebased algebra, with
     # vectors inside their span (products, the unit) and outside it (basis
     # vectors, shifted products)
-    base = _ALGEBRAS["kS3"] if name == "kS3" else group_algebra(builtin_group("Q8"))
-    n = base.dim
-    p = _ldu(n) if rebase == "ldu" else [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
-    h = _rebase(base, p)
-    assert any(not s.is_integer() for s in h.mult.values())
+    h = _dense(name, rebase)
+    n = h.dim
     pipe = Pipeline(h)
     chars, idems = pipe.table.characters, pipe.blocks.idempotents
     units = [unit_vector(n, k) for k in range(n)]

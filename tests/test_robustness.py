@@ -1,4 +1,4 @@
-"""Seeded line mutations of .hopf texts through the command line.
+"""Seeded line mutations of .hopf and .grp texts through the command line.
 
 Every input must end in an exit code, 0 (verified), 1 (a verification
 failure or a semantic error such as a non-semisimple input) or 2 (a parse or
@@ -11,6 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from hopfkit import builtin_group, drinfeld_double, format_hopf, group_algebra
+from hopfkit.groups import builtin_grp_text
 from hopfkit.cli import main
 
 _BASES = {
@@ -21,14 +22,23 @@ _BASES = {
 _COMMANDS = ("report", "wedderburn", "characters", "integrals", "check-axioms")
 _TOKENS = ("0", "1", "2", "3", "-1", "1/2", "-2/3", "z", "2*z^3", "z^9", "dim", "MULT", "", "x")
 
-# delete, duplicate, replace or swap a line, or replace one token of it; the
-# two integers pick the lines and the token position modulo their counts
-_edit = st.tuples(
-    st.sampled_from(("delete", "duplicate", "line", "swap", "token")),
-    st.integers(0, 1 << 16),
-    st.integers(0, 1 << 16),
-    st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=4),
-)
+_GRP_BASES = {name: builtin_grp_text(name).splitlines() for name in ("C2", "C3", "S3", "C2xC2")}
+_GRP_COMMANDS = (("report", "--as", "group-algebra"), ("report", "--as", "function-algebra"),
+                 ("report", "--as", "double"), ("build", "double"))
+_GRP_TOKENS = ("e", "a", "b", "r", "s", "rs", "0", "2", "6", "group", "order", "elements", "table", "", "x")
+
+
+def _edits(tokens):
+    """Up to three edits: delete, duplicate, replace or swap a line, or
+    replace one token of it; the two integers pick the lines and the token
+    position modulo their counts."""
+    edit = st.tuples(
+        st.sampled_from(("delete", "duplicate", "line", "swap", "token")),
+        st.integers(0, 1 << 16),
+        st.integers(0, 1 << 16),
+        st.lists(st.sampled_from(tokens), min_size=1, max_size=4),
+    )
+    return st.lists(edit, min_size=1, max_size=3)
 
 
 def _mutate(lines: list[str], edits) -> str:
@@ -58,11 +68,15 @@ def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input.hopf"
 
 
+@pytest.fixture(scope="module")
+def fuzz_grp(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.grp"
+
+
 # no shrinking: a failure is reported with the input that produced it
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           phases=[Phase.explicit, Phase.generate])
-@given(base=st.sampled_from(sorted(_BASES)), edits=st.lists(_edit, min_size=1, max_size=3),
-       command=st.sampled_from(_COMMANDS))
+@given(base=st.sampled_from(sorted(_BASES)), edits=_edits(_TOKENS), command=st.sampled_from(_COMMANDS))
 # without MULT line 3 3 1 1, D(C2)* passes the integral certificate and its
 # centre holds an element with minimal polynomial x^2
 @example(base="D(C2)*", edits=[("delete", _BASES["D(C2)*"].index("3 3 1 1"), 0, ["0"])],
@@ -70,3 +84,13 @@ def fuzz_file(tmp_path_factory):
 def test_mutated_hopf_text_exits_cleanly(fuzz_file, base, edits, command):
     fuzz_file.write_text(_mutate(_BASES[base], edits))
     assert main([command, str(fuzz_file)]) in (0, 1, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          phases=[Phase.explicit, Phase.generate])
+@given(base=st.sampled_from(sorted(_GRP_BASES)), edits=_edits(_GRP_TOKENS),
+       command=st.sampled_from(_GRP_COMMANDS))
+def test_mutated_grp_text_exits_cleanly(fuzz_grp, base, edits, command):
+    fuzz_grp.write_text(_mutate(_GRP_BASES[base], edits))
+    output = fuzz_grp.with_suffix(".out")
+    assert main([*command, str(fuzz_grp), "-o", str(output)]) in (0, 1, 2)

@@ -395,17 +395,29 @@ def test_report_prepares_one_solver_per_family(examples, monkeypatch):
     assert len(prepared) == len(set(prepared))
 
 
-def test_report_runs_rref_only_behind_kernels(examples, monkeypatch):
-    # the solvers reduce by echelon rows; only the kernel routine takes a
-    # reduced row echelon form
+def test_report_kernels_reduce_each_column_once(examples, monkeypatch):
+    # a kernel is read off the dependencies among the matrix's columns, each
+    # fed once through the one reducer, IncrementalDependency
     import hopfkit.linalg
 
-    rrefs, kernels = [], []
-    rref, kernel = hopfkit.linalg._rref, hopfkit.linalg.kernel_basis
-    monkeypatch.setattr(hopfkit.linalg, "_rref", lambda data: rrefs.append(1) or rref(data))
-    monkeypatch.setattr(hopfkit.linalg, "kernel_basis", lambda a: kernels.append(1) or kernel(a))
+    kernel, reduce = hopfkit.linalg.kernel_basis, hopfkit.linalg.IncrementalDependency._reduce
+    running, done = [], []
+
+    def counted_kernel(a):
+        running.append([a.cols, 0])
+        basis = kernel(a)
+        done.append(tuple(running.pop()))
+        return basis
+
+    def counted_reduce(self, vec):
+        if running:
+            running[-1][1] += 1
+        return reduce(self, vec)
+
+    monkeypatch.setattr(hopfkit.linalg, "kernel_basis", counted_kernel)
+    monkeypatch.setattr(hopfkit.linalg.IncrementalDependency, "_reduce", counted_reduce)
     assert Pipeline(examples["D(S3)"]).report_document()["overall"]
-    assert kernels and len(rrefs) == len(kernels)
+    assert done and all(cols == reductions for cols, reductions in done)
 
 
 @pytest.mark.parametrize("name", ["kS3", "D(S3)"])
