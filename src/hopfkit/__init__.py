@@ -49,7 +49,7 @@ from .hopf import (
     parse_hopf,
 )
 from .integrals import IntegralPair, compute_integrals, dual_integrals, integrals_report
-from .linalg import Matrix, kernel_basis, minimal_polynomial
+from .linalg import Matrix, Vector, kernel_basis, minimal_polynomial
 from .pipeline import SUITES, Pipeline
 from .polys import IntegralityCertificate, Poly, is_algebraic_integer, min_poly_scalar
 from .report import ReportItem, VerificationReport
@@ -87,6 +87,7 @@ __all__ = [
     "Poly",
     "ReportItem",
     "SUITES",
+    "Vector",
     "VerificationReport",
     "block_degrees",
     "builtin_group",

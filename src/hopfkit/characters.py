@@ -37,17 +37,9 @@ from .hopf import (
     pair,
 )
 from .integrals import IntegralPair
-from .linalg import (
-    PreparedSolver,
-    Vector,
-    combine,
-    minimal_polynomial,
-    vec_eq,
-    vec_is_zero,
-    vec_scale,
-)
+from .linalg import PreparedSolver, Vector, combine, minimal_polynomial
 from .polys import Poly
-from .scalars import CycScalar, ZERO, as_scalar
+from .scalars import CycScalar, as_scalar
 from .wedderburn import BlockDecomposition
 
 
@@ -92,7 +84,7 @@ def irreducible_characters(H: HopfData, blocks: BlockDecomposition, integrals: I
     chars: list[Vector] = []
     for label, e_v, deg in zip(blocks.labels, blocks.idempotents, blocks.degrees):
         scale = as_scalar(H.dim) / as_scalar(deg)
-        chi = vec_scale(hit_act_alg_on_dual(e_v, integrals.lambda_dual, H), scale)
+        chi = hit_act_alg_on_dual(e_v, integrals.lambda_dual, H).scale(scale)
         value = pair(chi, H.unit)
         if not (value - deg).is_zero():
             raise HopfkitError(
@@ -120,14 +112,14 @@ def dual_characters(table: CharacterTable, H: HopfData) -> list[tuple[Vector, in
     out = []
     for chi in table.characters:
         image = H.dual.apply_antipode(chi)
-        w = next((u for u, other in enumerate(table.characters) if vec_eq(other, image)), None)
+        w = next((u for u, other in enumerate(table.characters) if other == image), None)
         out.append((image, w))
     return out
 
 
 def is_central_character(chi: Vector, H: HopfData) -> bool:
     """Whether chi commutes with every dual basis vector under convolution."""
-    return commutes_with_basis(chi, H.comult_nz)
+    return commutes_with_basis(chi, H.dual)
 
 
 def fusion_ring(table: CharacterTable, H: HopfData) -> FusionRing:
@@ -143,7 +135,7 @@ def fusion_ring(table: CharacterTable, H: HopfData) -> FusionRing:
                 raise HopfkitError(
                     f"chi_{table.labels[v]} chi_{table.labels[w]} left the character span"
                 )
-            for u, c in enumerate(coeffs):
+            for u, c in sorted(coeffs.nz.items()):
                 if not c.is_rational():
                     raise HopfkitError("fusion coefficient is irrational")
                 if not c.is_integer() or c.nums[0] < 0:
@@ -154,7 +146,7 @@ def fusion_ring(table: CharacterTable, H: HopfData) -> FusionRing:
 
     # unit block: the character equal to the counit
     unit_index = next(
-        (v for v in range(r) if vec_eq(table.characters[v], H.counit)), None
+        (v for v in range(r) if table.characters[v] == H.counit), None
     )
     if unit_index is None:
         raise HopfkitError("no character equals the counit; table is corrupt")
@@ -174,13 +166,12 @@ def fusion_ring(table: CharacterTable, H: HopfData) -> FusionRing:
     # linear dependency among chi_V^k = N_v^k e_unit in character coordinates
     for v in range(r):
         n_v = tensor[v]
-        minpoly, _ = minimal_polynomial(
-            [int(u == unit_index) for u in range(r)],
-            lambda power: [sum(n_v[w][u] * x for w, x in enumerate(power) if x) for u in range(r)],
-        )
+        minpoly, _ = minimal_polynomial(Vector.unit(r, unit_index), lambda power: Vector.from_terms(r, (
+            (u, x * n) for w, x in power.nz.items() for u, n in enumerate(n_v[w]) if n
+        )))
         if not minpoly.has_integer_coeffs():
             raise HopfkitError(f"fusion minimal polynomial of {table.labels[v]} not integral")
-        if not vec_is_zero(convolution_poly_eval(minpoly, table.characters[v], H)):
+        if convolution_poly_eval(minpoly, table.characters[v], H).nz:
             raise HopfkitError(
                 f"fusion minimal polynomial does not annihilate chi_{table.labels[v]}"
             )
@@ -189,15 +180,10 @@ def fusion_ring(table: CharacterTable, H: HopfData) -> FusionRing:
 
 def convolution_poly_eval(p: Poly, chi: Vector, H: HopfData) -> Vector:
     """Evaluate a polynomial at a dual vector inside (H*, convolution)."""
-    acc = tuple(ZERO for _ in range(H.dim))
-    power = H.counit  # the unit of H*
-    for k in range(p.degree + 1):
-        c = p[k]
-        if not c.is_zero():
-            acc = tuple(a + c * x for a, x in zip(acc, power))
-        if k < p.degree:
-            power = convolve(power, chi, H)
-    return acc
+    powers = [H.counit]  # the unit of H*
+    for _ in range(p.degree):
+        powers.append(convolve(powers[-1], chi, H))
+    return combine((p[k] for k in range(p.degree + 1)), powers, H.dim)
 
 
 def central_decomposition(zeta: Vector, dual_blocks: BlockDecomposition) -> CentralDecomposition:
@@ -208,8 +194,7 @@ def central_decomposition(zeta: Vector, dual_blocks: BlockDecomposition) -> Cent
         raise InconsistentSystemError(
             "central vector is not in the span of the dual primitive idempotents"
         )
-    recon = combine(coeffs, dual_blocks.idempotents, len(zeta))
-    if not vec_eq(recon, tuple(zeta)):
+    if combine(coeffs, dual_blocks.idempotents, len(zeta)) != zeta:
         raise HopfkitError("central decomposition failed to reconstruct its input")
     return CentralDecomposition(delta=list(dual_blocks.idempotents), values=list(coeffs))
 

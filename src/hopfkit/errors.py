@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one header-count
+rule of the `.grp` and `.hopf` parsers."""
 
 from __future__ import annotations
 
@@ -20,6 +21,18 @@ class ParseError(HopfkitError):
             where = f"line {line}" + (f", col {col}" if col is not None else "")
             message = f"{where}: {message}"
         super().__init__(message)
+
+
+def header_count(tokens: list[str], lineno: int) -> int:
+    """The one positive integer after a header word of a `.grp` or `.hopf`
+    text, or a ParseError."""
+    try:
+        count = int(tokens[1]) if len(tokens) == 2 and tokens[1].isdecimal() else 0
+    except ValueError:  # more digits than int() converts (4300 by default)
+        count = 0
+    if count < 1:
+        raise ParseError(f"{tokens[0]} expects one positive integer", lineno)
+    return count
 
 
 class GroupTableError(HopfkitError):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import GroupTableError, ParseError
+from .errors import GroupTableError, ParseError, header_count
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,7 @@ def parse_group(text: str) -> GroupTable:
                     raise ParseError("group header needs a name", lineno)
                 name = line[len("group"):].strip()
             elif head == "order":
-                if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
-                    raise ParseError("order expects one positive integer", lineno)
-                order = int(tokens[1])
+                order = header_count(tokens, lineno)
             elif head == "elements":
                 names = tokens[1:]
                 if order is not None and len(names) != order:

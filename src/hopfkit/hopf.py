@@ -10,9 +10,11 @@ b_0..b_{d-1}, keeping only the nonzero entries, in index order:
     antipode[i, j]    S(b_j) = sum_i antipode[i, j] b_i
 
 ``mult``, ``comult`` and ``antipode`` are dicts from index tuples to scalars;
-``unit`` and ``counit`` are length-d vectors.  Elements of H are coordinate
-tuples over the basis; elements of the dual H* are coordinate tuples over the
-dual basis, paired by the coordinate dot product.  Dualization transposes the
+``unit`` and ``counit`` are length-d vectors.  Elements of H are sparse
+coordinate :class:`~hopfkit.linalg.Vector` s over the basis; elements of the
+dual H* are Vectors over the dual basis, paired by the coordinate dot product.
+Every element operation walks the supports of its operands, never all d
+coordinates.  Dualization transposes the
 picture: with these conventions the dual Hopf algebra simply swaps mult with
 comult and unit with counit and transposes the antipode, so dualizing twice is
 the identity on the nose.
@@ -20,7 +22,8 @@ the identity on the nose.
 The contraction loops read cached bucketed views that hold only the stored
 entries, in index order: ``mult_nz[i]`` is a dict ``{j: ((k, c), ...)}`` with a
 key only for each nonzero product b_i b_j, ``mult_by_output[k]`` lists the
-products with a b_k term, ``comult_nz[k]`` the terms of Delta(b_k) and
+products with a b_k term, ``mult_by_right[j]`` is ``{i: ((k, c), ...)}`` for
+the nonzero products b_i b_j, ``comult_nz[k]`` the terms of Delta(b_k) and
 ``antipode_nz[j]`` those of S(b_j).  They take O(d + nnz) memory.
 
 There are two product loops, :meth:`HopfData.multiply` and
@@ -46,8 +49,8 @@ from functools import cached_property
 from math import lcm
 from typing import Mapping, Sequence
 
-from .axioms import _acc_add, check_axioms
-from .errors import ParseError
+from .axioms import _acc_add, _acc_equal, check_axioms
+from .errors import ParseError, header_count
 from .linalg import Vector
 from .scalars import MAX_CYCLOTOMIC_ORDER, CycScalar, ONE, ZERO, as_scalar, format_scalar, parse_scalar
 
@@ -74,7 +77,7 @@ class HopfData:
 
     ``mult`` and ``comult`` map (i, j, k) and ``antipode`` maps (i, j) to
     scalars (ints, Fractions or CycScalars); omitted entries are zero.
-    ``unit`` and ``counit`` are length-``dim`` sequences.
+    ``unit`` and ``counit`` are length-``dim`` sequences, stored as Vectors.
     """
 
     def __init__(self, name: str, dim: int, mult: Mapping, unit: Sequence, comult: Mapping,
@@ -87,8 +90,8 @@ class HopfData:
         self.mult = _sparse(mult, 3, dim, "multiplication")
         self.comult = _sparse(comult, 3, dim, "comultiplication")
         self.antipode = _sparse(antipode, 2, dim, "antipode")
-        self.unit = tuple(as_scalar(c) for c in unit)
-        self.counit = tuple(as_scalar(c) for c in counit)
+        self.unit = Vector.of(unit)
+        self.counit = Vector.of(counit)
         if len(self.unit) != dim or len(self.counit) != dim:
             raise ValueError("dimension mismatch in unit/counit vector")
 
@@ -111,6 +114,16 @@ class HopfData:
         for (i, j, k), c in self.mult.items():
             buckets[k].append((i, j, c))
         return [tuple(b) for b in buckets]
+
+    @cached_property
+    def mult_by_right(self) -> list[dict[int, tuple[tuple[int, CycScalar], ...]]]:
+        """mult_by_right[j] = {i: the (k, c) with b_i b_j = sum c b_k}, holding
+        only the nonzero products."""
+        cols: list[dict[int, tuple]] = [{} for _ in range(self.dim)]
+        for i, row in enumerate(self.mult_nz):
+            for j, terms in row.items():
+                cols[j][i] = terms
+        return cols
 
     @cached_property
     def comult_nz(self) -> list[tuple[tuple[int, int, CycScalar], ...]]:
@@ -141,32 +154,23 @@ class HopfData:
 
     # -- element-level helpers -------------------------------------------------
 
-    def basis_vector(self, k: int) -> Vector:
-        return tuple(ONE if i == k else ZERO for i in range(self.dim))
+    def multiply(self, x: Vector, y: Vector) -> Vector:
+        """x y, from the stored products b_i b_j of the support pairs (i, j)."""
+        acc: dict[int, CycScalar] = {}
+        ynz = y.nz
+        for i, xi in x.nz.items():
+            row = self.mult_nz[i]
+            for j in row.keys() & ynz.keys():  # walks the smaller of the two
+                f = xi * ynz[j]
+                for k, c in row[j]:
+                    t = f if c is ONE else f * c
+                    cur = acc.get(k)
+                    acc[k] = t if cur is None else cur + t
+        return Vector(self.dim, {k: x for k, x in acc.items() if x})
 
-    def multiply(self, x: Sequence[CycScalar], y: Sequence[CycScalar]) -> Vector:
-        out = [ZERO] * self.dim
-        for i, row in enumerate(self.mult_nz):
-            xi = x[i]
-            if xi.is_zero():
-                continue
-            for j, terms in row.items():
-                yj = y[j]
-                if yj.is_zero():
-                    continue
-                f = xi * yj
-                for k, c in terms:
-                    out[k] = out[k] + (f if c is ONE else f * c)
-        return tuple(out)
-
-    def apply_antipode(self, x: Sequence[CycScalar]) -> Vector:
-        out = [ZERO] * self.dim
-        for j, xj in enumerate(x):
-            if xj.is_zero():
-                continue
-            for i, c in self.antipode_nz[j]:
-                out[i] = out[i] + xj * c
-        return tuple(out)
+    def apply_antipode(self, x: Vector) -> Vector:
+        terms = ((i, xj * c) for j, xj in x.nz.items() for i, c in self.antipode_nz[j])
+        return Vector.from_terms(self.dim, terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HopfData):
@@ -190,13 +194,15 @@ class HopfData:
 # the evaluation pairing, convolution and the two hit actions; H* operations run on H.dual
 
 
-def pair(phi: Sequence[CycScalar], h: Sequence[CycScalar]) -> CycScalar:
+def pair(phi: Vector, h: Vector) -> CycScalar:
     """<phi, h>: coordinate dot product of a dual vector with an algebra vector."""
     if len(phi) != len(h):
         raise ValueError("dimension mismatch in pairing")
+    small, big = (phi.nz, h.nz) if len(phi.nz) <= len(h.nz) else (h.nz, phi.nz)
     acc = ZERO
-    for p, x in zip(phi, h):
-        if not (p.is_zero() or x.is_zero()):
+    for i, p in small.items():
+        x = big.get(i)
+        if x is not None:
             acc = acc + p * x
     return acc
 
@@ -204,63 +210,46 @@ def pair(phi: Sequence[CycScalar], h: Sequence[CycScalar]) -> CycScalar:
 def regular_character(H: HopfData) -> Vector:
     """chi_H in H*: the traces tr L_{b_a} = sum_k mult[a, k, k] of left
     multiplication by each basis vector."""
-    chi = [ZERO] * H.dim
-    for (a, k, r), c in H.mult.items():
-        if k == r:
-            chi[a] = chi[a] + c
-    return tuple(chi)
+    return Vector.from_terms(H.dim, ((a, c) for (a, k, r), c in H.mult.items() if k == r))
 
 
-def convolve(phi: Sequence[CycScalar], psi: Sequence[CycScalar], H: HopfData) -> Vector:
+def convolve(phi: Vector, psi: Vector, H: HopfData) -> Vector:
     """Product in H*: (phi psi)(h) = sum phi(h_(1)) psi(h_(2))."""
     if len(phi) != H.dim or len(psi) != H.dim:
         raise ValueError("dimension mismatch in convolution")
     return H.dual.multiply(phi, psi)
 
 
-def commutes_with_basis(
-    x: Sequence[CycScalar], by_output: Sequence[Sequence[tuple[int, int, CycScalar]]]
-) -> bool:
-    """Whether x commutes with every basis vector b_t of the algebra whose
-    products are ``by_output[k]`` = the (i, j, c) with c b_k a term of b_i b_j
-    (``H.mult_by_output`` for H, ``H.comult_nz`` for H* under convolution).
-
-    One sweep over the entries: at each output k, x b_t - b_t x has coefficient
-    sum_{(i, t)} c x_i - sum_{(t, j)} c x_j, which must vanish for every t.
-    """
-    for terms in by_output:
-        diff: dict[int, CycScalar] = {}
-        for i, j, c in terms:
-            xi, xj = x[i], x[j]
-            if not xi.is_zero():
-                _acc_add(diff, j, c * xi)
-            if not xj.is_zero():
-                _acc_add(diff, i, -(c * xj))
-        if any(not v.is_zero() for v in diff.values()):
-            return False
-    return True
+def commutes_with_basis(x: Vector, A: HopfData) -> bool:
+    """Whether x commutes with every basis vector b_t of the algebra A (H, or
+    ``H.dual`` for H* under convolution): x b_t - b_t x = sum_i x_i (b_i b_t -
+    b_t b_i) must vanish for every t, so only the products of the support of
+    x are read, from the rows and the columns of A's products."""
+    left: dict[tuple[int, int], CycScalar] = {}
+    right: dict[tuple[int, int], CycScalar] = {}
+    for i, xi in x.nz.items():
+        for acc, products in ((left, A.mult_nz[i]), (right, A.mult_by_right[i])):
+            for t, terms in products.items():
+                for k, c in terms:
+                    _acc_add(acc, (t, k), xi if c is ONE else c * xi)
+    return _acc_equal(left, right)
 
 
-def hit_act_alg_on_dual(h: Sequence[CycScalar], phi: Sequence[CycScalar], H: HopfData) -> Vector:
+def hit_act_alg_on_dual(h: Vector, phi: Vector, H: HopfData) -> Vector:
     """The action of H on H* defined by <h phi, h'> = <phi, h' h>: the dual
     action of H = (H*)* on H*."""
     return hit_act_dual_on_alg(h, phi, H.dual)
 
 
-def hit_act_dual_on_alg(phi: Sequence[CycScalar], h: Sequence[CycScalar], H: HopfData) -> Vector:
+def hit_act_dual_on_alg(phi: Vector, h: Vector, H: HopfData) -> Vector:
     """The dual action of H* on H: phi h = sum h_(1) <phi, h_(2)>; it satisfies
     <psi, phi h> = <psi phi, h> for every psi."""
     if len(h) != H.dim or len(phi) != H.dim:
         raise ValueError("dimension mismatch in hit action")
-    out = [ZERO] * H.dim
-    for k, hk in enumerate(h):
-        if hk.is_zero():
-            continue
-        for a, b, c in H.comult_nz[k]:
-            pb = phi[b]
-            if not pb.is_zero():
-                out[a] = out[a] + hk * c * pb
-    return tuple(out)
+    pnz = phi.nz
+    return Vector.from_terms(H.dim, (
+        (a, hk * c * pnz[b]) for k, hk in h.nz.items() for a, b, c in H.comult_nz[k] if b in pnz
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +283,6 @@ def dualize(H: HopfData) -> HopfData:
 _SECTIONS = ("MULT", "COMULT", "UNIT", "COUNIT", "ANTIPODE")
 
 
-def _header_count(tokens: list[str], lineno: int) -> int:
-    """The one positive integer after a header word."""
-    try:
-        count = int(tokens[1]) if len(tokens) == 2 and tokens[1].isdecimal() else 0
-    except ValueError:  # more digits than int() converts (4300 by default)
-        count = 0
-    if count < 1:
-        raise ParseError(f"{tokens[0]} expects one positive integer", lineno)
-    return count
-
-
 def parse_hopf(text: str) -> HopfData:
     """Parse the `.hopf` text format (sparse structure-constant lines)."""
     name: str | None = None
@@ -331,10 +309,10 @@ def parse_hopf(text: str) -> HopfData:
             name = line[len("hopf"):].strip()
             continue
         if head == "dim":
-            dim = _header_count(tokens, lineno)
+            dim = header_count(tokens, lineno)
             continue
         if head == "cyclotomic":
-            order = _header_count(tokens, lineno)
+            order = header_count(tokens, lineno)
             if order > MAX_CYCLOTOMIC_ORDER:
                 raise ParseError(f"cyclotomic order {order} exceeds the maximum {MAX_CYCLOTOMIC_ORDER}", lineno)
             continue
@@ -376,12 +354,8 @@ def parse_hopf(text: str) -> HopfData:
         # 1 b_k = b_k: every basis index is the output of some MULT entry
         raise ParseError(f"dim {dim} exceeds the number of MULT entries ({len(entries['MULT'])})")
 
-    unit = [ZERO] * dim
-    for (k,), v in entries["UNIT"].items():
-        unit[k] = v
-    counit = [ZERO] * dim
-    for (k,), v in entries["COUNIT"].items():
-        counit[k] = v
+    unit = Vector(dim, {k: v for (k,), v in entries["UNIT"].items() if v})
+    counit = Vector(dim, {k: v for (k,), v in entries["COUNIT"].items() if v})
     return HopfData(name, dim, entries["MULT"], unit, entries["COMULT"], counit,
                     entries["ANTIPODE"], cyclotomic_order=order)
 
@@ -389,7 +363,8 @@ def parse_hopf(text: str) -> HopfData:
 def format_hopf(H: HopfData) -> str:
     """Render to the `.hopf` text format; round-trips exactly."""
     order = H.cyclotomic_order
-    for c in (*H.unit, *H.counit, *H.mult.values(), *H.comult.values(), *H.antipode.values()):
+    for c in (*H.unit.nz.values(), *H.counit.nz.values(),
+              *H.mult.values(), *H.comult.values(), *H.antipode.values()):
         order = lcm(order, c.order)
 
     def lit(c: CycScalar) -> str:
@@ -400,8 +375,8 @@ def format_hopf(H: HopfData) -> str:
     for section, entries in (
         ("MULT", H.mult.items()),
         ("COMULT", H.comult.items()),
-        ("UNIT", (((k,), c) for k, c in enumerate(H.unit))),
-        ("COUNIT", (((k,), c) for k, c in enumerate(H.counit))),
+        ("UNIT", (((k,), c) for k, c in H.unit.nz.items())),
+        ("COUNIT", (((k,), c) for k, c in H.counit.nz.items())),
         ("ANTIPODE", H.antipode.items()),
     ):
         lines.append(section)

@@ -43,9 +43,9 @@ from dataclasses import dataclass
 
 from .errors import NotSemisimpleError
 from .hopf import HopfData, format_vector, pair, regular_character
-from .linalg import Vector, vec_eq, vec_scale
+from .linalg import Vector
 from .report import VerificationReport
-from .scalars import ZERO, as_scalar
+from .scalars import as_scalar
 
 
 @dataclass
@@ -88,9 +88,9 @@ def compute_integrals(H: HopfData) -> IntegralPair:
             )
     inv_dim = dim_scalar.inverse()
     return IntegralPair(
-        lambda_dual=vec_scale(lambda_raw, inv_dim),
+        lambda_dual=lambda_raw.scale(inv_dim),
         Lambda=Lambda_raw,
-        Lambda_scaled=vec_scale(Lambda_raw, inv_dim),
+        Lambda_scaled=Lambda_raw.scale(inv_dim),
     )
 
 
@@ -98,23 +98,18 @@ def dual_integrals(p: IntegralPair, dim: int) -> IntegralPair:
     """The normalized integral pair of H*, read off the pair ``p`` of H."""
     return IntegralPair(
         lambda_dual=p.Lambda_scaled,
-        Lambda=vec_scale(p.lambda_dual, dim),
+        Lambda=p.lambda_dual.scale(dim),
         Lambda_scaled=p.lambda_dual,
     )
 
 
 def _times_basis(H: HopfData, x: Vector, i: int, left: bool) -> Vector:
-    """b_i x when ``left``, else x b_i, read straight from the product rows."""
-    if left:
-        pairs = ((x[k], terms) for k, terms in H.mult_nz[i].items())
-    else:
-        pairs = ((xk, H.mult_nz[k].get(i, ())) for k, xk in enumerate(x))
-    out = [ZERO] * H.dim
-    for xk, terms in pairs:
-        if not xk.is_zero():
-            for r, c in terms:
-                out[r] = out[r] + xk * c
-    return tuple(out)
+    """b_i x when ``left``, else x b_i, read from the products b_i b_k or b_k b_i
+    of the support of x."""
+    products = (H.mult_nz if left else H.mult_by_right)[i]
+    return Vector.from_terms(H.dim, (
+        (r, xk * c) for k, xk in x.nz.items() for r, c in products.get(k, ())
+    ))
 
 
 def _absorption_failure(H: HopfData, x: Vector, left: bool) -> int | None:
@@ -123,8 +118,8 @@ def _absorption_failure(H: HopfData, x: Vector, left: bool) -> int | None:
     for i, e in enumerate(H.counit):
         key = e.key()
         if key not in scaled:
-            scaled[key] = vec_scale(x, e)
-        if not vec_eq(_times_basis(H, x, i, left), scaled[key]):
+            scaled[key] = x.scale(e)
+        if _times_basis(H, x, i, left) != scaled[key]:
             return i
     return None
 

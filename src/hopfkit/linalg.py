@@ -1,55 +1,99 @@
 """Exact linear algebra over the cyclotomic scalars.
 
-Vectors are plain tuples of scalars.  Everything runs Gaussian elimination
-with exact field arithmetic, so results are equalities, not approximations.
-There is one elimination, :class:`IncrementalDependency`, which takes vectors
-in order and keeps each one independent of the earlier ones as an echelon
-row, and it has three uses: every dependency among the columns of a matrix
-is a kernel vector (:func:`kernel_basis`, behind :func:`sparse_kernel_basis`);
-the first dependency among the powers of an element gives its minimal
-polynomial (:func:`minimal_polynomial`); and reduction by the kept rows of a
-fixed column family gives coordinates over it (:class:`PreparedSolver`).
-Each reduction touches only each kept row's support; a D(S4) report
-(dimension 576) runs through it.
+Every element of H or H* is a :class:`Vector`, stored by its support: ``nz``
+maps the index of each nonzero coordinate to its scalar and holds no zero, so
+each loop over a vector walks its support, not its length.  Read as a
+sequence it is dense, so code that only reads entries, such as a formatter,
+sees the coordinates.
+
+Everything runs Gaussian elimination with exact field arithmetic, so results
+are equalities, not approximations.  There is one elimination,
+:class:`IncrementalDependency`, which takes vectors in order and keeps each
+one independent of the earlier ones as an echelon row, and it has three uses:
+every dependency among the columns of a matrix is a kernel vector
+(:func:`sparse_kernel_basis`, which :func:`kernel_basis` feeds a dense
+``Matrix``); the first dependency among the powers of an element gives its
+minimal polynomial (:func:`minimal_polynomial`); and reduction by the kept
+rows of a fixed column family gives coordinates over it
+(:class:`PreparedSolver`).  Each reduction touches only the supports of the
+vector and of the kept rows; a D(S4) report (dimension 576) runs through it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InconsistentSystemError
 from .polys import Poly
 from .scalars import CycScalar, ONE, ZERO, as_scalar
 
-Vector = tuple[CycScalar, ...]
+
+class Vector:
+    """A coordinate vector of length ``dim`` stored by its support: ``nz`` maps
+    the index of each nonzero entry to that scalar and holds no zero.  As a
+    sequence it reads densely (``v[i]`` is ZERO off the support), and it
+    equals a Vector or any sequence with the same entries.  Never mutated."""
+
+    __slots__ = ("dim", "nz")
+
+    def __init__(self, dim: int, nz: dict[int, CycScalar]):
+        # trusted: every key lies in range(dim) and no value is zero
+        self.dim = dim
+        self.nz = nz
+
+    @classmethod
+    def of(cls, entries: Iterable) -> "Vector":
+        """The vector with the given dense entries (ints, Fractions or scalars)."""
+        dense = [as_scalar(x) for x in entries]
+        return cls(len(dense), {i: x for i, x in enumerate(dense) if x})
+
+    @classmethod
+    def unit(cls, dim: int, k: int) -> "Vector":
+        return cls(dim, {k: ONE})
+
+    @classmethod
+    def from_terms(cls, dim: int, terms: Iterable[tuple[int, CycScalar]]) -> "Vector":
+        """The sum of the scalars t placed at the indices k of the (k, t) terms."""
+        acc: dict[int, CycScalar] = {}
+        for k, t in terms:
+            cur = acc.get(k)
+            acc[k] = t if cur is None else cur + t
+        return cls(dim, {k: x for k, x in acc.items() if x})
+
+    def scale(self, s) -> "Vector":
+        s = as_scalar(s)
+        return Vector(self.dim, {i: x * s for i, x in self.nz.items()} if s else {})
+
+    def __len__(self) -> int:
+        return self.dim
+
+    def __getitem__(self, i: int) -> CycScalar:
+        if not -self.dim <= i < self.dim:
+            raise IndexError("Vector index out of range")
+        return self.nz.get(i % self.dim, ZERO)
+
+    def __iter__(self) -> Iterator[CycScalar]:
+        nz = self.nz
+        return (nz.get(i, ZERO) for i in range(self.dim))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Vector):
+            return self.dim == other.dim and self.nz == other.nz
+        if isinstance(other, Sequence):
+            return len(other) == self.dim and all(x == y for x, y in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]  # scalars are unhashable too
+
+    def __repr__(self) -> str:
+        return f"Vector({self.dim}, {self.nz!r})"
 
 
-def vec_scale(a: Sequence[CycScalar], s) -> Vector:
-    s = as_scalar(s)
-    return tuple(x * s for x in a)
-
-def vec_is_zero(a: Sequence[CycScalar]) -> bool:
-    return all(x.is_zero() for x in a)
-
-def vec_eq(a: Sequence[CycScalar], b: Sequence[CycScalar]) -> bool:
-    return len(a) == len(b) and all(x == y for x, y in zip(a, b))
-
-def combine(coeffs: Sequence, vectors: Sequence[Sequence[CycScalar]], dim: int) -> Vector:
+def combine(coeffs: Iterable, vectors: Iterable[Vector], dim: int) -> Vector:
     """sum_k coeffs[k] vectors[k], a vector of length dim; coefficients may be
     ints or scalars."""
-    out = [ZERO] * dim
-    for c, vec in zip(coeffs, vectors):
-        if c:
-            for a, x in enumerate(vec):
-                if x:
-                    out[a] = out[a] + c * x
-    return tuple(out)
-
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-def unit_vector(n: int, k: int) -> Vector:
-    return tuple(ONE if i == k else ZERO for i in range(n))
+    terms = ((a, c * x) for c, vec in zip(coeffs, vectors) if c for a, x in vec.nz.items())
+    return Vector.from_terms(dim, terms)
 
 
 class Matrix:
@@ -68,45 +112,45 @@ class Matrix:
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
-    """Exact basis of the right null space {v : A v = 0}, one vector per
-    column that depends on the columns left of it: the column c_k =
-    sum_j x_j c_j gives (-x_0, ..., -x_(k-1), 1, 0, ..., 0).  Row operations
-    keep every relation among columns, so these are the free columns of the
-    reduced row echelon form and the vectors read off it."""
-    echelon = IncrementalDependency()
-    basis: list[Vector] = []
-    for k, column in enumerate(zip(*a._rows)):
-        remainder, combo = echelon._reduce(column)
-        if not echelon._store(remainder, combo):
-            basis.append(tuple(-x for x in combo) + (ONE,) + (ZERO,) * (a.cols - k - 1))
-    return basis
+    """Exact basis of the right null space {v : A v = 0} of a dense matrix:
+    :func:`sparse_kernel_basis` of its nonzero entries."""
+    cells = ((r, k, x) for r, row in enumerate(a._rows) for k, x in enumerate(row))
+    return sparse_kernel_basis(a.cols, cells)
 
 
 def sparse_kernel_basis(n_cols: int, entries: Iterable[tuple[object, int, CycScalar]]) -> list[Vector]:
     """Exact basis of {v : A v = 0} for the A whose rows are given sparsely as
-    (row key, column, coefficient) entries, summed per cell.  Rows come in
-    row-key order; zero and repeated rows are dropped before the elimination,
-    which leaves the row space, hence the reduced form and the kernel basis,
-    unchanged."""
+    (row key, column, coefficient) entries, summed per cell: one vector per
+    column that depends on the columns left of it, where c_k = sum_j x_j c_j
+    gives (-x_0, ..., -x_(k-1), 1, 0, ..., 0).  Row operations keep every
+    relation among columns, so these are the free columns of the reduced row
+    echelon form and the vectors read off it.  Rows are numbered in row-key
+    order; zero and repeated rows are dropped, which leaves the row space,
+    hence the kernel basis, unchanged.  The columns go to the reducer as
+    sparse vectors."""
     cells: dict[object, dict[int, CycScalar]] = {}
     for key, col, c in entries:
         row = cells.setdefault(key, {})
         cur = row.get(col)
         row[col] = c if cur is None else cur + c
-    rows: list[list[CycScalar]] = []
+    columns: list[dict[int, CycScalar]] = [{} for _ in range(n_cols)]
     seen: set[tuple] = set()
     for key in sorted(cells):
-        support = [(k, c) for k, c in sorted(cells[key].items()) if not c.is_zero()]
+        support = [(k, c) for k, c in sorted(cells[key].items()) if c]
         signature = tuple((k, c.key()) for k, c in support)
         if support and signature not in seen:
-            seen.add(signature)
-            row = [ZERO] * n_cols
             for k, c in support:
-                row[k] = c
-            rows.append(row)
-    if not rows:
-        return [unit_vector(n_cols, k) for k in range(n_cols)]
-    return kernel_basis(Matrix(rows))
+                columns[k][len(seen)] = c
+            seen.add(signature)
+    echelon = IncrementalDependency()
+    basis: list[Vector] = []
+    for k, column in enumerate(columns):
+        remainder, combo = echelon._reduce(Vector(len(seen), column))
+        if not echelon._store(remainder, combo):
+            nz = {j: -x for j, x in combo.nz.items()}
+            nz[k] = ONE
+            basis.append(Vector(n_cols, nz))
+    return basis
 
 
 class IncrementalDependency:
@@ -115,46 +159,52 @@ class IncrementalDependency:
     ``add`` returns None while the fed vectors stay independent; at the first
     dependent vector it returns coefficients c with v_k + sum c_i v_i = 0
     (monic-polynomial layout for minimal-polynomial searches).  Each kept
-    echelon row is its pivot (first nonzero index, where it is 1), its support
-    right of the pivot and the support of the combination of fed vectors it
-    equals; a row is 0 at the pivots of the rows kept before it.
+    echelon row is its pivot (least index of its support, where it is 1), its
+    support right of the pivot and the support of the combination of fed
+    vectors it equals; a row is 0 at the pivots of the rows kept before it.
     """
 
     def __init__(self) -> None:
         self._rows: list[tuple[int, tuple, tuple]] = []
         self._count = 0
 
-    def _reduce(self, vec: Sequence) -> tuple[list[CycScalar], list[CycScalar]]:
+    def _reduce(self, vec: Vector) -> tuple[Vector, Vector]:
         """(remainder, combination), linear in vec: vec = remainder + sum_j
         combination_j v_j over the fed v_j, and subtracting the rows in order
         leaves the remainder 0 at every pivot, so 0 exactly on their span."""
-        v = [as_scalar(x) for x in vec]
-        combo = [ZERO] * self._count
+        v = dict(vec.nz)
+        combo: dict[int, CycScalar] = {}
         for piv, support, rcombo in self._rows:
-            f = v[piv]
-            if not f.is_zero():
-                v[piv] = ZERO
+            f = v.pop(piv, None)
+            if f is not None:
                 for j, x in support:
-                    v[j] = v[j] - f * x
+                    cur = v.get(j)
+                    if cur is None:
+                        v[j] = -(f * x)
+                    elif diff := cur - f * x:
+                        v[j] = diff
+                    else:
+                        del v[j]
                 for i, c in rcombo:
-                    combo[i] = combo[i] + f * c
-        return v, combo
+                    cur = combo.get(i)
+                    combo[i] = f * c if cur is None else cur + f * c
+        return Vector(vec.dim, v), Vector(self._count, {i: c for i, c in combo.items() if c})
 
-    def _store(self, remainder: list[CycScalar], combo: list[CycScalar]) -> bool:
+    def _store(self, remainder: Vector, combo: Vector) -> bool:
         """Count the vector that ``_reduce`` gave (remainder, combo) as fed and
         keep its remainder as a row; False when the remainder is 0."""
-        piv = next((j for j, x in enumerate(remainder) if not x.is_zero()), None)
         self._count += 1
-        if piv is None:
+        if not remainder.nz:
             return False
-        inv = remainder[piv].inverse()
-        # remainder = v_k - sum_j combo_j v_j with k = len(combo), scaled to 1 at the pivot
-        support = tuple((j, x * inv) for j, x in enumerate(remainder) if j > piv and not x.is_zero())
-        rcombo = [(i, -c * inv) for i, c in enumerate(combo) if not c.is_zero()] + [(len(combo), inv)]
-        self._rows.append((piv, support, tuple(rcombo)))
+        piv = min(remainder.nz)
+        inv = remainder.nz[piv].inverse()
+        # remainder = v_k - sum_j combo_j v_j with k = combo.dim, scaled to 1 at the pivot
+        support = tuple((j, x * inv) for j, x in remainder.nz.items() if j != piv)
+        rcombo = tuple((i, -c * inv) for i, c in combo.nz.items()) + ((combo.dim, inv),)
+        self._rows.append((piv, support, rcombo))
         return True
 
-    def add(self, vec: Sequence) -> list[CycScalar] | None:
+    def add(self, vec: Vector) -> list[CycScalar] | None:
         remainder, combo = self._reduce(vec)
         if self._store(remainder, combo):
             return None
@@ -165,7 +215,7 @@ class PreparedSolver:
     """Echelon rows of a fixed family of independent columns, reused to
     decompose many right-hand sides over it (e.g. character coordinates)."""
 
-    def __init__(self, columns: Sequence[Sequence]):
+    def __init__(self, columns: Sequence[Vector]):
         self.n_cols = len(columns)
         self.height = len(columns[0]) if columns else 0
         self._echelon = IncrementalDependency()
@@ -173,30 +223,32 @@ class PreparedSolver:
             if not self._echelon._store(*self._echelon._reduce(column)):
                 raise InconsistentSystemError("columns are linearly dependent")
         pivots = {piv for piv, _, _ in self._echelon._rows}
-        self._off_pivot = [i for i in range(self.height) if i not in pivots]
+        off_pivot = [i for i in range(self.height) if i not in pivots]
+        self._off_pivot = {i: t for t, i in enumerate(off_pivot)}  # index -> place in the residual
 
-    def coordinates(self, v: Sequence) -> tuple[Vector, Vector]:
+    def coordinates(self, v: Vector) -> tuple[Vector, Vector]:
         """(coeffs, residual), both linear in v: v = sum_j coeffs_j *
         column_j + remainder, and the residual is the remainder off the
         pivots (length height - n_cols), so v lies in the column span
         exactly when the residual is 0."""
         remainder, coeffs = self._echelon._reduce(v)
-        return tuple(coeffs), tuple(remainder[i] for i in self._off_pivot)
+        off = self._off_pivot
+        return coeffs, Vector(len(off), {off[i]: x for i, x in remainder.nz.items()})
 
-    def decompose(self, v: Sequence) -> Vector | None:
+    def decompose(self, v: Vector) -> Vector | None:
         """Coefficients c with sum_j c_j * column_j == v, or None if v is
         outside the span."""
         coeffs, residual = self.coordinates(v)
-        return None if any(residual) else coeffs
+        return None if residual.nz else coeffs
 
 
 def minimal_polynomial(one, step: Callable, coords: Callable = lambda p: p) -> tuple[Poly, list]:
     """Monic minimal polynomial m of an element x, from the first linear
     dependency among the coordinate vectors of its powers 1, x, x^2, ...:
     ``one`` is x^0, ``step(p)`` is p x, and ``coords(p)`` is the coordinate
-    vector of p, with int, Fraction or scalar entries (p itself by default).
-    Returns m with the independent powers 1, x, ..., x^(deg m - 1).  For
-    coordinate vectors of length n a dependency appears by x^n at the latest."""
+    Vector of p (p itself by default).  Returns m with the independent powers
+    1, x, ..., x^(deg m - 1).  For coordinate vectors of length n a
+    dependency appears by x^n at the latest."""
     tracker = IncrementalDependency()
     powers = []
     power = one

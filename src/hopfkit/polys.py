@@ -185,9 +185,9 @@ def min_poly_scalar(a: CycScalar) -> Poly:
     coordinates of 1, a, a^2, ..."""
     if a.is_rational():
         return Poly([-a, ONE])
-    from .linalg import minimal_polynomial  # linalg imports this module
+    from .linalg import Vector, minimal_polynomial  # linalg imports this module
 
-    return minimal_polynomial(ONE, lambda p: p * a, lambda p: p.lift(a.order))[0]
+    return minimal_polynomial(ONE, lambda p: p * a, lambda p: Vector.of(p.lift(a.order)))[0]
 
 
 @dataclass(frozen=True)

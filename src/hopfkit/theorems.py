@@ -24,12 +24,9 @@ reports exact witnesses:
 Suites never skip silently: a failed hypothesis becomes an explicit
 "skipped" item naming the reason.
 
-The corollary's subset sums run on plain numbers.  Each single-block
-coordinate is converted once to an int or Fraction when it is rational (on a
-genuine algebra every one is a non-negative integer); a subset's coordinates
-are then integer sums compared with integers, and a scalar is built only to
-print a failing witness.  An irrational coordinate stays a scalar, and the
-mixed sums equal the all-scalar sums value for value and order for order.
+The corollary's subset sums merge the supports of the single-block
+coordinate and residual vectors; on a genuine algebra each coordinate vector
+holds one entry, so a subset's sum is mostly a merge of disjoint supports.
 
 An integrality certificate is made once per distinct value within one suite
 call: the proposition, section4 and central-fusion suites each keep a dict of
@@ -52,7 +49,7 @@ from .characters import (
 )
 from .hopf import HopfData, format_vector, hit_act_alg_on_dual, hit_act_dual_on_alg
 from .integrals import IntegralPair
-from .linalg import combine, sparse_kernel_basis, vec_eq, vec_scale
+from .linalg import Vector, combine, sparse_kernel_basis
 from .polys import IntegralityCertificate, format_poly, is_algebraic_integer
 from .report import VerificationReport
 from .rng import DeterministicRng
@@ -62,22 +59,9 @@ from .wedderburn import BlockDecomposition
 _SUBSET_BUDGET = 256
 
 
-def _plain(x: CycScalar):
-    """x as an int or Fraction when rational, else x itself.  Plain numbers
-    add and compare exactly like order-1 scalars, also mixed with scalars, so
-    sums of plain values equal the scalar sums, order for order."""
-    if not x.is_rational():
-        return x
-    return x.nums[0] if x.den == 1 else x.as_fraction()
-
-
-def _sparse_sum(vectors) -> dict[int, object]:
-    """Exact entrywise sum of sparse {index: value} vectors."""
-    out: dict[int, object] = {}
-    for vec in vectors:
-        for j, x in vec.items():
-            out[j] = out[j] + x if j in out else x
-    return out
+def _sparse_sum(dim: int, vectors) -> Vector:
+    """Exact entrywise sum of Vectors, adding only where supports overlap."""
+    return Vector.from_terms(dim, ((j, x) for vec in vectors for j, x in vec.nz.items()))
 
 
 def _integrality(a: CycScalar, memo: dict) -> IntegralityCertificate:
@@ -92,26 +76,23 @@ def _integrality(a: CycScalar, memo: dict) -> IntegralityCertificate:
 
 def _subset_failure(coords, residuals, degrees, subsets) -> tuple[str, int]:
     """(witness, subsets checked) of the corollary's subset item, witness ""
-    when every subset passes.  ``coords`` and ``residuals`` hold the plain
-    (``_plain``) single-block values; a subset's are their sums, so a passing
-    subset costs integer additions and comparisons only, and a scalar is
-    formatted only for a failing witness."""
+    when every subset passes.  ``coords`` and ``residuals`` hold the
+    single-block coordinate and residual Vectors; a subset's are their
+    sums."""
     # with every single residual 0, no subset can leave the span
-    any_residual = any(residuals)
+    any_residual = any(res.nz for res in residuals)
     for checked, subset in enumerate(subsets):
-        if any_residual and any(_sparse_sum(residuals[m] for m in subset).values()):
+        if any_residual and _sparse_sum(residuals[0].dim, (residuals[m] for m in subset)).nz:
             return f"delta Lambda left the character span for T = {subset}", checked
-        summed = _sparse_sum(coords[m] for m in subset)
+        summed = _sparse_sum(len(degrees), (coords[m] for m in subset))
         for m in range(len(degrees)):
-            c = summed.get(m, 0)
-            if isinstance(c, CycScalar):
-                c = _plain(c)  # irrational terms may cancel
-            if isinstance(c, CycScalar) or c.denominator != 1 or c < 0:
-                return f"non-integer coordinate {as_scalar(c)} at block {m} for T = {subset}", checked
+            c = summed[m]
+            if not c.is_integer() or c.nums[0] < 0:
+                return f"non-integer coordinate {c} at block {m} for T = {subset}", checked
             expected = degrees[m] if m in subset else 0
-            if c != expected:
+            if c.nums[0] != expected:
                 return (
-                    f"multiplicity mismatch for T = {subset}: coordinate {m} is {as_scalar(c)}, "
+                    f"multiplicity mismatch for T = {subset}: coordinate {m} is {c}, "
                     f"expected dim = {expected}"
                 ), checked
     return "", len(subsets)
@@ -126,14 +107,14 @@ def verify_lemma1(
     report = VerificationReport(subject=H.name, dim=H.dim, suite="lemma1")
     for label, e_v, deg, chi in zip(blocks.labels, blocks.idempotents, blocks.degrees, table.characters):
         ratio = as_scalar(Fraction(H.dim, deg))
-        scaled_e = vec_scale(e_v, ratio)
+        scaled_e = e_v.scale(ratio)
 
         rhs_a = hit_act_dual_on_alg(H.dual.apply_antipode(chi), integrals.Lambda, H)
-        ok_a = vec_eq(scaled_e, rhs_a)
+        ok_a = scaled_e == rhs_a
         witness_a = (
             f"(dim H/dim V) e_{label} = {format_vector(scaled_e)}"
             if ok_a
-            else f"difference = {format_vector(tuple(a - b for a, b in zip(scaled_e, rhs_a)))}"
+            else f"difference = {format_vector(combine((1, -1), (scaled_e, rhs_a), H.dim))}"
         )
         report.add(
             f"{label}-A",
@@ -142,12 +123,12 @@ def verify_lemma1(
             witness_a,
         )
 
-        lhs_b = vec_scale(hit_act_alg_on_dual(e_v, integrals.lambda_dual, H), ratio)
-        ok_b = vec_eq(lhs_b, chi)
+        lhs_b = hit_act_alg_on_dual(e_v, integrals.lambda_dual, H).scale(ratio)
+        ok_b = lhs_b == chi
         witness_b = (
             f"chi_{label} = {format_vector(chi)}"
             if ok_b
-            else f"difference = {format_vector(tuple(a - b for a, b in zip(lhs_b, chi)))}"
+            else f"difference = {format_vector(combine((1, -1), (lhs_b, chi), H.dim))}"
         )
         report.add(
             f"{label}-B",
@@ -169,7 +150,7 @@ def verify_corollary(
     r = dual_blocks.count
 
     # delta_m Lambda per dual block, and its character coordinates and
-    # membership residual as sparse {index: value} dicts.  delta -> delta Lambda
+    # membership residual.  delta -> delta Lambda
     # and both halves of PreparedSolver.coordinates are linear, so a subset
     # idempotent's coordinates and residual are the exact sums of these
     # (the characters are independent, so the coordinates are unique)
@@ -179,10 +160,10 @@ def verify_corollary(
     ):
         lhs = hit_act_dual_on_alg(delta_m, integrals.Lambda, H)
         c, res = dual_table.solver.coordinates(lhs)
-        coords.append({j: _plain(x) for j, x in enumerate(c) if x})
-        residuals.append({j: _plain(x) for j, x in enumerate(res) if x})
-        rhs = vec_scale(chi_m, as_scalar(deg))
-        ok = vec_eq(lhs, rhs)
+        coords.append(c)
+        residuals.append(res)
+        rhs = chi_m.scale(deg)
+        ok = lhs == rhs
         report.add(
             f"delta-{label}",
             f"delta_{label} Lambda = (dim {label}) chi_{label}",
@@ -293,10 +274,10 @@ def verify_section4(
     # f has the explicit right inverse h -> S(h) lambda (Larson-Sweedler, with
     # lambda(Lambda) = 1), so f maps H* onto H, and dim H* = dim H
     def f_of_inverse(k: int):  # f(S(b_k) lambda)
-        dual_k = hit_act_alg_on_dual(H.apply_antipode(H.basis_vector(k)), integrals.lambda_dual, H)
+        dual_k = hit_act_alg_on_dual(H.apply_antipode(Vector.unit(H.dim, k)), integrals.lambda_dual, H)
         return f_map(dual_k, integrals, H)
 
-    bad_k = next((k for k in range(H.dim) if not vec_eq(f_of_inverse(k), H.basis_vector(k))), None)
+    bad_k = next((k for k in range(H.dim) if f_of_inverse(k) != Vector.unit(H.dim, k)), None)
     report.add(
         "f-bijective",
         "f(phi) = phi Lambda is a linear bijection H* -> H",
@@ -313,9 +294,7 @@ def verify_section4(
     for v, ((dual_chi, _), deg) in enumerate(zip(duals, blocks.degrees)):
         coords = blocks.solver.decompose(f_map(dual_chi, integrals, H))
         expected = as_scalar(Fraction(H.dim, deg))
-        exact = coords is not None and all(
-            (c - (expected if m == v else 0)).is_zero() for m, c in enumerate(coords)
-        )
+        exact = coords is not None and coords == Vector(len(coords), {v: expected})
         closure.append((coords, exact))
     witness = next((
         f"S* chi_{label} is not an irreducible character" if w is None
@@ -340,7 +319,7 @@ def verify_section4(
         for label, delta, deg, chi in zip(
             dual_blocks.labels, dual_blocks.idempotents, dual_blocks.degrees, dual_table.characters
         )
-        if not vec_eq(f_map(delta, integrals, H), vec_scale(chi, deg))
+        if f_map(delta, integrals, H) != chi.scale(deg)
     ), "")
     r = len(dual_blocks.center_basis)
     if not witness and not dual_table.count == dual_blocks.count == r:

@@ -59,7 +59,7 @@ from .errors import FieldTooSmallError, HopfkitError, NotSemisimpleError
 from .factor import factor_over_cyclotomic, factor_rational
 from .hopf import HopfData, commutes_with_basis, format_vector, pair, regular_character
 from .integrals import IntegralPair, compute_integrals, left_absorption_failure
-from .linalg import PreparedSolver, Vector, combine, minimal_polynomial, sparse_kernel_basis, vec_eq, zero_vector
+from .linalg import PreparedSolver, Vector, combine, minimal_polynomial, sparse_kernel_basis
 from .polys import Poly, format_poly
 from .scalars import CycScalar
 
@@ -100,13 +100,17 @@ def _min_poly_on_center(H: HopfData, z: Vector, free: list[int]) -> tuple[Poly, 
     ``center`` basis, whose entries are the Z(H) coordinates of a central
     element (the free-column lemma in the module docstring); the dependency
     search runs on them, so deg m <= dim Z(H)."""
-    return minimal_polynomial(H.unit, lambda p: H.multiply(p, z), lambda p: [p[c] for c in free])
+    def coords(p: Vector) -> Vector:
+        return Vector(len(free), {t: p.nz[c] for t, c in enumerate(free) if c in p.nz})
+
+    return minimal_polynomial(H.unit, lambda p: H.multiply(p, z), coords)
 
 
 def _require_rational(H: HopfData) -> None:
     if not all(
         c.is_rational()
-        for c in (*H.unit, *H.counit, *H.mult.values(), *H.comult.values(), *H.antipode.values())
+        for c in (*H.unit.nz.values(), *H.counit.nz.values(),
+                  *H.mult.values(), *H.comult.values(), *H.antipode.values())
     ):
         raise HopfkitError(
             "primitive_idempotents needs rational structure constants; "
@@ -149,7 +153,7 @@ def split_center(H: HopfData, order: int | None = None) -> BlockDecomposition:
     if r == 0:
         raise HopfkitError("empty center; input is corrupt")
     # the free column of each basis vector is its last nonzero index
-    free = [max(i for i, x in enumerate(z) if x) for z in zbasis]
+    free = [max(z.nz) for z in zbasis]
 
     idempotents = [H.unit]
     # the projector coefficients q / q(mu) of each minimal polynomial already
@@ -171,7 +175,7 @@ def split_center(H: HopfData, order: int | None = None) -> BlockDecomposition:
             prod
             for e in idempotents
             for prod in (H.multiply(e, P) for P in projectors)
-            if any(prod)
+            if prod.nz
         ]
     if len(idempotents) != r:
         raise HopfkitError(
@@ -184,7 +188,7 @@ def split_center(H: HopfData, order: int | None = None) -> BlockDecomposition:
 
     common = 1
     for e in idempotents:
-        for c in e:
+        for c in e.nz.values():
             common = lcm(common, c.order)
     order_key = [
         (deg, tuple(key for c in e for key in c.sort_key(common)))
@@ -252,19 +256,17 @@ def _verify_idempotent_system(H: HopfData, idempotents: list[Vector]) -> None:
     is a Lagrange polynomial in w.  Raises HopfkitError naming the first
     idempotent that fails, or the sum.
     """
-    total = zero_vector(H.dim)
     for i, e in enumerate(idempotents):
-        total = tuple(x + y for x, y in zip(total, e))
         square = H.multiply(e, e)
-        if not vec_eq(square, e):
+        if square != e:
             raise HopfkitError(
                 f"idempotent {i} does not square to itself: e{i}^2 = {format_vector(square)}"
             )
-    if not vec_eq(total, H.unit):
+    if combine([1] * len(idempotents), idempotents, H.dim) != H.unit:
         raise HopfkitError("idempotents do not sum to the unit")
     w = combine(range(len(idempotents)), idempotents, H.dim)
-    if not commutes_with_basis(w, H.mult_by_output):
-        i = next(i for i, e in enumerate(idempotents) if not commutes_with_basis(e, H.mult_by_output))
+    if not commutes_with_basis(w, H):
+        i = next(i for i, e in enumerate(idempotents) if not commutes_with_basis(e, H))
         raise HopfkitError(f"idempotent {i} is not central")
 
 

@@ -121,6 +121,70 @@ def rref_kernel(rows) -> list[tuple]:
     return basis
 
 
+# Dense references for the sparse element operations: plain loops over every
+# stored structure constant and over dense coordinate lists, sharing no code
+# with hopfkit's support walks.  Each returns a list of scalars.
+
+
+def dense_multiply(H: HopfData, x, y) -> list:
+    """x y = sum mult[i, j, k] x_i y_j b_k."""
+    out = [ZERO] * H.dim
+    for (i, j, k), c in H.mult.items():
+        out[k] = out[k] + x[i] * y[j] * c
+    return out
+
+
+def dense_antipode(H: HopfData, x) -> list:
+    """S(x) = sum antipode[i, j] x_j b_i."""
+    out = [ZERO] * H.dim
+    for (i, j), c in H.antipode.items():
+        out[i] = out[i] + x[j] * c
+    return out
+
+
+def dense_pair(phi, h):
+    """<phi, h> = sum phi_k h_k."""
+    return sum((p * x for p, x in zip(phi, h)), ZERO)
+
+
+def dense_hit_dual_on_alg(H: HopfData, phi, h) -> list:
+    """phi h = sum comult[a, b, k] h_k phi_b b_a."""
+    out = [ZERO] * H.dim
+    for (a, b, k), c in H.comult.items():
+        out[a] = out[a] + h[k] * phi[b] * c
+    return out
+
+
+def dense_hit_alg_on_dual(H: HopfData, h, phi) -> list:
+    """(h phi)_t = <phi, b_t h> = sum mult[t, s, k] h_s phi_k."""
+    out = [ZERO] * H.dim
+    for (t, s, k), c in H.mult.items():
+        out[t] = out[t] + h[s] * phi[k] * c
+    return out
+
+
+def dense_combine(coeffs, vectors, dim: int) -> list:
+    """sum_k coeffs[k] vectors[k]."""
+    out = [ZERO] * dim
+    for c, vec in zip(coeffs, vectors):
+        out = [a + as_scalar(c) * x for a, x in zip(out, vec)]
+    return out
+
+
+def dense_coordinates(columns, v) -> tuple[list, list]:
+    """(coeffs, residual) with v = sum_j coeffs_j columns_j + remainder and
+    the remainder 0 at the pivots P, the least indices of the column span (the
+    pivot columns of the reduced row echelon form of the columns as rows); the
+    residual is the remainder off P.  coeffs solve the square system on the
+    rows P, by plain Gauss-Jordan elimination."""
+    n = len(columns)
+    _, pivots = rref(columns)
+    solved, _ = rref([[col[i] for col in columns] + [v[i]] for i in pivots])
+    coeffs = [row[n] for row in solved]
+    remainder = [x - dense_pair(coeffs, [col[i] for col in columns]) for i, x in enumerate(v)]
+    return coeffs, [x for i, x in enumerate(remainder) if i not in pivots]
+
+
 def resultant_q(a: list, b: list) -> Fraction:
     """Resultant of two polynomials (coefficient lists, low to high) over Q or
     Q(zeta_N), by the Euclidean remainder chain of the scalars' kit."""

@@ -31,7 +31,7 @@ from hopfkit import (
 )
 from hopfkit.characters import central_decomposition, convolution_poly_eval
 from hopfkit.cli import main
-from hopfkit.linalg import vec_eq, vec_is_zero
+from hopfkit.linalg import Vector
 from hopfkit.scalars import ONE
 from hopfkit.wedderburn import _verify_idempotent_system
 
@@ -72,9 +72,9 @@ def test_criterion_02_integrals():
         ok = ok and pair(p.lambda_dual, p.Lambda) == 1
         ok = ok and pair(h.counit, p.Lambda) == h.dim
         for i in range(h.dim):
-            lhs = h.multiply(h.basis_vector(i), p.Lambda)
+            lhs = h.multiply(Vector.unit(h.dim, i), p.Lambda)
             rhs = tuple(h.counit[i] * c for c in p.Lambda)
-            ok = ok and vec_eq(lhs, rhs)
+            ok = ok and lhs == rhs
         if not ok:
             break
     kc2 = example_algebras()["kC2"]
@@ -127,7 +127,7 @@ def test_criterion_04_lemma1():
     e0[i], e0[j] = e0[j], e0[i]
     corrupted = BlockDecomposition(
         center_basis=pipe.blocks.center_basis,
-        idempotents=[tuple(e0)] + list(pipe.blocks.idempotents[1:]),
+        idempotents=[Vector.of(e0)] + list(pipe.blocks.idempotents[1:]),
         degrees=list(pipe.blocks.degrees),
         labels=list(pipe.blocks.labels),
     )
@@ -155,7 +155,7 @@ def test_criterion_06_proposition():
     flags = [is_central_character(chi, pipe.H) for chi in pipe.table.characters]
     ok = ok and flags.count(True) == 1
     idx = flags.index(True)
-    ok = ok and vec_eq(pipe.table.characters[idx], pipe.H.counit)
+    ok = ok and pipe.table.characters[idx] == pipe.H.counit
     pipe = pipeline_for("D(S3)")
     ok = ok and all(pipe.H.dim % deg == 0 for deg in pipe.table.degrees)
     # every central value f_i(S* chi_V) carries a monic integer certificate
@@ -197,7 +197,7 @@ def test_criterion_08_fusion():
         for v, chi in enumerate(pipe.table.characters):
             char = Poly(charpoly(fusion_matrix_rows(pipe.fusion.tensor, v)))
             ok = ok and char.is_monic() and char.has_integer_coeffs()
-            ok = ok and vec_is_zero(convolution_poly_eval(char, chi, pipe.H))
+            ok = ok and not convolution_poly_eval(char, chi, pipe.H).nz
     _line(8, "fusion coefficients are non-negative integers; chi2^2 on kS3; monic annihilators", ok)
 
 

@@ -109,6 +109,10 @@ def test_parse_error_exits_2(workdir, capsys):
     bad.write_text("group X\norder 2\nelements e g\ntable\ne q\ng e\n")
     assert main(["report", str(bad), "--as", "group-algebra"]) == 2
     assert "error" in capsys.readouterr().err
+    huge = workdir / "huge.grp"  # more digits than int() converts
+    huge.write_text("group X\norder 1" + "0" * 5000 + "\nelements e\ntable\ne\n")
+    assert main(["report", str(huge), "--as", "group-algebra"]) == 2
+    assert capsys.readouterr().err == "error: line 2: order expects one positive integer\n"
     late = workdir / "late.hopf"
     late.write_text("hopf x\ndim 2\nMULT\n1 1 1 1\ndim 1\n")  # dim redeclared after data
     assert main(["check-axioms", str(late)]) == 2

@@ -14,7 +14,7 @@ from hopfkit import (
     pair,
 )
 from hopfkit.hopf import regular_character
-from hopfkit.linalg import vec_eq, vec_scale
+from hopfkit.linalg import Vector
 from hopfkit.scalars import ONE
 
 
@@ -31,8 +31,8 @@ def test_ks3_by_direct_absorption(examples):
     assert all(c == 1 for c in p.Lambda)
     # oracle: h Lambda = eps(h) Lambda for each of the 6 basis elements
     for i in range(6):
-        got = h.multiply(h.basis_vector(i), p.Lambda)
-        assert vec_eq(got, vec_scale(p.Lambda, h.counit[i]))
+        got = h.multiply(Vector.unit(h.dim, i), p.Lambda)
+        assert got == p.Lambda.scale(h.counit[i])
 
 
 def test_normalization_identities_on_every_example(examples):
@@ -59,7 +59,7 @@ def test_dual_symmetry(examples):
         assert pair(pd.lambda_dual, pd.Lambda) == 1
         assert pair(dualize(h).counit, pd.Lambda) == h.dim
         assert pd.lambda_dual == p.Lambda_scaled, name
-        assert pd.Lambda == vec_scale(p.lambda_dual, h.dim), name
+        assert pd.Lambda == p.lambda_dual.scale(h.dim), name
 
 
 def test_sweedler_not_semisimple(sweedler):
@@ -111,7 +111,7 @@ def test_failing_absorption_witness_names_first_index(examples, name, item, pert
     h = _relabelled(examples[name[:-2]], _T_FIRST) if name.endswith("-t") else examples[name]
     p = compute_integrals(h)
     v = getattr(p, perturb)
-    bumped = tuple(x + ONE if i in coords else x for i, x in enumerate(v))
+    bumped = Vector.of(x + ONE if i in coords else x for i, x in enumerate(v))
     rep = integrals_report(h, replace(p, **{perturb: bumped}))
     got = next(it for it in rep.items if it.id == item)
     assert not got.passed
@@ -175,7 +175,7 @@ def test_integrals_are_the_normalized_regular_characters(examples, monkeypatch):
                         lambda self, vec: calls.append(1) or reduce(self, vec))
     for name, h in algebras.items():
         p = compute_integrals(h)
-        assert p.lambda_dual == vec_scale(regular_character(h), Fraction(1, h.dim)), name
+        assert p.lambda_dual == regular_character(h).scale(Fraction(1, h.dim)), name
         assert p.Lambda == regular_character(h.dual), name
     assert calls == []
 

@@ -8,20 +8,13 @@ from conftest import charpoly, rref, rref_kernel
 
 from hopfkit import CycScalar, Matrix, Poly, kernel_basis, minimal_polynomial
 from hopfkit.errors import InconsistentSystemError
-from hopfkit.linalg import (
-    PreparedSolver,
-    combine,
-    sparse_kernel_basis,
-    unit_vector,
-    vec_is_zero,
-)
+from hopfkit.linalg import PreparedSolver, Vector, combine, sparse_kernel_basis
 from hopfkit.rng import DeterministicRng
-from hopfkit.scalars import as_scalar
 
 
-def _add(a, b) -> tuple:
+def _add(a, b) -> Vector:
     """a + b entrywise."""
-    return tuple(x + y for x, y in zip(a, b))
+    return combine((1, 1), (a, b), len(a))
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -43,7 +36,7 @@ def _matrix_min_poly(rows) -> tuple[Poly, list]:
     return minimal_polynomial(
         _identity(len(rows)),
         lambda p: _matmul(p, rows),
-        lambda p: [as_scalar(x) for row in p for x in row],
+        lambda p: Vector.of(x for row in p for x in row),
     )
 
 
@@ -112,7 +105,7 @@ def test_minimal_polynomial_examples():
     # a scalar: the powers of zeta_3 in power-basis coordinates
     z = CycScalar.zeta(3)
     m, powers = minimal_polynomial(CycScalar.from_rational(1), lambda p: p * z,
-                                   lambda p: [as_scalar(c) for c in p.lift(3)])
+                                   lambda p: Vector.of(p.lift(3)))
     assert m == Poly([1, 1, 1]) and powers == [1, z]
 
 
@@ -201,16 +194,15 @@ def test_rref_oracle_on_rational_matrices(order):
 def test_solver_residual_is_the_remainder_off_the_pivots():
     # the pivots of (0, 1, 2, 0) and (0, 0, 1, 3) are 1 and 2, so the residual
     # reads the remainder at 0 and 3
-    solver = PreparedSolver([tuple(map(as_scalar, c)) for c in ((0, 1, 2, 0), (0, 0, 1, 3))])
-    v = tuple(map(as_scalar, (5, 1, 3, 3)))
-    assert solver.coordinates(v) == ((1, 1), (5, 0))
-    assert solver.decompose(v) is None
-    assert solver.coordinates((0,) + v[1:]) == ((1, 1), (0, 0))
+    solver = PreparedSolver([Vector.of(c) for c in ((0, 1, 2, 0), (0, 0, 1, 3))])
+    assert solver.coordinates(Vector.of((5, 1, 3, 3))) == ((1, 1), (5, 0))
+    assert solver.decompose(Vector.of((5, 1, 3, 3))) is None
+    assert solver.coordinates(Vector.of((0, 1, 3, 3))) == ((1, 1), (0, 0))
 
 
 def test_solver_rejects_dependent_columns():
-    a = tuple(map(as_scalar, (1, 2, 0)))
-    b = tuple(map(as_scalar, (Fraction(1, 2), 3, 1)))
+    a = Vector.of((1, 2, 0))
+    b = Vector.of((Fraction(1, 2), 3, 1))
     with pytest.raises(InconsistentSystemError, match="linearly dependent"):
         PreparedSolver([a, b, combine([2, Fraction(-1, 3)], [a, b], 3)])
     with pytest.raises(InconsistentSystemError):
@@ -229,11 +221,11 @@ def test_solver_coordinates_are_linear(order):
     while len(families) < 8:
         data = _random_rational_matrix(rng, height, n, zeta)
         if _rank(Matrix(data)) == n:
-            families.append([tuple(as_scalar(row[j]) for row in data) for j in range(n)])
+            families.append([Vector.of(row[j] for row in data) for j in range(n)])
     for columns in families:
         solver = PreparedSolver(columns)
         outside = [
-            v for v in (unit_vector(height, k) for k in range(height))
+            v for v in (Vector.unit(height, k) for k in range(height))
             if solver.decompose(v) is None
         ]
         assert outside  # a 3-dimensional span misses some unit vector
@@ -246,7 +238,7 @@ def test_solver_coordinates_are_linear(order):
             coeffs, residual = solver.coordinates(u)
             assert len(coeffs) == n and len(residual) == height - n
             decomposed = solver.decompose(u)
-            assert (decomposed is not None) == vec_is_zero(residual)
+            assert (decomposed is None) == bool(residual.nz)
             if decomposed is not None:
                 assert decomposed == coeffs
                 assert combine(coeffs, columns, height) == u
@@ -257,4 +249,4 @@ def test_solver_coordinates_are_linear(order):
                 assert sum_residual == _add(residual, v_residual)
         for v in outside:
             assert solver.decompose(v) is None
-            assert not vec_is_zero(solver.coordinates(v)[1])
+            assert solver.coordinates(v)[1].nz

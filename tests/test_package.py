@@ -27,3 +27,31 @@ def test_import_does_not_load_the_cli():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_one_element_form():
+    # elements are sparse Vectors; the dense helpers are gone from linalg
+    import hopfkit.linalg
+
+    gone = ("vec_scale", "vec_eq", "vec_is_zero", "zero_vector", "unit_vector", "basis_vector")
+    assert [name for name in gone if hasattr(hopfkit.linalg, name)] == []
+    assert not hasattr(hopfkit.HopfData, "basis_vector")
+
+
+def test_reports_never_build_a_dense_matrix(monkeypatch):
+    # Matrix and kernel_basis stay importable for dense callers, but no report
+    # runs through them: the kernels take their sparse columns straight
+    import json
+
+    import hopfkit.linalg
+
+    algebras = [hopfkit.group_algebra(hopfkit.builtin_group("S3")),
+                hopfkit.drinfeld_double(hopfkit.builtin_group("C2"))]
+    want = [json.dumps(hopfkit.Pipeline(h).report_document()) for h in algebras]
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a report built a dense matrix")
+
+    monkeypatch.setattr(hopfkit.linalg, "Matrix", dense)
+    monkeypatch.setattr(hopfkit.linalg, "kernel_basis", dense)
+    assert [json.dumps(hopfkit.Pipeline(h).report_document()) for h in algebras] == want

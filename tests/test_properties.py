@@ -16,7 +16,18 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from conftest import perturbed, rref_kernel
+from conftest import (
+    dense_antipode,
+    dense_combine,
+    dense_coordinates,
+    dense_hit_alg_on_dual,
+    dense_hit_dual_on_alg,
+    dense_multiply,
+    dense_pair,
+    perturbed,
+    pipeline_for,
+    rref_kernel,
+)
 
 import hopfkit.wedderburn as wedderburn
 from hopfkit import (
@@ -28,9 +39,9 @@ from hopfkit import (
     group_algebra,
     primitive_idempotents,
 )
-from hopfkit.hopf import convolve
-from hopfkit.linalg import PreparedSolver, combine, minimal_polynomial, unit_vector, vec_eq
-from hopfkit.scalars import as_scalar
+from hopfkit.hopf import convolve, hit_act_alg_on_dual, hit_act_dual_on_alg, pair
+from hopfkit.linalg import PreparedSolver, Vector, combine, minimal_polynomial
+from hopfkit.scalars import CycScalar, as_scalar
 from hopfkit.wedderburn import center
 
 _DIM = 6  # S3
@@ -76,8 +87,8 @@ def _rebase(H: HopfData, p: list[list[Fraction]]) -> HopfData:
     """H in the basis b'_i = sum_a p[a][i] b_a; q = p^-1 gives b_a = sum_k q[k][a] b'_k."""
     n = H.dim
     # column a of q is the decomposition of e_a over the columns of p
-    solver = PreparedSolver([[row[j] for row in p] for j in range(n)])
-    q_cols = [solver.decompose(unit_vector(n, a)) for a in range(n)]
+    solver = PreparedSolver([Vector.of(row[j] for row in p) for j in range(n)])
+    q_cols = [solver.decompose(Vector.unit(n, a)) for a in range(n)]
     q = [[q_cols[j][i].as_fraction() for j in range(n)] for i in range(n)]
     mult: dict = {}
     for (a, b, c), s in H.mult.items():
@@ -215,7 +226,7 @@ def test_center_coordinates_give_the_full_vector_split(name, monkeypatch):
     for z, (poly, powers) in seen:
         full_poly, full_powers = minimal_polynomial(h.unit, lambda p: h.multiply(p, z))
         assert poly == full_poly
-        assert len(powers) == len(full_powers) and all(map(vec_eq, powers, full_powers))
+        assert powers == full_powers
 
     monkeypatch.setattr(
         wedderburn,
@@ -224,7 +235,7 @@ def test_center_coordinates_give_the_full_vector_split(name, monkeypatch):
     )
     want = primitive_idempotents(h)
     assert (got.degrees, got.labels) == (want.degrees, want.labels)
-    assert all(map(vec_eq, got.idempotents, want.idempotents))
+    assert got.idempotents == want.idempotents
 
 
 def _ldu(n: int) -> list[list[Fraction]]:
@@ -287,7 +298,7 @@ def test_solver_coordinates_match_fraction_elimination(name, rebase):
     n = h.dim
     pipe = Pipeline(h)
     chars, idems = pipe.table.characters, pipe.blocks.idempotents
-    units = [unit_vector(n, k) for k in range(n)]
+    units = [Vector.unit(n, k) for k in range(n)]
     families = {
         "characters": (chars, [convolve(x, y, h) for x in chars for y in chars[:2]] + units
                        + [combine([1, 1], [convolve(chars[-1], chars[-1], h), units[0]], n)]),
@@ -311,3 +322,78 @@ def test_solver_coordinates_match_fraction_elimination(name, rebase):
             remainder = [x - y for x, y in zip(v, combine(coeffs, columns, n))]
             assert [x for x in remainder if x] == [x for x in residual if x], family
         assert outside, family
+
+
+# Differential tests of the sparse element operations against the dense
+# references in conftest, on general rational constants (the dense rebases,
+# where no product is a single term) and on D(S3) and its dual (cyclotomic
+# entries at order 6).  The drawn vectors run from empty to full supports.
+_DIFFERENTIAL = ("kS3-ldu", "kS3-hilbert", "kQ8-ldu", "kQ8-hilbert", "D(S3)", "D(S3)*")
+
+
+@lru_cache(maxsize=None)
+def _differential_pipeline(key: str) -> Pipeline:
+    if key.startswith("D(S3)"):
+        pipe = pipeline_for("D(S3)")
+        return pipe.dual if key.endswith("*") else pipe
+    return Pipeline(_dense(*key.split("-")))
+
+
+@st.composite
+def _vectors(draw, h: HopfData):
+    order = h.cyclotomic_order
+    support = draw(st.sets(st.integers(0, h.dim - 1), max_size=h.dim))
+    def entry():
+        return as_scalar(draw(_shear)) * CycScalar.zeta(order, draw(st.integers(0, order - 1)))
+
+    return Vector.of(entry() if k in support else 0 for k in range(h.dim))
+
+
+def _stores_no_zero(v) -> bool:
+    return isinstance(v, Vector) and all(0 <= k < v.dim for k in v.nz) and all(v.nz.values())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(_DIFFERENTIAL), data=st.data())
+def test_element_operations_match_the_dense_references(key, data):
+    h = _differential_pipeline(key).H
+    x, y = data.draw(_vectors(h)), data.draw(_vectors(h))
+    coeffs = [data.draw(_shear), data.draw(st.sampled_from((0, 1, -1)))]
+    results = {
+        "multiply": (h.multiply(x, y), dense_multiply(h, x, y)),
+        "antipode": (h.apply_antipode(x), dense_antipode(h, x)),
+        "dual antipode": (h.dual.apply_antipode(x), dense_antipode(h.dual, x)),
+        "hit H* on H": (hit_act_dual_on_alg(x, y, h), dense_hit_dual_on_alg(h, x, y)),
+        "hit H on H*": (hit_act_alg_on_dual(x, y, h), dense_hit_alg_on_dual(h, x, y)),
+        "combine": (combine(coeffs, (x, y), h.dim), dense_combine(coeffs, (x, y), h.dim)),
+    }
+    for op, (got, want) in results.items():
+        assert got == want and _stores_no_zero(got), op
+    assert pair(x, y) == dense_pair(x, y)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(_DIFFERENTIAL), family=st.sampled_from(("characters", "idempotents")),
+       data=st.data())
+def test_solver_coordinates_match_the_dense_reference(key, family, data):
+    # a drawn vector (mostly outside the span), a drawn combination of the
+    # columns, and that combination plus a drawn vector
+    pipe = _differential_pipeline(key)
+    table = pipe.table if family == "characters" else pipe.blocks
+    columns = table.characters if family == "characters" else table.idempotents
+    h = pipe.H
+    v = data.draw(_vectors(h))
+    inside = combine([data.draw(_shear) for _ in columns], columns, h.dim)
+    for u in (v, inside, combine((1, 1), (inside, data.draw(_vectors(h))), h.dim)):
+        coeffs, residual = table.solver.coordinates(u)
+        assert (coeffs, residual) == dense_coordinates(columns, u)
+        assert _stores_no_zero(coeffs) and _stores_no_zero(residual)
+
+
+@pytest.mark.parametrize("key", _DIFFERENTIAL)
+def test_pipeline_vectors_store_no_zero(key):
+    pipe = _differential_pipeline(key)
+    p = pipe.integrals
+    vectors = [pipe.H.unit, pipe.H.counit, p.lambda_dual, p.Lambda, p.Lambda_scaled,
+               *pipe.blocks.center_basis, *pipe.blocks.idempotents, *pipe.table.characters]
+    assert all(map(_stores_no_zero, vectors))

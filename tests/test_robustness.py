@@ -25,7 +25,9 @@ _TOKENS = ("0", "1", "2", "3", "-1", "1/2", "-2/3", "z", "2*z^3", "z^9", "dim", 
 _GRP_BASES = {name: builtin_grp_text(name).splitlines() for name in ("C2", "C3", "S3", "C2xC2")}
 _GRP_COMMANDS = (("report", "--as", "group-algebra"), ("report", "--as", "function-algebra"),
                  ("report", "--as", "double"), ("build", "double"))
-_GRP_TOKENS = ("e", "a", "b", "r", "s", "rs", "0", "2", "6", "group", "order", "elements", "table", "", "x")
+# the last token has more digits than int() converts
+_GRP_TOKENS = ("e", "a", "b", "r", "s", "rs", "0", "2", "6", "group", "order", "elements", "table", "", "x",
+               "1" * 5001)
 
 
 def _edits(tokens):
@@ -90,6 +92,8 @@ def test_mutated_hopf_text_exits_cleanly(fuzz_file, base, edits, command):
           phases=[Phase.explicit, Phase.generate])
 @given(base=st.sampled_from(sorted(_GRP_BASES)), edits=_edits(_GRP_TOKENS),
        command=st.sampled_from(_GRP_COMMANDS))
+@example(base="C2", edits=[("token", _GRP_BASES["C2"].index("order 2"), 1, ["1" * 5001])],
+         command=("report", "--as", "group-algebra"))
 def test_mutated_grp_text_exits_cleanly(fuzz_grp, base, edits, command):
     fuzz_grp.write_text(_mutate(_GRP_BASES[base], edits))
     output = fuzz_grp.with_suffix(".out")

@@ -21,7 +21,7 @@ from hopfkit import (
 from hopfkit.characters import CharacterTable
 from hopfkit.hopf import format_vector, hit_act_dual_on_alg
 from hopfkit.integrals import IntegralPair
-from hopfkit.linalg import combine, unit_vector, vec_eq, vec_scale
+from hopfkit.linalg import Vector, combine
 from hopfkit.report import VerificationReport
 from hopfkit.rng import DeterministicRng
 from hopfkit.scalars import as_scalar
@@ -133,8 +133,8 @@ def _corollary_reference(H, dual_blocks, integrals, dual_table, seed=0):
     ):
         lhs = hit_act_dual_on_alg(delta_m, integrals.Lambda, H)
         images.append(lhs)
-        rhs = vec_scale(chi_m, as_scalar(deg))
-        ok = vec_eq(lhs, rhs)
+        rhs = chi_m.scale(as_scalar(deg))
+        ok = lhs == rhs
         report.add(
             f"delta-{label}",
             f"delta_{label} Lambda = (dim {label}) chi_{label}",
@@ -188,19 +188,19 @@ def _with_Lambda(integrals: IntegralPair, Lambda) -> IntegralPair:
     )
 
 
-def _add(a, b) -> tuple:
+def _add(a, b) -> Vector:
     """a + b entrywise."""
-    return tuple(x + y for x, y in zip(a, b))
+    return combine((1, 1), (a, b), len(a))
 
 
 def _corollary_cases(pipelines):
     dc3 = Pipeline(drinfeld_double(builtin_group("C3")))
     ks3, fs3 = pipelines("kS3"), pipelines("k^S3")
-    half = _with_Lambda(ks3.integrals, vec_scale(ks3.integrals.Lambda, Fraction(1, 2)))
-    double = _with_Lambda(ks3.integrals, vec_scale(ks3.integrals.Lambda, 2))
+    half = _with_Lambda(ks3.integrals, ks3.integrals.Lambda.scale(Fraction(1, 2)))
+    double = _with_Lambda(ks3.integrals, ks3.integrals.Lambda.scale(2))
     # v = b4 - b5 in k^S3: the two 1-dimensional blocks of kS3 send it to 0,
     # the 2-dimensional one to a vector outside the class functions C(H*)
-    v = _add(unit_vector(fs3.H.dim, 4), vec_scale(unit_vector(fs3.H.dim, 5), -1))
+    v = _add(Vector.unit(fs3.H.dim, 4), Vector.unit(fs3.H.dim, 5).scale(-1))
     off_span = _with_Lambda(fs3.integrals, _add(fs3.integrals.Lambda, v))
     return [
         ("kS3", ks3, ks3.integrals, 0, "64 subset"),
@@ -235,7 +235,7 @@ def test_corollary_irrational_coordinates_match_per_subset_reference(pipelines):
     ks3 = pipelines("kS3")
     z = CycScalar.zeta(3)
     for factor in (z, 1 + z):
-        integrals = _with_Lambda(ks3.integrals, vec_scale(ks3.integrals.Lambda, factor))
+        integrals = _with_Lambda(ks3.integrals, ks3.integrals.Lambda.scale(factor))
         args = (ks3.H, ks3.dual.blocks, integrals, ks3.dual.table, 0)
         got = [(i.id, i.passed, i.statement, i.witness) for i in verify_corollary(*args).items]
         want = [(i.id, i.passed, i.statement, i.witness) for i in _corollary_reference(*args).items]
@@ -257,7 +257,7 @@ def _corrupt_blocks(blocks: BlockDecomposition) -> BlockDecomposition:
         if e0[i] != e0[j]
     )
     e0[i], e0[j] = e0[j], e0[i]
-    bad[0] = tuple(e0)
+    bad[0] = Vector.of(e0)
     return BlockDecomposition(
         center_basis=blocks.center_basis,
         idempotents=bad,
@@ -279,7 +279,7 @@ def test_corollary_negative_control(pipelines):
     # corrupting Lambda by a scalar breaks delta_M Lambda = (dim M) chi_M
     bad = IntegralPair(
         lambda_dual=pipe.integrals.lambda_dual,
-        Lambda=vec_scale(pipe.integrals.Lambda, Fraction(3)),
+        Lambda=pipe.integrals.Lambda.scale(Fraction(3)),
         Lambda_scaled=pipe.integrals.Lambda_scaled,
     )
     rep = verify_corollary(pipe.H, pipe.dual.blocks, bad, pipe.dual.table)
@@ -293,7 +293,7 @@ def test_proposition_negative_control(pipelines):
     dual_blocks = pipe.dual.blocks
     bad = BlockDecomposition(
         center_basis=dual_blocks.center_basis,
-        idempotents=[vec_scale(e, Fraction(1, 5)) for e in dual_blocks.idempotents],
+        idempotents=[e.scale(Fraction(1, 5)) for e in dual_blocks.idempotents],
         degrees=list(dual_blocks.degrees),
         labels=list(dual_blocks.labels),
     )
@@ -308,7 +308,7 @@ def test_section4_negative_control(pipelines):
     # a Lambda with a zeroed coordinate destroys bijectivity of f
     bad = IntegralPair(
         lambda_dual=pipe.integrals.lambda_dual,
-        Lambda=(pipe.integrals.Lambda[0], 0 * pipe.integrals.Lambda[1]),
+        Lambda=Vector.of((pipe.integrals.Lambda[0], 0)),
         Lambda_scaled=pipe.integrals.Lambda_scaled,
     )
     rep = verify_section4(
@@ -328,7 +328,7 @@ def test_section4_corrupted_table_fails_the_center_item(pipelines):
     # S* chi_V = 2 chi_V* outside the table, so S* no longer permutes it
     v = next(v for v, w in enumerate(pipe.fusion.dual_map) if v != w)
     chars = list(table.characters)
-    chars[v] = vec_scale(chars[v], 2)
+    chars[v] = chars[v].scale(2)
     bad = CharacterTable(characters=chars, degrees=list(table.degrees), labels=list(table.labels))
     rep = verify_section4(pipe.H, pipe.blocks, pipe.integrals, bad, pipe.dual.blocks, pipe.dual.table)
     center = next(item for item in rep.items if item.id == "f-characters-center")
@@ -399,13 +399,15 @@ def test_report_kernels_reduce_each_column_once(examples, monkeypatch):
     # a kernel is read off the dependencies among the matrix's columns, each
     # fed once through the one reducer, IncrementalDependency
     import hopfkit.linalg
+    import hopfkit.theorems
+    import hopfkit.wedderburn
 
-    kernel, reduce = hopfkit.linalg.kernel_basis, hopfkit.linalg.IncrementalDependency._reduce
+    kernel, reduce = hopfkit.linalg.sparse_kernel_basis, hopfkit.linalg.IncrementalDependency._reduce
     running, done = [], []
 
-    def counted_kernel(a):
-        running.append([a.cols, 0])
-        basis = kernel(a)
+    def counted_kernel(n_cols, entries):
+        running.append([n_cols, 0])
+        basis = kernel(n_cols, entries)
         done.append(tuple(running.pop()))
         return basis
 
@@ -414,7 +416,8 @@ def test_report_kernels_reduce_each_column_once(examples, monkeypatch):
             running[-1][1] += 1
         return reduce(self, vec)
 
-    monkeypatch.setattr(hopfkit.linalg, "kernel_basis", counted_kernel)
+    for caller in (hopfkit.wedderburn, hopfkit.theorems):
+        monkeypatch.setattr(caller, "sparse_kernel_basis", counted_kernel)
     monkeypatch.setattr(hopfkit.linalg.IncrementalDependency, "_reduce", counted_reduce)
     assert Pipeline(examples["D(S3)"]).report_document()["overall"]
     assert done and all(cols == reductions for cols, reductions in done)
