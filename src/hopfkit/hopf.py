@@ -39,6 +39,8 @@ only the basis tuples on which a side of its identity can be nonzero, and
 ``assoc``, ``coassoc`` and ``comult-alg-map`` visit only the rows of a
 generating set, which proves the identity on all of H; only a failure there
 is swept again over every row, to name the first witness.
+:func:`parse_hopf` and :func:`format_hopf` cost O(1) per entry: each distinct
+scalar literal is parsed, or rendered, once per call.
 Operations are pure functions and never modify their inputs.
 """
 
@@ -47,6 +49,7 @@ from __future__ import annotations
 import weakref
 from functools import cached_property
 from math import lcm
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .axioms import _acc_add, _acc_equal, check_axioms
@@ -59,16 +62,19 @@ def format_vector(v: Sequence[CycScalar]) -> str:
     return "(" + ", ".join(format_scalar(as_scalar(e)) for e in v) + ")"
 
 
+_ONE_KEY = ONE.key()
+
+
 def _sparse(entries: Mapping, arity: int, dim: int, what: str) -> dict:
     """Index-ordered copy of ``entries`` with scalar values and zeros dropped."""
     out = {}
     for key in sorted(entries):
-        if len(key) != arity or not all(0 <= i < dim for i in key):
+        if len(key) != arity or min(key) < 0 or max(key) >= dim:
             raise ValueError(f"bad {what} key {key!r}: need {arity} indices in 0..{dim - 1}")
         c = as_scalar(entries[key])
-        if not c.is_zero():
+        if c:
             # the shared ONE lets the contractions skip unit factors by identity
-            out[key] = ONE if c == ONE else c
+            out[key] = ONE if c.key() == _ONE_KEY else c
     return out
 
 
@@ -296,7 +302,7 @@ def parse_hopf(text: str) -> HopfData:
     literals: dict[str, CycScalar] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         tokens = line.split()
@@ -319,22 +325,22 @@ def parse_hopf(text: str) -> HopfData:
         if head in _SECTIONS:
             if len(tokens) != 1:
                 raise ParseError(f"unexpected tokens after section name {head}", lineno)
-            section = head
+            section, n_idx, target = head, index_counts[head], entries[head]
             continue
         if section is None:
             raise ParseError(f"unexpected line outside any section: {line!r}", lineno)
         if dim is None:
             raise ParseError("dim must be declared before section data", lineno)
-        n_idx = index_counts[section]
-        if len(tokens) < n_idx + 1:
+        if len(tokens) <= n_idx:
             raise ParseError(f"{section} lines need {n_idx} indices and a scalar", lineno)
         try:
-            idx = tuple(int(t) for t in tokens[:n_idx])
+            idx = tuple(map(int, tokens[:n_idx]))
         except ValueError:
             raise ParseError(f"bad index in {section} line", lineno) from None
-        if any(not (0 <= i < dim) for i in idx):
+        if min(idx) < 0 or max(idx) >= dim:
             raise ParseError(f"index out of range 0..{dim - 1}", lineno)
-        scalar_text = line.split(None, n_idx)[n_idx]
+        # a literal with inner spaces (``1/2*z - 1``) is the rest of the line
+        scalar_text = tokens[n_idx] if len(tokens) == n_idx + 1 else line.split(None, n_idx)[n_idx]
         value = literals.get(scalar_text)
         if value is None:
             try:
@@ -342,9 +348,9 @@ def parse_hopf(text: str) -> HopfData:
             except ParseError as exc:
                 raise ParseError(f"bad scalar literal: {exc}", lineno) from None
             literals[scalar_text] = value
-        if idx in entries[section]:
+        if idx in target:
             raise ParseError(f"duplicate {section} entry {idx}", lineno)
-        entries[section][idx] = value
+        target[idx] = value
 
     if name is None:
         raise ParseError("missing 'hopf <name>' header")
@@ -362,14 +368,18 @@ def parse_hopf(text: str) -> HopfData:
 
 def format_hopf(H: HopfData) -> str:
     """Render to the `.hopf` text format; round-trips exactly."""
-    order = H.cyclotomic_order
-    for c in (*H.unit.nz.values(), *H.counit.nz.values(),
-              *H.mult.values(), *H.comult.values(), *H.antipode.values()):
-        order = lcm(order, c.order)
+    order = lcm(H.cyclotomic_order, *{c.order for c in (
+        *H.unit.nz.values(), *H.counit.nz.values(), *H.mult.values(), *H.comult.values(),
+        *H.antipode.values())})
+    rendered: dict[tuple, str] = {}  # each distinct value is rendered once
 
     def lit(c: CycScalar) -> str:
-        lifted = CycScalar.from_coords(order, c.lift(order)) if c.order != order else c
-        return format_scalar(lifted) if lifted.order != 1 else str(lifted.as_fraction())
+        text = rendered.get(c.key())
+        if text is None:
+            # a rational value prints at order 1 whatever the file's order
+            lifted = c if c.order in (1, order) else CycScalar.from_coords(order, c.lift(order))
+            text = rendered[c.key()] = format_scalar(lifted)
+        return text
 
     lines = [f"hopf {H.name}", f"dim {H.dim}", f"cyclotomic {order}"]
     for section, entries in (
@@ -380,7 +390,7 @@ def format_hopf(H: HopfData) -> str:
         ("ANTIPODE", H.antipode.items()),
     ):
         lines.append(section)
-        for idx, c in sorted(entries, key=lambda e: e[0]):
-            if not c.is_zero():
-                lines.append(" ".join(map(str, idx)) + f" {lit(c)}")
+        for idx, c in sorted(entries, key=itemgetter(0)):
+            if c:
+                lines.append(f"{' '.join(map(str, idx))} {lit(c)}")
     return "\n".join(lines) + "\n"

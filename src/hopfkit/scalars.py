@@ -332,6 +332,8 @@ class CycScalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        if self is ONE or other is ONE:  # the shared unit that structure constants hold
+            return other if self is ONE else self
         den = self.den * other.den
         if self.order == 1 == other.order:
             n = self.nums[0] * other.nums[0]

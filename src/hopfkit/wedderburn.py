@@ -61,7 +61,7 @@ from .hopf import HopfData, commutes_with_basis, format_vector, pair, regular_ch
 from .integrals import IntegralPair, compute_integrals, left_absorption_failure
 from .linalg import PreparedSolver, Vector, combine, minimal_polynomial, sparse_kernel_basis
 from .polys import Poly, format_poly
-from .scalars import CycScalar
+from .scalars import ZERO, CycScalar
 
 
 @dataclass
@@ -190,8 +190,10 @@ def split_center(H: HopfData, order: int | None = None) -> BlockDecomposition:
     for e in idempotents:
         for c in e.nz.values():
             common = lcm(common, c.order)
+    zero_key = ZERO.sort_key(common)  # most coordinates of an idempotent are zero
     order_key = [
-        (deg, tuple(key for c in e for key in c.sort_key(common)))
+        (deg, tuple(key for c in map(e.nz.get, range(len(e)))
+                    for key in (zero_key if c is None else c.sort_key(common))))
         for deg, e in zip(degrees, idempotents)
     ]
     perm = sorted(range(len(idempotents)), key=lambda t: order_key[t])

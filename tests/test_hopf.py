@@ -25,6 +25,7 @@ from hopfkit import (
     hit_act_dual_on_alg,
     pair,
     parse_hopf,
+    tensor_product,
 )
 from hopfkit.linalg import Vector
 from hopfkit.rng import DeterministicRng
@@ -67,6 +68,10 @@ def test_dimension_mismatch_raises():
         HopfData("bad", 2, {(0, 0, 2): 1}, unit, {}, counit, {})
     with pytest.raises(ValueError):  # wrong arity
         HopfData("bad", 2, {(0, 0): 1}, unit, {}, counit, {})
+    with pytest.raises(ValueError, match=r"^bad multiplication key \(0, -1, 0\): need 3 indices in 0\.\.1$"):
+        HopfData("bad", 2, {(0, -1, 0): 1}, unit, {}, counit, {})
+    with pytest.raises(ValueError, match=r"^bad comultiplication key \(0, 0, 0, 0\): need 3 indices"):
+        HopfData("bad", 2, {}, unit, {(0, 0, 0, 0): 1}, counit, {})
     with pytest.raises(ValueError):
         HopfData("bad", 2, {}, unit, {}, counit, {(0, 0, 0): 1})
     with pytest.raises(ValueError):
@@ -248,6 +253,32 @@ def test_hopf_format_round_trip(examples):
         assert again.name == h.name
 
 
+def _lifted_literals() -> HopfData:
+    # entries of orders 4, 3 and 1 in a file of order 12
+    z4, z3 = CycScalar.zeta(4), CycScalar.zeta(3)
+    return HopfData(
+        "lifted", 2,
+        {(0, 0, 0): z4, (0, 1, 1): z3, (1, 0, 1): Fraction(3, 2), (1, 1, 0): -1}, [ONE, 0],
+        {(0, 0, 0): z3}, [1, z4], {(0, 0): -1, (1, 1): Fraction(3, 2)},
+        cyclotomic_order=12,
+    )
+
+
+def test_hopf_format_lifts_literals_to_the_file_order():
+    # z_4 = z^3 and z_3 = z^4 = z^2 - 1 in Q(z_12); rationals print at order 1
+    h = _lifted_literals()
+    text = format_hopf(h)
+    assert text == (
+        "hopf lifted\ndim 2\ncyclotomic 12\n"
+        "MULT\n0 0 0 z^3\n0 1 1 z^2 - 1\n1 0 1 3/2\n1 1 0 -1\n"
+        "COMULT\n0 0 0 z^2 - 1\nUNIT\n0 1\nCOUNIT\n0 1\n1 z^3\n"
+        "ANTIPODE\n0 0 -1\n1 1 3/2\n"
+    )
+    again = parse_hopf(text)
+    assert again == h
+    assert format_hopf(again) == text
+
+
 def test_hopf_format_cyclotomic_scalars():
     # a (non-axiomatic) tensor with genuinely cyclotomic entries round-trips
     z = CycScalar.zeta(12)
@@ -265,12 +296,6 @@ def test_parse_hopf_errors():
 
     with pytest.raises(ParseError):
         parse_hopf("dim 2\nMULT\n0 0 0 1\n")  # no name
-    with pytest.raises(ParseError):
-        parse_hopf("hopf x\ndim 2\nMULT\n0 0 5 1\n")  # index out of range
-    with pytest.raises(ParseError):
-        parse_hopf("hopf x\ndim 2\nMULT\n0 0 0 1\n0 0 0 1\n")  # duplicate
-    with pytest.raises(ParseError):
-        parse_hopf("hopf x\ndim 2\nMULT\n0 0 0 3//2\n")  # bad scalar
     with pytest.raises(ParseError):  # z was already read at order 1
         parse_hopf("hopf x\ndim 2\nMULT\n0 0 0 z\ncyclotomic 4\n")
     with pytest.raises(ParseError):  # indices were already checked against dim 2
@@ -287,9 +312,35 @@ def test_parse_hopf_errors():
         parse_hopf("hopf x\ndim 1000000\nMULT\n0 0 0 1\n")
 
 
+# the per-line errors, pinned to their exact message and line
+@pytest.mark.parametrize("body, line, message", [
+    pytest.param("MULT\n0 0 1\n", 5, "MULT lines need 3 indices and a scalar", id="too-few-tokens"),
+    pytest.param("MULT\n0 x 0 1\n", 5, "bad index in MULT line", id="non-integer-index"),
+    pytest.param("MULT\n0 -1 0 1\n", 5, "index out of range 0..1", id="negative-index"),
+    pytest.param("MULT\n0 2 0 1\n", 5, "index out of range 0..1", id="index-is-dim"),
+    pytest.param("UNIT\n2 1\n", 5, "index out of range 0..1", id="unit-index-is-dim"),
+    pytest.param("MULT\n0 0 0 1\n0 0 0 1\n", 6, "duplicate MULT entry (0, 0, 0)", id="duplicate"),
+    pytest.param("ANTIPODE\n0 0 1 # fine\n1 1 3//2 # 1/2\n", 6,
+                 "bad scalar literal: bad term '3//2' in scalar literal '3//2'", id="literal-before-comment"),
+    pytest.param("MULT\n0 0 0 1/2*z  -  q\n", 5,
+                 "bad scalar literal: bad term 'q' in scalar literal '1/2*z  -  q'", id="multi-token-literal"),
+])
+def test_parse_hopf_line_errors(body, line, message):
+    from hopfkit import ParseError
+
+    with pytest.raises(ParseError) as err:
+        parse_hopf("hopf x\ndim 2\ncyclotomic 4\n" + body)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def _tensor_d64() -> HopfData:
+    """D(C2xC2) (x) D(C2)*, dim 64, whose literals are nearly all 1."""
+    return tensor_product(drinfeld_double(builtin_group("C2xC2")), drinfeld_double(builtin_group("C2")).dual)
+
 
 def test_parse_hopf_literal_memo():
-    from hopfkit import ParseError, drinfeld_double, tensor_product
+    from hopfkit import ParseError
 
     # a repeated bad literal is reported at its first line, with the message
     # parse_scalar gives it
@@ -303,13 +354,41 @@ def test_parse_hopf_literal_memo():
     assert h.mult == {(0, 0, 0): Fraction(1, 2), (0, 1, 1): Fraction(1, 2), (1, 0, 1): ONE}
     h = parse_hopf("hopf x\ndim 2\ncyclotomic 4\nMULT\n0 0 0 z\n1 1 0 z\n")
     assert h.mult == {(0, 0, 0): CycScalar.zeta(4), (1, 1, 0): CycScalar.zeta(4)}
-    # the dim-64 tensor D(C2xC2) (x) D(C2)*, whose literals are nearly all 1,
-    # round-trips byte for byte
-    text = format_hopf(tensor_product(
-        drinfeld_double(builtin_group("C2xC2")), drinfeld_double(builtin_group("C2")).dual
-    ))
+    # the dim-64 tensor round-trips byte for byte
+    text = format_hopf(_tensor_d64())
     assert text.count("\n") > 1000
     assert format_hopf(parse_hopf(text)) == text
+
+
+@pytest.mark.parametrize("build", [_tensor_d64, _lifted_literals])
+def test_format_hopf_renders_each_literal_once(build, monkeypatch):
+    # a work count, not a timing: each distinct value is rendered, and lifted
+    # to the file's order, at most once per call
+    import hopfkit.hopf
+
+    h = build()
+    values = [*h.mult.values(), *h.comult.values(), *h.antipode.values(),
+              *h.unit.nz.values(), *h.counit.nz.values()]
+    distinct = {c.key() for c in values}
+    to_lift = {c.key() for c in values if c.order not in (1, h.cyclotomic_order)}
+    calls = {"render": 0, "lift": 0}
+    render, from_coords = hopfkit.hopf.format_scalar, CycScalar.from_coords.__func__
+
+    def counted_render(c):
+        calls["render"] += 1
+        return render(c)
+
+    def counted_from_coords(cls, order, coords):
+        calls["lift"] += 1
+        return from_coords(cls, order, coords)
+
+    monkeypatch.setattr(hopfkit.hopf, "format_scalar", counted_render)
+    monkeypatch.setattr(CycScalar, "from_coords", classmethod(counted_from_coords))
+    text = format_hopf(h)
+    assert len(values) > len(distinct)
+    assert calls == {"render": len(distinct), "lift": len(to_lift)}
+    monkeypatch.undo()
+    assert text == format_hopf(h)
 
 
 def test_mult_nz_memory_follows_entries():
