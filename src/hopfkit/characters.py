@@ -72,9 +72,9 @@ class FusionRing:
 
 @dataclass
 class CentralDecomposition:
-    """zeta = sum_i f_i(zeta) delta_i over the primitive idempotents of Z(H*)."""
+    """zeta = sum_i values[i] delta_i, where delta_i are the primitive
+    idempotents of Z(H*) in the order of ``dual_blocks.idempotents``."""
 
-    delta: list[Vector]
     values: list[CycScalar]
 
 
@@ -196,7 +196,7 @@ def central_decomposition(zeta: Vector, dual_blocks: BlockDecomposition) -> Cent
         )
     if combine(coeffs, dual_blocks.idempotents, len(zeta)) != zeta:
         raise HopfkitError("central decomposition failed to reconstruct its input")
-    return CentralDecomposition(delta=list(dual_blocks.idempotents), values=list(coeffs))
+    return CentralDecomposition(values=list(coeffs))
 
 
 def f_map(phi: Vector, integrals: IntegralPair, H: HopfData) -> Vector:

@@ -11,15 +11,14 @@ class HopfkitError(Exception):
 class ParseError(HopfkitError):
     """Malformed `.grp` / `.hopf` text or scalar literal.
 
-    Carries an optional 1-based line/column of the offending token.
+    Carries the optional 1-based line of the offending text, which prefixes
+    the message as ``line N: ``.
     """
 
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        self.col = col
         if line is not None:
-            where = f"line {line}" + (f", col {col}" if col is not None else "")
-            message = f"{where}: {message}"
+            message = f"line {line}: {message}"
         super().__init__(message)
 
 

@@ -145,7 +145,7 @@ def parse_group(text: str) -> GroupTable:
             row = []
             for col, token in enumerate(tokens):
                 if token not in index:
-                    raise ParseError(f"unknown element name {token!r}", lineno, col + 1)
+                    raise ParseError(f"unknown element name {token!r} in column {col + 1}", lineno)
                 row.append(index[token])
             rows.append(row)
 

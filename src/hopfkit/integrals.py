@@ -124,21 +124,10 @@ def _absorption_failure(H: HopfData, x: Vector, left: bool) -> int | None:
     return None
 
 
-def left_absorption_failure(H: HopfData, Lambda: Vector) -> int | None:
-    """The first basis index i with b_i Lambda != eps(b_i) Lambda, or None when
-    Lambda is a left integral."""
-    return _absorption_failure(H, Lambda, True)
-
-
-def integrals_report(H: HopfData, pair_: IntegralPair | None = None) -> VerificationReport:
-    """The normalization identities as a verification suite."""
+def integrals_report(H: HopfData, p: IntegralPair) -> VerificationReport:
+    """The normalization identities and absorptions of the pair ``p`` of H as a
+    verification suite."""
     report = VerificationReport(subject=H.name, dim=H.dim, suite="integrals")
-    try:
-        p = pair_ if pair_ is not None else compute_integrals(H)
-    except NotSemisimpleError as exc:
-        report.add("integral-pair", "integral pair exists and normalizes", False, str(exc))
-        return report
-
     v = pair(p.lambda_dual, H.unit)
     report.add("lambda-one", "<lambda, 1> = 1", (v - 1).is_zero(), f"<lambda,1> = {v}")
     v = pair(p.lambda_dual, p.Lambda)
@@ -147,7 +136,7 @@ def integrals_report(H: HopfData, pair_: IntegralPair | None = None) -> Verifica
     report.add(
         "eps-Lambda", "<eps, Lambda> = dim H", (v - H.dim).is_zero(), f"<eps,Lambda> = {v}, dim = {H.dim}"
     )
-    i = left_absorption_failure(H, p.Lambda)
+    i = _absorption_failure(H, p.Lambda, True)
     witness = ""
     if i is not None:
         lhs = _times_basis(H, p.Lambda, i, True)

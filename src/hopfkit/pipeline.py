@@ -30,7 +30,7 @@ from .theorems import (
     verify_proposition,
     verify_section4,
 )
-from .wedderburn import BlockDecomposition, split_center
+from .wedderburn import BlockDecomposition, _split_center
 
 # suite name -> its report, read from a pipeline's cached stages
 _SUITE_RUNNERS = {
@@ -70,8 +70,8 @@ class Pipeline:
 
     @cached_property
     def blocks(self) -> BlockDecomposition:
-        self.integrals  # the semisimplicity certificate
-        return split_center(self.H, order=self.order)
+        self.integrals  # the semisimplicity certificate _split_center needs
+        return _split_center(self.H, self.order)
 
     @cached_property
     def table(self) -> CharacterTable:

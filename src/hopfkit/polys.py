@@ -148,7 +148,7 @@ class Poly:
         return format_poly(self)
 
 
-def format_poly(p: Poly, var: str = "x") -> str:
+def format_poly(p: Poly) -> str:
     """Human-readable form, highest power first; cyclotomic coefficients are
     parenthesized in the scalar literal grammar."""
     if p.is_zero():
@@ -164,11 +164,11 @@ def format_poly(p: Poly, var: str = "x") -> str:
             if k == 0:
                 body = mag
             else:
-                power = var if k == 1 else f"{var}^{k}"
+                power = "x" if k == 1 else f"x^{k}"
                 body = power if mag == "1" else f"{mag}*{power}"
         else:
             neg = False
-            body = f"({c})" if k == 0 else f"({c})*" + (var if k == 1 else f"{var}^{k}")
+            body = f"({c})" if k == 0 else f"({c})*" + ("x" if k == 1 else f"x^{k}")
         if not parts:
             parts.append(f"-{body}" if neg else body)
         else:

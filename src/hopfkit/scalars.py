@@ -474,11 +474,12 @@ _TERM_RE = re.compile(r"^(?:(\d+(?:/\d+)?)\*)?z(?:\^(\d+))?$")
 
 def format_scalar(a: CycScalar) -> str:
     """Render in the literal grammar, highest power first: e.g. ``3/2*z^2 - 1``."""
+    coords = a.coords  # a property that rebuilds the tuple on each read
     if a.order == 1:
-        return str(a.coords[0])
+        return str(coords[0])
     parts: list[str] = []
-    for i in range(len(a.coords) - 1, -1, -1):
-        c = a.coords[i]
+    for i in range(len(coords) - 1, -1, -1):
+        c = coords[i]
         if not c:
             continue
         mag = abs(c)

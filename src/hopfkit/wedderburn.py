@@ -38,12 +38,11 @@ centrality sweep, by two lemmas (characteristic 0):
 
 The square block traces are checked by ``block_degrees``.
 
-Semisimplicity is certified once, before the split.  :func:`split_center`
-assumes it; ``compute_integrals`` has proved it for the integral pair a
-``Pipeline`` holds, so the pipeline calls the split directly.  The public
-:func:`primitive_idempotents` certifies the pair it is given (Maschke: Lambda
-a left integral with eps(Lambda) != 0) or computes, and so certifies, its
-own.
+Semisimplicity is certified in one place, ``compute_integrals`` (Maschke:
+Lambda a left integral with eps(Lambda) != 0).  :func:`primitive_idempotents`
+runs it before every split; a ``Pipeline`` runs it once in its integrals
+stage, for H and H*, and its blocks stages call the private
+:func:`_split_center` directly.
 
 Blocks are ordered by degree, then lexicographically by idempotent
 coordinates, so labels are stable.
@@ -58,7 +57,7 @@ from math import isqrt, lcm
 from .errors import FieldTooSmallError, HopfkitError, NotSemisimpleError
 from .factor import factor_over_cyclotomic, factor_rational
 from .hopf import HopfData, commutes_with_basis, format_vector, pair, regular_character
-from .integrals import IntegralPair, compute_integrals, left_absorption_failure
+from .integrals import compute_integrals
 from .linalg import PreparedSolver, Vector, combine, minimal_polynomial, sparse_kernel_basis
 from .polys import Poly, format_poly
 from .scalars import ZERO, CycScalar
@@ -118,34 +117,24 @@ def _require_rational(H: HopfData) -> None:
         )
 
 
-def primitive_idempotents(
-    H: HopfData, order: int | None = None, *, integrals: IntegralPair | None = None
-) -> BlockDecomposition:
+def primitive_idempotents(H: HopfData, order: int | None = None) -> BlockDecomposition:
     """Split Z(H) into centrally primitive idempotents over Q(zeta_order).
 
     Requires semisimple H with rational structure constants (all built-in
-    families).  Semisimplicity is certified from the integral Lambda of
-    ``integrals`` (computed, and so certified, here when absent): Lambda must
-    be a left integral with eps(Lambda) != 0 (Maschke).  Raises
-    FieldTooSmallError when an eigenvalue of a center basis element lives
-    outside Q(zeta_order), and NotSemisimpleError when its minimal polynomial
-    has a repeated factor (on a Hopf algebra, the certificate rules this out).
+    families).  Semisimplicity is certified first, by ``compute_integrals``,
+    which raises NotSemisimpleError otherwise.  Raises FieldTooSmallError when
+    an eigenvalue of a center basis element lives outside Q(zeta_order).
     """
     _require_rational(H)
-    if integrals is None:
-        compute_integrals(H)
-    else:
-        _certify_semisimple(H, integrals)
-    return split_center(H, order)
+    compute_integrals(H)
+    return _split_center(H, H.cyclotomic_order if order is None else order)
 
 
-def split_center(H: HopfData, order: int | None = None) -> BlockDecomposition:
-    """The block decomposition of an H already certified semisimple (see
-    :func:`primitive_idempotents` for the certificate and the errors).  The
-    returned idempotent system and block traces are still certified exactly;
-    on an uncertified input only the error raised may differ."""
-    if order is None:
-        order = H.cyclotomic_order
+def _split_center(H: HopfData, order: int) -> BlockDecomposition:
+    """The block decomposition of an H the caller has certified semisimple
+    (``compute_integrals``).  The idempotent system and block traces are still
+    certified exactly, but semisimplicity is not: on Sweedler's non-semisimple
+    H4 this returns one block of "degree 2" and raises nothing."""
     _require_rational(H)
 
     zbasis = center(H)
@@ -203,18 +192,6 @@ def split_center(H: HopfData, order: int | None = None) -> BlockDecomposition:
     return BlockDecomposition(
         center_basis=zbasis, idempotents=idempotents, degrees=degrees, labels=labels
     )
-
-
-def _certify_semisimple(H: HopfData, integrals: IntegralPair) -> None:
-    """Maschke's criterion on the held integral: Lambda is a left integral and
-    eps(Lambda) != 0."""
-    i = left_absorption_failure(H, integrals.Lambda)
-    if i is not None:
-        raise HopfkitError(
-            f"{H.name}: the given Lambda is not a left integral (b{i} Lambda != eps(b{i}) Lambda)"
-        )
-    if pair(H.counit, integrals.Lambda).is_zero():
-        raise NotSemisimpleError(f"{H.name} is not semisimple: eps(Lambda) = 0")
 
 
 def _eigenvalues(H: HopfData, m: Poly, order: int, k: int) -> list[CycScalar]:

@@ -77,6 +77,7 @@ def test_unknown_element_name():
     with pytest.raises(ParseError) as excinfo:
         parse_group(text)
     assert excinfo.value.line == 5
+    assert str(excinfo.value) == "line 5: unknown element name 'q' in column 2"
 
 
 def test_row_length_error_has_line():

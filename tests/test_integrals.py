@@ -7,6 +7,7 @@ from conftest import perturbed
 
 from hopfkit import (
     HopfData,
+    IntegralPair,
     NotSemisimpleError,
     compute_integrals,
     dualize,
@@ -15,7 +16,7 @@ from hopfkit import (
 )
 from hopfkit.hopf import regular_character
 from hopfkit.linalg import Vector
-from hopfkit.scalars import ONE
+from hopfkit.scalars import ONE, as_scalar
 
 
 def test_kc2_exact_values(examples):
@@ -69,10 +70,18 @@ def test_sweedler_not_semisimple(sweedler):
 
 
 def test_integrals_report_suite(examples, sweedler):
-    rep = integrals_report(examples["kQ8"])
+    h = examples["kQ8"]
+    rep = integrals_report(h, compute_integrals(h))
     assert rep.overall and len(rep.items) == 6
-    rep = integrals_report(sweedler)
+    # Sweedler's raw regular-character pair, which compute_integrals rejects:
+    # lambda = chi_H / 4, Lambda = chi_H*
+    lam, Lam = regular_character(sweedler), regular_character(sweedler.dual)
+    quarter = as_scalar(Fraction(1, 4))
+    rep = integrals_report(sweedler, IntegralPair(lam.scale(quarter), Lam, Lam.scale(quarter)))
     assert not rep.overall
+    got = next(item for item in rep.items if item.id == "left-absorption")
+    assert not got.passed
+    assert got.witness == "b2 Lambda = (0, 0, 2, -2) != eps(b2) Lambda"
 
 
 def _relabelled(H, perm):

@@ -38,6 +38,26 @@ def test_one_element_form():
     assert not hasattr(hopfkit.HopfData, "basis_vector")
 
 
+def test_one_semisimplicity_certificate():
+    # compute_integrals is the one certificate: the block and integrals entries
+    # take no caller-supplied pair or default, and the uncertified split and
+    # its second certificate are not public
+    import inspect
+
+    import hopfkit.integrals
+    import hopfkit.polys
+    import hopfkit.wedderburn
+
+    assert "integrals" not in inspect.signature(hopfkit.primitive_idempotents).parameters
+    pair = inspect.signature(hopfkit.integrals_report).parameters["p"]
+    assert pair.default is inspect.Parameter.empty
+    gone = [("wedderburn", "split_center"), ("wedderburn", "_certify_semisimple"),
+            ("integrals", "left_absorption_failure")]
+    assert [m for m, name in gone if hasattr(getattr(hopfkit, m), name)] == []
+    assert list(inspect.signature(hopfkit.ParseError).parameters) == ["message", "line"]
+    assert list(inspect.signature(hopfkit.polys.format_poly).parameters) == ["p"]
+
+
 def test_reports_never_build_a_dense_matrix(monkeypatch):
     # Matrix and kernel_basis stay importable for dense callers, but no report
     # runs through them: the kernels take their sparse columns straight
