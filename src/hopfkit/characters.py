@@ -16,6 +16,20 @@ a matrix.  The polynomial divides the characteristic polynomial of N_V, so by
 Gauss's lemma its coefficients must be integers, and it must annihilate chi_V
 under convolution.
 
+Half the products are read off a theorem.  Given the Hopf axioms, the
+antipode reverses products (Sweedler 1969), so S* is an anti-automorphism of
+(H*, convolution): chi_{W*} chi_{V*} = S*(chi_V chi_W), hence n[W*][V*][U*] =
+n[V][W][U], where S* chi_V = chi_{V*} defines the duality permutation, which
+is certified by exact comparison.  When the caller's axiom report passed, one
+product per pair {(V, W), (W*, V*)} is formed and decomposed and the other
+row is read off; when it failed, or none is given, every product is formed,
+as ``comult-alg-map`` uses its Lemma 2 only once ``assoc`` passed.  The
+integrality, minimal-polynomial and annihilation checks still run on every
+chi_V, but they do not re-prove a mirrored row: a wrong permutation that
+mirrors Z[S3] as if it were commutative passes them, since left and right
+multiplication by chi_V have the same minimal polynomial.  The mirrored half
+rests on the axioms.
+
 The linear map f(phi) = phi Lambda transports the character span onto the
 center (and the dual center onto the dual character span).  It is a bijection
 H* -> H with the explicit inverse h -> S(h) lambda when lambda(Lambda) = 1
@@ -39,6 +53,7 @@ from .hopf import (
 from .integrals import IntegralPair
 from .linalg import PreparedSolver, Vector, combine, minimal_polynomial
 from .polys import Poly
+from .report import VerificationReport
 from .scalars import CycScalar, as_scalar
 from .wedderburn import BlockDecomposition
 
@@ -122,19 +137,28 @@ def is_central_character(chi: Vector, H: HopfData) -> bool:
     return commutes_with_basis(chi, H.dual)
 
 
-def fusion_ring(table: CharacterTable, H: HopfData) -> FusionRing:
-    """Decompose all character products, certify integrality and the monic
-    annihilating polynomial of every chi_V."""
+def fusion_ring(
+    table: CharacterTable, H: HopfData, axioms: VerificationReport | None = None
+) -> FusionRing:
+    """Decompose the character products, certify integrality and the monic
+    annihilating polynomial of every chi_V.  ``axioms`` is H's Hopf-axiom
+    report: when it passed, half the products are read off by S* (module
+    docstring); when it failed or is None, every product is formed."""
     r = table.count
-    tensor: list[list[list[int]]] = [[[0] * r for _ in range(r)] for _ in range(r)]
+    duals = [w for _, w in dual_characters(table, H)]
+    mirror = axioms is not None and axioms.overall and None not in duals
+    tensor: list[list[list[int] | None]] = [[None] * r for _ in range(r)]
     for v in range(r):
         for w in range(r):
+            if tensor[v][w] is not None:
+                continue
             product = convolve(table.characters[v], table.characters[w], H)
             coeffs = table.solver.decompose(product)
             if coeffs is None:
                 raise HopfkitError(
                     f"chi_{table.labels[v]} chi_{table.labels[w]} left the character span"
                 )
+            row = [0] * r
             for u, c in sorted(coeffs.nz.items()):
                 if not c.is_rational():
                     raise HopfkitError("fusion coefficient is irrational")
@@ -142,7 +166,13 @@ def fusion_ring(table: CharacterTable, H: HopfData) -> FusionRing:
                     raise HopfkitError(
                         f"fusion coefficient n[{v}][{w}][{u}] = {c} is not a non-negative integer"
                     )
-                tensor[v][w][u] = c.nums[0]
+                row[u] = c.nums[0]
+            tensor[v][w] = row
+            if mirror and tensor[duals[w]][duals[v]] is None:
+                image = [0] * r
+                for u, n in enumerate(row):
+                    image[duals[u]] = n
+                tensor[duals[w]][duals[v]] = image
 
     # unit block: the character equal to the counit
     unit_index = next(
@@ -152,14 +182,12 @@ def fusion_ring(table: CharacterTable, H: HopfData) -> FusionRing:
         raise HopfkitError("no character equals the counit; table is corrupt")
 
     # duality permutation from the dual antipode
-    dual_map = []
-    for v, (_, w) in enumerate(dual_characters(table, H)):
+    for v, w in enumerate(duals):
         if w is None:
             raise HopfkitError(f"S* chi_{table.labels[v]} is not an irreducible character")
-        dual_map.append(w)
 
     ring = FusionRing(
-        labels=list(table.labels), tensor=tensor, dual_map=tuple(dual_map), unit_index=unit_index
+        labels=list(table.labels), tensor=tensor, dual_map=tuple(duals), unit_index=unit_index
     )
 
     # monic integer witness: the minimal polynomial of chi_V, from the first

@@ -8,10 +8,11 @@ the one semisimplicity certificate of both sides: ``compute_integrals`` proves
 that Lambda is a left integral of H with <eps, Lambda> = dim H, and that lambda
 is a left integral of H* with lambda(1) = 1, which is Maschke's criterion for H
 and, through Lambda* = dim H * lambda, for H*.  So the blocks stages split the
-center without certifying it again.  Everything downstream
-is a pure function of (H, cyclotomic order, seed), and the seed only chooses
-the corollary suite's subset sample; two pipelines with equal inputs produce
-identical reports.
+center without certifying it again.  The fusion stage reads the axioms
+stage: a passed axiom report lets it mirror half the character products
+through S*.  Everything downstream is a pure function of (H, cyclotomic
+order, seed), and the seed only chooses the corollary suite's subset sample;
+two pipelines with equal inputs produce identical reports.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class Pipeline:
 
     @cached_property
     def fusion(self) -> FusionRing:
-        return fusion_ring(self.table, self.H)
+        return fusion_ring(self.table, self.H, self.axioms)
 
     @cached_property
     def dual(self) -> "Pipeline":

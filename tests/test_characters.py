@@ -265,3 +265,90 @@ def test_commutes_with_basis_matches_products(examples, pipelines):
             seen[got_dual] += 1
             seen[got_alg] += 1
     assert seen[True] and seen[False]
+
+
+def _fusion_cases(pipelines):
+    from test_properties import _dense  # the L D U rebase; needs hypothesis
+
+    from hopfkit import Pipeline, drinfeld_double, dualize
+
+    dc3 = drinfeld_double(builtin_group("C3"))
+    return [
+        ("D(C3)", Pipeline(dc3)),
+        ("D(C3)*", Pipeline(dualize(dc3))),
+        ("k^S3", pipelines("k^S3")),
+        ("kQ8", pipelines("kQ8")),
+        ("kS3 LDU", Pipeline(_dense("kS3", "ldu"))),
+    ]
+
+
+def _counted_fusion(monkeypatch, table, H, axioms):
+    """(fusion_ring(table, H, axioms), the number of products it decomposed)."""
+    from hopfkit import fusion_ring
+    from hopfkit.linalg import PreparedSolver
+
+    decompose, calls = PreparedSolver.decompose, []
+
+    def counted(self, v):
+        calls.append(v)
+        return decompose(self, v)
+
+    with monkeypatch.context() as m:
+        m.setattr(PreparedSolver, "decompose", counted)
+        ring = fusion_ring(table, H, axioms)
+    return ring, len(calls)
+
+
+def _mirror_orbits(dual_map):
+    """The orbits of (V, W) -> (W*, V*) on pairs of blocks."""
+    r = len(dual_map)
+    return {frozenset({(v, w), (dual_map[w], dual_map[v])}) for v in range(r) for w in range(r)}
+
+
+def test_fusion_mirror_forms_one_product_per_orbit(pipelines, monkeypatch):
+    # with the Hopf axioms passed, chi_{W*} chi_{V*} = S*(chi_V chi_W): one
+    # product per orbit {(V, W), (W*, V*)} is formed, and the tensor is the
+    # all-products one, also where the mirror is not a transpose (D(C3), whose
+    # duality permutation moves blocks, and k^S3, whose G0 = Z[S3] is not
+    # commutative) and on dense structure constants
+    not_transpose = set()
+    for name, pipe in _fusion_cases(pipelines):
+        table, H, r = pipe.table, pipe.H, pipe.table.count
+        assert pipe.axioms.overall, name
+        every, formed = _counted_fusion(monkeypatch, table, H, None)
+        assert formed == r * r, name
+        mirrored, formed = _counted_fusion(monkeypatch, table, H, pipe.axioms)
+        assert formed == len(_mirror_orbits(mirrored.dual_map)) < r * r, name
+        assert (mirrored.tensor, mirrored.dual_map, mirrored.unit_index) == (
+            every.tensor, every.dual_map, every.unit_index
+        ), name
+        if every.dual_map != tuple(range(r)):
+            not_transpose.add(name)
+        if name == "k^S3":
+            assert any(every.tensor[v][w] != every.tensor[w][v] for v in range(r) for w in range(r))
+    assert {"D(C3)", "k^S3"} <= not_transpose
+
+
+def test_pipeline_fusion_passes_its_axioms_stage(monkeypatch):
+    from hopfkit import Pipeline, drinfeld_double
+    from hopfkit.linalg import PreparedSolver
+
+    pipe = Pipeline(drinfeld_double(builtin_group("C3")))
+    r = pipe.table.count
+    decompose, calls = PreparedSolver.decompose, []
+    monkeypatch.setattr(PreparedSolver, "decompose", lambda self, v: calls.append(v) or decompose(self, v))
+    assert pipe.fusion and pipe.axioms.overall
+    assert len(calls) == len(_mirror_orbits(pipe.fusion.dual_map)) < r * r
+
+
+def test_fusion_without_passed_axioms_forms_every_product(pipelines, monkeypatch):
+    from hopfkit.report import VerificationReport
+
+    pipe = pipelines("k^S3")
+    failed = VerificationReport(subject=pipe.H.name, dim=pipe.H.dim, suite="axioms")
+    failed.add("assoc", "associativity", False, "witness")
+    r = pipe.table.count
+    for axioms in (None, failed):
+        ring, formed = _counted_fusion(monkeypatch, pipe.table, pipe.H, axioms)
+        assert formed == r * r
+        assert ring.tensor == pipe.fusion.tensor

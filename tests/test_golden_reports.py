@@ -16,13 +16,27 @@ minimal polynomial once and the idempotent system was certified by r
 products and one centrality sweep.  The D(C4) and D(D4) reports, whose centre
 eigenvalues include the roots of Phi_4, were recorded before factorisation
 split off integer roots and cyclotomic factors ahead of Zassenhaus and Trager.
+The D(C4)*, D(Q8)* and D(D4)* reports and the `characters --json` digests of
+D(C3), D(C3)* and k^S3 were recorded before the corollary, the section4
+closure and the fusion tensor were read off the identities the report checks.
+In those three character tables the fusion mirror n[W*][V*][U*] = n[V][W][U]
+is not a transpose: D(C3)'s duality permutation is not the identity, and
+G0(k^S3) = Z[S3] is non-commutative.
 """
 
 import hashlib
 
 import pytest
 
-from hopfkit import builtin_group, builtin_grp_text, drinfeld_double, dualize, format_hopf, tensor_product
+from hopfkit import (
+    builtin_group,
+    builtin_grp_text,
+    drinfeld_double,
+    dualize,
+    format_hopf,
+    function_algebra,
+    tensor_product,
+)
 from hopfkit.cli import main
 
 GOLDEN = {
@@ -49,6 +63,9 @@ GOLDEN = {
     ("Q8", "double"): "d4029db3c833f3d5b6e31f804838f66e8ca15d5cd91cedb301a6bf8ff2f79d17",
     ("C4", "double"): "b8c800b659661d40ce30a4ba75a8ffc30af7ba44c522ccb59e18a38f0af8e1c6",
     ("D4", "double"): "f6a59030d035421e1856e5b30db532b3aae5aac75e1bc9bd78adf20594fc3f1f",
+    ("C4", "double-dual"): "503c36a5e591a20563c9a82c7d4d323fa8b2bbe16af6f9f0a8f3d982dfd39ff8",
+    ("Q8", "double-dual"): "e103a55355bd01becd774d4cf7b7aba238698d5965042cad1b1a4a8f1c1bc5d3",
+    ("D4", "double-dual"): "a18710e7c761398b636d51936c277b278024c589c2142ffb231798e3e0c12308",
 }
 
 
@@ -93,12 +110,18 @@ def test_certify_json_bytes(name, command, tmp_path, capsys):
 CHARACTERS_GOLDEN = {
     ("S3", "double"): "ddaee7474fb67090b1e7d5af8f936f799369b4ba211e5fe36d74711ed2fc9400",
     ("Q8", "double-dual"): "3812f024d788eb0885a8cc5cd70d975d9bda9b390ffcd05a3ebbae2690395141",
+    ("C3", "double"): "87e88458680a751c3083c695b807acb84f0dca253f60f67654e89d9f0a336907",
+    ("C3", "double-dual"): "f61d785c02aa7ed175f3cf766bc2dcc5751152a9d4f6bdbf0d236272edc93999",
+    ("S3", "function-algebra"): "0a61a573bf56df2e9346cbfbf9c44c34402abe1646164f76acd8d9249d74199c",
 }
 
 
 @pytest.mark.parametrize("group,kind", sorted(CHARACTERS_GOLDEN), ids=lambda v: str(v))
 def test_characters_json_bytes(group, kind, tmp_path, capsys):
-    H = drinfeld_double(builtin_group(group))
+    if kind == "function-algebra":
+        H = function_algebra(builtin_group(group))
+    else:
+        H = drinfeld_double(builtin_group(group))
     path = tmp_path / "algebra.hopf"
     path.write_text(format_hopf(dualize(H) if kind == "double-dual" else H))
     assert main(["characters", str(path), "--json"]) == 0

@@ -243,6 +243,71 @@ def test_corollary_irrational_coordinates_match_per_subset_reference(pipelines):
         assert got[-1][3].startswith("non-integer coordinate z")
 
 
+def test_sampled_subsets_reach_every_block():
+    # a sampled mask is ceil(r/64) draws, low word first: at r = 120 the
+    # sample reaches the blocks past index 63, and for r <= 64 each mask is
+    # the single draw masked to r bits, as before the wide masks
+    from hopfkit.theorems import _subsets
+
+    def subset(mask, r):
+        return tuple(m for m in range(r) if mask >> m & 1)
+
+    rng = DeterministicRng(0)
+    wide = [(rng.next_u64() | rng.next_u64() << 64) & ((1 << 120) - 1) for _ in range(_SUBSET_BUDGET)]
+    assert _subsets(120, 0) == [subset(mask, 120) for mask in wide]
+    assert set().union(*_subsets(120, 0)) == set(range(120))
+    for r in (9, 18, 63, 64):
+        rng = DeterministicRng(11)
+        single = [rng.next_u64() & ((1 << r) - 1) for _ in range(_SUBSET_BUDGET)]
+        assert _subsets(r, 11) == [subset(mask, r) for mask in single]
+    assert _subsets(3, 0) == [subset(mask, 3) for mask in range(8)]
+
+
+@pytest.mark.parametrize("name", ["D(S3)", "D(C3)"])
+def test_passing_report_reads_off_the_corollary_and_the_closure(pipelines, monkeypatch, name):
+    # every delta_M Lambda = (dim M) chi_M holds, so each subset passes by
+    # linearity, and f(S* chi_V) = (dim H/dim V) e_V holds as vectors, so
+    # neither suite sums, solves or decomposes anything
+    import hopfkit.theorems as theorems
+    from hopfkit.linalg import PreparedSolver
+
+    pipe = pipelines(name) if name == "D(S3)" else Pipeline(drinfeld_double(builtin_group("C3")))
+    for side in (pipe, pipe.dual):
+        assert side.table.count == side.blocks.count  # built outside the count
+    calls = []
+
+    def recorded(label, fn):
+        def wrapper(*args):
+            calls.append(label)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(theorems, "_sparse_sum", recorded("_sparse_sum", theorems._sparse_sum))
+    for attr in ("coordinates", "decompose"):
+        monkeypatch.setattr(PreparedSolver, attr, recorded(attr, getattr(PreparedSolver, attr)))
+    corollary = pipe.suite("corollary")
+    assert corollary.overall and calls == []
+    assert corollary.items[-1].witness == f"{_SUBSET_BUDGET} subset idempotents checked"
+    section4 = pipe.suite("section4")
+    assert section4.overall and calls == []
+
+
+def test_section4_witnesses_under_a_doubled_integral(pipelines):
+    # recorded before the closure compared f(S* chi_V) with (dim H/dim V) e_V
+    # as vectors: the mismatch is decomposed and names the doubled coordinate
+    pipe = pipelines("kS3")
+    double = _with_Lambda(pipe.integrals, pipe.integrals.Lambda.scale(2))
+    rep = verify_section4(pipe.H, pipe.blocks, double, pipe.table, pipe.dual.blocks, pipe.dual.table)
+    assert [(i.id, i.passed, i.witness) for i in rep.items] == [
+        ("f-bijective", False, "f(S(b0) lambda) != b0"),
+        ("f-characters-center", False, "f(chi_V0*) != (dim H/dim V0) e_V0"),
+        ("f-dualcenter-characters", False, "f(delta_V0) != (dim V0) chi_V0"),
+        ("V0-closure", False, "coordinate = 12, min poly x - 12, divides = True"),
+        ("V1-closure", False, "coordinate = 12, min poly x - 12, divides = True"),
+        ("V2-closure", False, "coordinate = 6, min poly x - 6, divides = True"),
+    ]
+
+
 # -- negative controls -------------------------------------------------------
 
 
