@@ -9,8 +9,11 @@ that Lambda is a left integral of H with <eps, Lambda> = dim H, and that lambda
 is a left integral of H* with lambda(1) = 1, which is Maschke's criterion for H
 and, through Lambda* = dim H * lambda, for H*.  So the blocks stages split the
 center without certifying it again.  The fusion stage reads the axioms
-stage: a passed axiom report lets it mirror half the character products
-through S*.  Everything downstream is a pure function of (H, cyclotomic
+stage if it has already run, and never runs it: a passed axiom report lets it
+mirror half the character products through S*, and without one it forms every
+product.  ``report`` and ``verify all`` run the axioms suite first, so they
+mirror; ``characters`` pays for no axiom check.  The tensor is the same either
+way.  Everything downstream is a pure function of (H, cyclotomic
 order, seed), and the seed only chooses the corollary suite's subset sample;
 two pipelines with equal inputs produce identical reports.
 """
@@ -80,7 +83,9 @@ class Pipeline:
 
     @cached_property
     def fusion(self) -> FusionRing:
-        return fusion_ring(self.table, self.H, self.axioms)
+        # the axioms stage only if it has run: checking the axioms costs more
+        # than the products the mirror saves
+        return fusion_ring(self.table, self.H, self.__dict__.get("axioms"))
 
     @cached_property
     def dual(self) -> "Pipeline":

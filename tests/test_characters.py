@@ -329,16 +329,24 @@ def test_fusion_mirror_forms_one_product_per_orbit(pipelines, monkeypatch):
     assert {"D(C3)", "k^S3"} <= not_transpose
 
 
-def test_pipeline_fusion_passes_its_axioms_stage(monkeypatch):
+def test_pipeline_fusion_reads_the_axioms_stage_only_once_it_has_run(monkeypatch):
+    # fusion never runs the axiom check itself: alone it forms every product;
+    # after the axioms stage has passed, one per mirror orbit
     from hopfkit import Pipeline, drinfeld_double
     from hopfkit.linalg import PreparedSolver
 
-    pipe = Pipeline(drinfeld_double(builtin_group("C3")))
-    r = pipe.table.count
     decompose, calls = PreparedSolver.decompose, []
     monkeypatch.setattr(PreparedSolver, "decompose", lambda self, v: calls.append(v) or decompose(self, v))
-    assert pipe.fusion and pipe.axioms.overall
-    assert len(calls) == len(_mirror_orbits(pipe.fusion.dual_map)) < r * r
+    alone = Pipeline(drinfeld_double(builtin_group("C3")))
+    r = alone.table.count
+    calls.clear()
+    assert alone.fusion and "axioms" not in alone.__dict__
+    assert len(calls) == r * r
+    after = Pipeline(drinfeld_double(builtin_group("C3")))
+    assert after.table.count and after.axioms.overall
+    calls.clear()
+    assert after.fusion.tensor == alone.fusion.tensor
+    assert len(calls) == len(_mirror_orbits(after.fusion.dual_map)) < r * r
 
 
 def test_fusion_without_passed_axioms_forms_every_product(pipelines, monkeypatch):

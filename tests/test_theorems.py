@@ -506,7 +506,10 @@ def test_passing_corollary_subset_loop_does_no_scalar_arithmetic(pipelines, monk
         monkeypatch.setattr(CycScalar, attr, counted)
     subset_failure = theorems._subset_failure
 
+    entered = []
+
     def in_loop(*args):
+        entered.append(args)
         inside[0] = True
         try:
             return subset_failure(*args)
@@ -516,6 +519,56 @@ def test_passing_corollary_subset_loop_does_no_scalar_arithmetic(pipelines, monk
     monkeypatch.setattr(theorems, "_subset_failure", in_loop)
     rep = pipe.suite("corollary")
     assert rep.overall and rep.items[-1].id == "subset-idempotents"
+    # a passing report reads the subsets off the single-block items: the
+    # loop is never entered, so the merge is watched on failing inputs below
+    assert entered == [] and ops == []
+
+
+@pytest.mark.parametrize("name", ["D(S3) 2 Lambda", "k^S3 Lambda+b1"])
+def test_corollary_subset_loop_does_no_scalar_arithmetic(pipelines, monkeypatch, name):
+    # the sweep runs only when a single-block item fails; each subset's
+    # coordinates are the merge of disjoint single-block supports, which adds
+    # no scalars.  The cases fail after merging several blocks: D(S3)'s first
+    # sampled subset, and k^S3's subsets before its off-span block
+    import hopfkit.theorems as theorems
+    from hopfkit.scalars import CycScalar
+
+    cases = {case: (pipe, integrals) for case, pipe, integrals, _, _ in _corollary_cases(pipelines)}
+    cases["D(S3) 2 Lambda"] = (
+        pipelines("D(S3)"),
+        _with_Lambda(pipelines("D(S3)").integrals, pipelines("D(S3)").integrals.Lambda.scale(2)),
+    )
+    pipe, integrals = cases[name]
+    assert pipe.dual.table.count  # the stages are built outside the count
+    ops = []
+    inside = [False]
+    for attr in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "inverse", "__eq__"):
+        def counted(self, *args, _op=getattr(CycScalar, attr), _attr=attr):
+            if inside[0]:
+                ops.append(_attr)
+            return _op(self, *args)
+        monkeypatch.setattr(CycScalar, attr, counted)
+    subset_failure, sparse_sum = theorems._subset_failure, theorems._sparse_sum
+    merged = []
+
+    def in_loop(*args):
+        inside[0] = True
+        try:
+            return subset_failure(*args)
+        finally:
+            inside[0] = False
+
+    def counted_sum(dim, vectors):
+        vectors = list(vectors)
+        merged.append(len(vectors))
+        return sparse_sum(dim, vectors)
+
+    monkeypatch.setattr(theorems, "_subset_failure", in_loop)
+    monkeypatch.setattr(theorems, "_sparse_sum", counted_sum)
+    rep = verify_corollary(pipe.H, pipe.dual.blocks, integrals, pipe.dual.table, 0)
+    assert not rep.items[-1].passed and rep.items[-1].id == "subset-idempotents"
+    assert max(merged) >= 2
     assert ops == []
 
 
