@@ -52,7 +52,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-from .axioms import _acc_add, _acc_equal, check_axioms
+from .axioms import _acc_add, _acc_equal, _generating_rows, check_axioms
 from .errors import ParseError, header_count
 from .linalg import Vector
 from .scalars import MAX_CYCLOTOMIC_ORDER, CycScalar, ONE, ZERO, as_scalar, format_scalar, parse_scalar
@@ -146,6 +146,16 @@ class HopfData:
         for (i, j), c in self.antipode.items():
             buckets[j].append((i, c))
         return [tuple(b) for b in buckets]
+
+    @cached_property
+    def generating_rows(self) -> list[int]:
+        """Generating rows of the product (``axioms._generating_rows``)."""
+        return _generating_rows(self.dim, self.mult)
+
+    @cached_property
+    def dual_generating_rows(self) -> list[int]:
+        """Generating rows of H*'s product, which is ``comult``; H* is not built."""
+        return _generating_rows(self.dim, self.comult)
 
     @property
     def dual(self) -> "HopfData":

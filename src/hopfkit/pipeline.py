@@ -8,18 +8,23 @@ the one semisimplicity certificate of both sides: ``compute_integrals`` proves
 that Lambda is a left integral of H with <eps, Lambda> = dim H, and that lambda
 is a left integral of H* with lambda(1) = 1, which is Maschke's criterion for H
 and, through Lambda* = dim H * lambda, for H*.  So the blocks stages split the
-center without certifying it again.  The fusion stage reads the axioms
-stage if it has already run, and never runs it: a passed axiom report lets it
-mirror half the character products through S*, and without one it forms every
-product.  ``report`` and ``verify all`` run the axioms suite first, so they
-mirror; ``characters`` pays for no axiom check.  The tensor is the same either
-way.  Everything downstream is a pure function of (H, cyclotomic
-order, seed), and the seed only chooses the corollary suite's subset sample;
-two pipelines with equal inputs produce identical reports.
+center without certifying it again.  The blocks and fusion stages read the
+axioms stage if it has already run, and never run it.  A passed ``assoc``
+item lets the blocks stage of H solve the centre on the commutator rows of
+H's generating rows only, and the blocks stage of H* reads H's ``coassoc``
+item, as H*'s product is H's coproduct; a passed axiom report lets fusion
+mirror half the character products through S*.  Without them every row and
+every product is used.  ``report`` and ``verify all`` run the axioms suite
+first, so they take both cuts; ``wedderburn`` and ``characters`` pay for no
+axiom check.  The blocks and the tensor are the same either way.
+Everything downstream is a pure function of (H, cyclotomic order, seed), and
+the seed only chooses the corollary suite's subset sample; two pipelines with
+equal inputs produce identical reports.
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 
 from .characters import CharacterTable, FusionRing, fusion_ring, irreducible_characters
@@ -59,6 +64,8 @@ SUITES = tuple(_SUITE_RUNNERS)
 
 
 class Pipeline:
+    _of = None  # on the pipeline of H*, a weak reference to the pipeline of H
+
     def __init__(self, H: HopfData, order: int | None = None, seed: int = 0):
         self.H = H
         self.order = order if order is not None else H.cyclotomic_order
@@ -75,7 +82,7 @@ class Pipeline:
     @cached_property
     def blocks(self) -> BlockDecomposition:
         self.integrals  # the semisimplicity certificate _split_center needs
-        return _split_center(self.H, self.order)
+        return _split_center(self.H, self.order, self._proved_generating_rows())
 
     @cached_property
     def table(self) -> CharacterTable:
@@ -89,10 +96,23 @@ class Pipeline:
 
     @cached_property
     def dual(self) -> "Pipeline":
-        # H*'s integral pair is read off H's here, so the dual needs no link back
+        # H*'s integral pair is read off H's here; the weak link back lets H*'s
+        # blocks stage read H's axioms stage without keeping H's pipeline alive
         dual = Pipeline(self.H.dual, order=self.order, seed=self.seed)
         dual.__dict__["integrals"] = dual_integrals(self.integrals, self.H.dim)
+        dual._of = weakref.ref(self)
         return dual
+
+    def _proved_generating_rows(self) -> list[int] | None:
+        """The generating rows of this side's product once an axioms stage that
+        has run proved that product associative: H's ``assoc`` item, or for H*
+        H's ``coassoc`` (H*'s product is H's coproduct).  None otherwise."""
+        of = self._of and self._of()
+        axioms = (of or self).__dict__.get("axioms")
+        item = "coassoc" if of else "assoc"
+        if axioms is None or not any(i.id == item and i.passed for i in axioms.items):
+            return None
+        return of.H.dual_generating_rows if of else self.H.generating_rows
 
     # -- suites ----------------------------------------------------------------
 

@@ -2,16 +2,28 @@
 
 The splitting runs entirely over Q(zeta_N) and refines by the center basis
 (the eigenspace splitting of Dixon, Numer. Math. 10, 1967).  Start from the
-one idempotent 1.  For each basis vector z_k of Z(H), take its minimal
-polynomial m on Z(H), factor it over Q and push each irreducible factor to
-linear factors over Q(zeta_N); the spectral projectors q(z_k) / q(mu) with
-q = m / (x - mu), one per root mu, are combinations of the powers 1, z_k,
-..., z_k^(deg m - 1) that the minimal-polynomial search has already
-computed.  Each current idempotent e is replaced by the nonzero products
-e P.  Once there are dim Z(H) idempotents they are the centrally primitive
-ones.  Basis elements with the same minimal polynomial share one
-factorisation within a call.  A non-splitting factor is the hard error
-"field too small".
+one idempotent 1.  For each basis vector z_k of Z(H), first form e z_k for
+each current idempotent e.  An e with e z_k = mu e stays whole: then m(mu) e
+= e m(z_k) = 0 for the minimal polynomial m of z_k, so mu is a root of m and
+the spectral projector of mu fixes e while the others annihilate it.  Only
+when some e fails this test is m taken on Z(H), factored over Q, and each
+irreducible factor pushed to linear factors over Q(zeta_N); the spectral
+projectors q(z_k) / q(mu) with q = m / (x - mu), one per root mu, are
+combinations of the powers 1, z_k, ..., z_k^(deg m - 1) that the
+minimal-polynomial search has already computed.  Each failing e is replaced
+by the nonzero products e P.  Once there are dim Z(H) idempotents they are
+the centrally primitive ones.  Basis elements with the same minimal
+polynomial share one factorisation within a call.  A non-splitting factor
+is the hard error "field too small"; a skipped m hides none, as z_k acting
+by a scalar of Q(zeta_N) on every block has only those scalars as roots.
+
+The centre is the kernel of the commutator rows (z b_i - b_i z)_r.  When the
+caller has proved H associative, as a ``Pipeline`` does once its axioms
+stage has run and passed (``assoc`` for H, H's ``coassoc`` for H*), only the
+rows of i in a set S of generating rows (``axioms._generating_rows``) are
+kept: z commuting with S commutes with every word over S, so the kernel,
+its basis and its free columns are those of all d^2 rows.  Otherwise every
+row is kept.
 
 The minimal polynomial is found in Z(H) coordinates, r = dim Z(H) numbers
 per power instead of dim H, by the free-column lemma: ``center`` returns one
@@ -81,14 +93,19 @@ class BlockDecomposition:
         return PreparedSolver(self.idempotents)
 
 
-def center(H: HopfData) -> list[Vector]:
-    """Exact basis of Z(H) = {z : z b_i = b_i z for all i}: row (i, r) holds
-    the coefficients of (z b_i - b_i z)_r."""
+def center(H: HopfData, rows: list[int] | None = None) -> list[Vector]:
+    """Exact basis of Z(H) = {z : z b_i = b_i z for i in rows}: row (i, r)
+    holds the coefficients of (z b_i - b_i z)_r.  ``rows`` is every index by
+    default; generating rows of an associative H give the same basis, since a
+    z commuting with them commutes with every word over them."""
+    keep = range(H.dim) if rows is None else set(rows)
 
     def entries():
         for (a, b, r), c in H.mult.items():
-            yield (b, r), a, c
-            yield (a, r), b, -c
+            if b in keep:
+                yield (b, r), a, c
+            if a in keep:
+                yield (a, r), b, -c
 
     return sparse_kernel_basis(H.dim, entries())
 
@@ -130,14 +147,16 @@ def primitive_idempotents(H: HopfData, order: int | None = None) -> BlockDecompo
     return _split_center(H, H.cyclotomic_order if order is None else order)
 
 
-def _split_center(H: HopfData, order: int) -> BlockDecomposition:
+def _split_center(H: HopfData, order: int, rows: list[int] | None = None) -> BlockDecomposition:
     """The block decomposition of an H the caller has certified semisimple
     (``compute_integrals``).  The idempotent system and block traces are still
     certified exactly, but semisimplicity is not: on Sweedler's non-semisimple
-    H4 this returns one block of "degree 2" and raises nothing."""
+    H4 this returns one block of "degree 2" and raises nothing.  ``rows``, if
+    given, are generating rows of H and the caller has proved H associative;
+    the centre kernel then keeps only their commutator rows."""
     _require_rational(H)
 
-    zbasis = center(H)
+    zbasis = center(H, rows)
     r = len(zbasis)
     if r == 0:
         raise HopfkitError("empty center; input is corrupt")
@@ -152,18 +171,21 @@ def _split_center(H: HopfData, order: int) -> BlockDecomposition:
     for k, z in enumerate(zbasis):
         if len(idempotents) == r:
             break
+        split = [not _is_eigenvector(e, H.multiply(e, z)) for e in idempotents]
+        if not any(split):
+            continue
         min_poly, powers = _min_poly_on_center(H, z, free)
         key = tuple(c.key() for c in min_poly.coeffs)
         if key not in deflated:
             deflated[key] = [_deflate(min_poly, mu) for mu in _eigenvalues(H, min_poly, order, k)]
         # spectral projectors q(z) / q(mu) with q = m / (x - mu), combinations
-        # of the powers 1, z, ..., z^(deg m - 1); they refine every e into the
-        # nonzero products e P
+        # of the powers 1, z, ..., z^(deg m - 1); they refine each e that is
+        # not an eigenvector of z into the nonzero products e P
         projectors = [combine(coeffs, powers, H.dim) for coeffs in deflated[key]]
         idempotents = [
             prod
-            for e in idempotents
-            for prod in (H.multiply(e, P) for P in projectors)
+            for e, s in zip(idempotents, split)
+            for prod in ((H.multiply(e, P) for P in projectors) if s else (e,))
             if prod.nz
         ]
     if len(idempotents) != r:
@@ -192,6 +214,16 @@ def _split_center(H: HopfData, order: int) -> BlockDecomposition:
     return BlockDecomposition(
         center_basis=zbasis, idempotents=idempotents, degrees=degrees, labels=labels
     )
+
+
+def _is_eigenvector(e: Vector, ez: Vector) -> bool:
+    """Whether e z = mu e for a scalar mu, read at one support coordinate of
+    e; such an e stays whole (module docstring)."""
+    if not ez.nz:
+        return True
+    c = next(iter(e.nz))
+    x = ez.nz.get(c)
+    return x is not None and ez == e.scale(x * e.nz[c].inverse())
 
 
 def _eigenvalues(H: HopfData, m: Poly, order: int, k: int) -> list[CycScalar]:

@@ -15,7 +15,7 @@ from conftest import perturbed
 from hypothesis import Phase, given, settings, strategies as st
 from test_properties import _HILBERT_8, _rebase
 
-from hopfkit import axioms, builtin_group, check_axioms, drinfeld_double, dualize, group_algebra, tensor_product
+from hopfkit import HopfData, builtin_group, check_axioms, drinfeld_double, dualize, group_algebra, tensor_product
 from hopfkit.axioms import _generating_rows
 
 
@@ -53,12 +53,11 @@ def _items(H):
     return [(item.id, item.passed, item.witness) for item in check_axioms(H).items]
 
 
-def _every_row(d, entries):
-    return list(range(d))
-
-
 def _items_on_every_row(H):
-    with mock.patch.object(axioms, "_generating_rows", _every_row):
+    # HopfData caches its generating rows, so both properties are replaced
+    every_row = property(lambda self: list(range(self.dim)))
+    with mock.patch.object(HopfData, "generating_rows", every_row), \
+            mock.patch.object(HopfData, "dual_generating_rows", every_row):
         return _items(H)
 
 

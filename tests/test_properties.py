@@ -286,6 +286,10 @@ def test_center_is_the_reduced_echelon_kernel(name, rebase):
     rows = [[h.mult.get((a, i, r), zero) - h.mult.get((i, a, r), zero) for a in range(h.dim)]
             for i in range(h.dim) for r in range(h.dim)]
     assert center(h) == rref_kernel(rows)
+    # no dense product is a single term, so the generating rows are every row
+    # and the centre on them is the same kernel
+    assert h.generating_rows == list(range(h.dim))
+    assert center(h, h.generating_rows) == rref_kernel(rows)
 
 
 @pytest.mark.parametrize("rebase", ["ldu", "hilbert"])

@@ -13,6 +13,7 @@ from hopfkit import (
     center,
     drinfeld_double,
     dualize,
+    function_algebra,
     group_algebra,
     primitive_idempotents,
 )
@@ -111,7 +112,7 @@ def test_refinement_short_of_center_dimension_raises(examples, monkeypatch):
     import hopfkit.wedderburn as wedderburn
 
     # r copies of the unit cannot split anything: the refinement stays at [1]
-    monkeypatch.setattr(wedderburn, "center", lambda H: [H.unit] * 3)
+    monkeypatch.setattr(wedderburn, "center", lambda H, rows=None: [H.unit] * 3)
     with pytest.raises(HopfkitError, match=r"z0\.\.z2 gave 1 idempotents, not dim Z\(H\) = 3"):
         primitive_idempotents(examples["kS3"])
 
@@ -432,3 +433,206 @@ def test_split_dependency_vectors_have_center_length(examples, monkeypatch, dual
     monkeypatch.setattr(IncrementalDependency, "add", counted)
     primitive_idempotents(h)
     assert lengths and set(lengths) == {len(center(h))} and len(center(h)) < h.dim
+
+
+# -- dim 576: D(S4) and D(S4)*, pinned by digest ---------------------------------
+# Recorded before the centre kernel kept only the generating rows and before
+# the refinement skipped the products of idempotents that are eigenvectors, so
+# the split's output is pinned across both.  S4 is not a built-in group.
+
+_S4_SPLITS = {
+    False: ({1: 2, 2: 1, 3: 6, 6: 9, 8: 3},
+            "843861f22367e2c4c9368d258e0035b8d7624515b3e663b4eace5f81f9ecbea9"),
+    True: ({1: 48, 2: 24, 3: 48},
+           "235194247c2c1478a7a1bd342fb97cdde7772fd41e33c698deafefe2eb7ecf0c"),
+}
+
+
+@pytest.mark.parametrize("generating", [False, True])
+@pytest.mark.parametrize("dual", [False, True])
+def test_double_of_s4_blocks_are_pinned(dual, generating):
+    # both centre kernels: on every row, and on the generating rows that a
+    # report uses once its axioms stage has passed
+    import hashlib
+    import itertools
+    from collections import Counter
+
+    from hopfkit.groups import _from_permutations
+    from hopfkit.hopf import format_vector
+    from hopfkit.wedderburn import _split_center
+
+    s4 = _from_permutations("S4", {"".join(map(str, p)): p for p in itertools.permutations(range(4))})
+    h = drinfeld_double(s4)
+    if dual:
+        h = dualize(h)
+    rows = h.generating_rows if generating else None
+    if generating:
+        assert len(rows) == (72 if dual else 90)
+    blocks = _split_center(h, h.cyclotomic_order, rows)
+    degrees, digest = _S4_SPLITS[dual]
+    assert dict(Counter(blocks.degrees)) == degrees
+    lines = (f"{label} {deg} {format_vector(e)}\n"
+             for label, deg, e in zip(blocks.labels, blocks.degrees, blocks.idempotents))
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+
+
+
+# -- the centre on generating rows ----------------------------------------------
+
+
+def _sides():
+    """kG, k^G, D(G) and D(G)* of every built-in group, each with the
+    generating rows of its product."""
+    for group in sorted(GROUP_DEGREES):
+        g = builtin_group(group)
+        double = drinfeld_double(g)
+        for h in (group_algebra(g), function_algebra(g), double):
+            yield h, h.generating_rows
+        # H*'s product is H's coproduct, so H's dual_generating_rows serve H*
+        yield double.dual, double.dual_generating_rows
+
+
+def test_center_on_generating_rows_is_the_center_on_every_row():
+    cut = 0
+    for h, rows in _sides():
+        assert rows == h.generating_rows, h.name
+        basis = center(h, rows)
+        assert basis == center(h), h.name
+        assert [max(z.nz) for z in basis] == [max(z.nz) for z in center(h)], h.name
+        cut += len(rows) < h.dim
+    assert cut  # the doubles keep fewer rows than their dimension
+
+
+def _center_rows_seen(monkeypatch):
+    import hopfkit.wedderburn as wedderburn
+
+    seen = []
+    original = wedderburn.center
+
+    def recorded(H, rows=None):
+        seen.append((H.name, rows))
+        return original(H, rows)
+
+    monkeypatch.setattr(wedderburn, "center", recorded)
+    return seen
+
+
+def test_blocks_use_generating_rows_only_once_the_axioms_have_passed(examples, monkeypatch):
+    h = examples["D(S3)"]
+    seen = _center_rows_seen(monkeypatch)
+    alone = Pipeline(h)  # no axioms stage: every row, on both sides
+    alone.blocks, alone.dual.blocks
+    assert seen == [(h.name, None), (h.dual.name, None)]
+    seen.clear()
+    checked = Pipeline(h)
+    checked.axioms
+    checked.blocks, checked.dual.blocks
+    assert seen == [(h.name, h.generating_rows), (h.dual.name, h.dual_generating_rows)]
+    assert (len(h.generating_rows), len(h.dual_generating_rows)) == (14, 12)
+
+
+@pytest.mark.parametrize("section,item", [("mult", "assoc"), ("comult", "coassoc")])
+def test_blocks_use_every_row_when_the_axiom_fails(monkeypatch, section, item):
+    # D(C2) with one product term (or one coproduct term) removed: the axioms
+    # stage runs and fails ``assoc`` (or ``coassoc``), and the integrals still
+    # pass, so the split reaches the centre on every row before it fails
+    from conftest import perturbed
+
+    h = drinfeld_double(builtin_group("C2"))
+    key = (3, 2, 3) if section == "mult" else (3, 1, 3)
+    p = Pipeline(perturbed(h, **{section: {key: 0}}))
+    assert not next(i for i in p.axioms.items if i.id == item).passed
+    seen = _center_rows_seen(monkeypatch)
+    with pytest.raises(HopfkitError):
+        p.blocks if section == "mult" else p.dual.blocks
+    assert [rows for _, rows in seen] == [None]
+
+
+def test_report_reaches_the_traced_split_functions(examples, monkeypatch):
+    # perfbench rebinds wedderburn.center and wedderburn._min_poly_on_center
+    # as module globals to time the centre and count refinement steps; a
+    # report must still reach both through them
+    import hopfkit.wedderburn as wedderburn
+
+    calls = {"center": 0, "min": 0}
+    center_fn, min_poly = wedderburn.center, wedderburn._min_poly_on_center
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(wedderburn, "center", counted("center", center_fn))
+    monkeypatch.setattr(wedderburn, "_min_poly_on_center", counted("min", min_poly))
+    Pipeline(examples["D(S3)"]).report_document()
+    assert calls["center"] == 2  # H and H*
+    assert calls["min"] > 0
+
+
+# -- refinement: an idempotent that is an eigenvector stays whole ------------------
+
+
+def _refine_by_every_product(h):
+    """The refinement with every product e P formed, as before idempotents
+    were tested for being eigenvectors: a reference built from wedderburn's
+    minimal polynomial, roots and projector coefficients."""
+    import hopfkit.wedderburn as wedderburn
+
+    zbasis = center(h)
+    free = [max(z.nz) for z in zbasis]
+    idempotents = [h.unit]
+    for k, z in enumerate(zbasis):
+        if len(idempotents) == len(zbasis):
+            break
+        m, powers = wedderburn._min_poly_on_center(h, z, free)
+        roots = wedderburn._eigenvalues(h, m, h.cyclotomic_order, k)
+        projectors = [combine(wedderburn._deflate(m, mu), powers, h.dim) for mu in roots]
+        idempotents = [prod for e in idempotents for prod in (h.multiply(e, P) for P in projectors)
+                       if prod.nz]
+    return idempotents
+
+
+# HopfData.multiply calls of primitive_idempotents when every idempotent was
+# multiplied by every spectral projector
+_EVERY_PRODUCT_MULTIPLIES = {"D(S3)*": 522, "D(C3)": 159}
+
+
+@pytest.mark.parametrize("name", sorted(_EVERY_PRODUCT_MULTIPLIES))
+def test_eigenvector_idempotents_skip_their_products(name, monkeypatch):
+    from hopfkit import HopfData
+    from hopfkit.hopf import format_vector
+
+    double = drinfeld_double(builtin_group(name[2:4]))
+    h = double.dual if name.endswith("*") else double
+    want = sorted(map(format_vector, _refine_by_every_product(h)))
+    calls = []
+    multiply = HopfData.multiply
+
+    def counted(self, x, y):
+        calls.append(1)
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(HopfData, "multiply", counted)
+    got = primitive_idempotents(h)
+    assert len(calls) < _EVERY_PRODUCT_MULTIPLIES[name]
+    assert sorted(map(format_vector, got.idempotents)) == want
+
+
+def test_eigenvector_test_reads_the_eigenvalue(pipelines):
+    from hopfkit.wedderburn import _is_eigenvector
+
+    h = pipelines("kS3").H
+    zbasis = center(h)
+    # every centre element acts on a block by a scalar, zero or not
+    for e in pipelines("kS3").blocks.idempotents:
+        assert all(_is_eigenvector(e, h.multiply(e, z)) for z in zbasis)
+    assert not _is_eigenvector(h.unit, zbasis[-1])
+    # kC3 with g = b1: x g agrees with 2x at the first support coordinate of x
+    # only, and y g has a different support from y
+    c3 = group_algebra(builtin_group("C3"))
+    g = Vector.unit(3, 1)
+    x, y = Vector.of([1, 1, 2]), Vector.of([1, 2, 0])
+    assert not _is_eigenvector(x, c3.multiply(x, g))
+    assert not _is_eigenvector(y, c3.multiply(y, g))
+    assert _is_eigenvector(x, x.scale(Fraction(-3, 2))) and _is_eigenvector(x, Vector(3, {}))
