@@ -12,8 +12,8 @@ constants instead of O(d^8).
 Three of the loops need not visit every row.  A set S of basis indices is a
 set of generating rows when the right-nested words b_s1 (b_s2 (... b_sn)), s_i
 in S, span H; :func:`_generating_rows` finds one and its closure is the proof.
-``HopfData`` computes it once per algebra: ``generating_rows`` for H and
-``dual_generating_rows`` for H*, whose product is ``comult``.
+``HopfData`` computes it once per algebra: ``H.generating_rows`` for H and
+``H.dual.generating_rows`` for H*, whose product is ``comult``.
 
 Lemma 1 (associativity on generators).  A = {x : (x y) z = x (y z) for all y,
 z} is a subspace of H, and it is closed under products: for x, x' in A,
@@ -28,7 +28,9 @@ when ``assoc`` passed, and every row otherwise.
 
 Coassociativity of H is associativity of H* in the dual basis, where phi_p
 phi_q = sum_k comult[p, q, k] phi_k, so Lemma 1 on H* lets ``coassoc`` keep
-only the tensor entries whose first index is a generating row of H*.
+only the tensor entries whose first index is a generating row of H*.  The
+check reads H*'s views off ``H.dual``, which shares H's tensors: ``assoc``
+finds the products with a b_l term in ``H.dual.comult_nz[l]``.
 
 The rerun rule: a loop that passes on generating rows has proved its identity
 on all of H; a loop that fails on them runs again over every row, and that
@@ -117,7 +119,7 @@ def _assoc(H: HopfData, rows: Sequence[int]) -> str:
     # of b_i b_j has b_l b_k != 0, the right side unless some b_l of b_j b_k has
     # b_i b_l != 0; per i only those pairs (j, k) are visited, in order
     mult_nz = H.mult_nz
-    by_output = H.mult_by_output
+    by_output = H.dual.comult_nz  # by_output[l]: the (j, k, c) with c b_l in b_j b_k
     for i in rows:
         row_i = mult_nz[i]
         pairs = {(j, k) for l in row_i for j, k, _ in by_output[l]}
@@ -228,7 +230,7 @@ def check_axioms(H: HopfData) -> VerificationReport:
             break
     report.add("unit", "the unit vector is a two-sided multiplicative identity", not failure, failure)
 
-    failure = _on_rows(_coassoc, H, H.dual_generating_rows)
+    failure = _on_rows(_coassoc, H, H.dual.generating_rows)
     report.add("coassoc", "comultiplication is coassociative on all basis vectors", not failure, failure)
 
     # counit: (eps x id) Delta == id == (id x eps) Delta

@@ -2,6 +2,7 @@
 
 All four constructions produce structure constants in {0, 1} (tensor products
 of such stay integral), so downstream exact arithmetic starts from integers.
+k^G is the dual of k[G], so it shares the group algebra's tensors.
 The bundled cyclotomic order is the group exponent (a splitting field for
 every group-flavored family here) and, for tensor products, the lcm of the
 factors' orders.
@@ -12,7 +13,7 @@ from __future__ import annotations
 from math import lcm
 
 from .groups import GroupTable
-from .hopf import HopfData
+from .hopf import HopfData, dualize
 from .scalars import ONE, ZERO
 
 
@@ -28,17 +29,11 @@ def group_algebra(g: GroupTable) -> HopfData:
 
 
 def function_algebra(g: GroupTable) -> HopfData:
-    """k^G on the delta basis: pointwise product, Delta(d_x) = sum_{ab=x} d_a (x) d_b.
-
-    Equals dualize(group_algebra(g)) entry-for-entry.
-    """
-    n = g.order
-    mult = {(k, k, k): ONE for k in range(n)}
-    comult = {(i, j, g.table[i][j]): ONE for i in range(n) for j in range(n)}
-    counit = [ONE if k == g.identity else ZERO for k in range(n)]
-    antipode = {(g.inverses[j], j): ONE for j in range(n)}
-    return HopfData(f"k^{g.name}", n, mult, [ONE] * n, comult, counit, antipode,
-                    cyclotomic_order=g.exponent)
+    """k^G = k[G]* on the delta basis: pointwise product, Delta(d_x) = sum_{ab=x}
+    d_a (x) d_b, eps(d_x) = [x = e], S(d_x) = d_{x^-1}; built by dualizing k[G]."""
+    h = dualize(group_algebra(g))
+    h.name = f"k^{g.name}"
+    return h
 
 
 def drinfeld_double(g: GroupTable) -> HopfData:

@@ -136,8 +136,6 @@ def parse_group(text: str) -> GroupTable:
             else:
                 raise ParseError(f"unexpected keyword {head!r}", lineno)
         else:
-            if names is None:
-                raise ParseError("table before elements declaration", lineno)
             if len(tokens) != len(names):
                 raise ParseError(
                     f"table row needs {len(names)} entries, got {len(tokens)}", lineno

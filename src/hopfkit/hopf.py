@@ -17,14 +17,18 @@ Every element operation walks the supports of its operands, never all d
 coordinates.  Dualization transposes the
 picture: with these conventions the dual Hopf algebra simply swaps mult with
 comult and unit with counit and transposes the antipode, so dualizing twice is
-the identity on the nose.
+the identity on the nose.  The constructor validates and canonicalises once;
+H* shares H's tensors (its ``mult`` is H's ``comult`` dict and its ``comult``
+H's ``mult``) and stores only its own transposed antipode.
 
 The contraction loops read cached bucketed views that hold only the stored
 entries, in index order: ``mult_nz[i]`` is a dict ``{j: ((k, c), ...)}`` with a
-key only for each nonzero product b_i b_j, ``mult_by_output[k]`` lists the
-products with a b_k term, ``mult_by_right[j]`` is ``{i: ((k, c), ...)}`` for
-the nonzero products b_i b_j, ``comult_nz[k]`` the terms of Delta(b_k) and
-``antipode_nz[j]`` those of S(b_j).  They take O(d + nnz) memory.
+key only for each nonzero product b_i b_j, ``mult_by_right[j]`` is
+``{i: ((k, c), ...)}`` for the nonzero products b_i b_j, ``comult_nz[k]`` the
+terms of Delta(b_k) and ``antipode_nz[j]`` those of S(b_j); ``generating_rows``
+is a generating set of the product.  They take O(d + nnz) memory.  A view of
+H* is a view of ``H.dual``: ``H.dual.comult_nz[k]`` lists the products of H
+with a b_k term, and ``H.dual.generating_rows`` generates H*'s product.
 
 There are two product loops, :meth:`HopfData.multiply` and
 ``integrals._times_basis`` (b_i x or x b_i), and one hit loop
@@ -67,10 +71,11 @@ _ONE_KEY = ONE.key()
 
 def _sparse(entries: Mapping, arity: int, dim: int, what: str) -> dict:
     """Index-ordered copy of ``entries`` with scalar values and zeros dropped."""
+    for key in entries:  # before sorting, which a non-int index could break
+        if len(key) != arity or any(type(i) is not int or not 0 <= i < dim for i in key):
+            raise ValueError(f"bad {what} key {key!r}: need {arity} indices in 0..{dim - 1}")
     out = {}
     for key in sorted(entries):
-        if len(key) != arity or min(key) < 0 or max(key) >= dim:
-            raise ValueError(f"bad {what} key {key!r}: need {arity} indices in 0..{dim - 1}")
         c = as_scalar(entries[key])
         if c:
             # the shared ONE lets the contractions skip unit factors by identity
@@ -84,12 +89,16 @@ class HopfData:
     ``mult`` and ``comult`` map (i, j, k) and ``antipode`` maps (i, j) to
     scalars (ints, Fractions or CycScalars); omitted entries are zero.
     ``unit`` and ``counit`` are length-``dim`` sequences, stored as Vectors.
+    The constructor is the one place that validates and canonicalises;
+    :func:`dualize` reuses its output as is.
     """
 
     def __init__(self, name: str, dim: int, mult: Mapping, unit: Sequence, comult: Mapping,
                  counit: Sequence, antipode: Mapping, cyclotomic_order: int = 1):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        if type(dim) is not int or dim < 1:
+            raise ValueError("dim must be an int >= 1")
+        if type(cyclotomic_order) is not int or not 1 <= cyclotomic_order <= MAX_CYCLOTOMIC_ORDER:
+            raise ValueError(f"cyclotomic_order must be an int in 1..{MAX_CYCLOTOMIC_ORDER}")
         self.name = name
         self.dim = dim
         self.cyclotomic_order = cyclotomic_order
@@ -111,15 +120,6 @@ class HopfData:
         for (i, j, k), c in self.mult.items():
             rows[i].setdefault(j, []).append((k, c))
         return [{j: tuple(terms) for j, terms in row.items()} for row in rows]
-
-    @cached_property
-    def mult_by_output(self) -> list[tuple[tuple[int, int, CycScalar], ...]]:
-        """mult_by_output[k] = the (i, j, c) with c b_k a term of b_i b_j; the
-        same buckets as ``comult_nz`` of the dual."""
-        buckets: list[list] = [[] for _ in range(self.dim)]
-        for (i, j, k), c in self.mult.items():
-            buckets[k].append((i, j, c))
-        return [tuple(b) for b in buckets]
 
     @cached_property
     def mult_by_right(self) -> list[dict[int, tuple[tuple[int, CycScalar], ...]]]:
@@ -151,11 +151,6 @@ class HopfData:
     def generating_rows(self) -> list[int]:
         """Generating rows of the product (``axioms._generating_rows``)."""
         return _generating_rows(self.dim, self.mult)
-
-    @cached_property
-    def dual_generating_rows(self) -> list[int]:
-        """Generating rows of H*'s product, which is ``comult``; H* is not built."""
-        return _generating_rows(self.dim, self.comult)
 
     @property
     def dual(self) -> "HopfData":
@@ -278,18 +273,23 @@ def dualize(H: HopfData) -> HopfData:
     With this module's index conventions the dual multiplication tensor is the
     comultiplication tensor unchanged (and vice versa), the unit and counit
     vectors swap, and the antipode transposes; dualize(dualize(H)) == H
-    entry-for-entry.
+    entry-for-entry.  H's fields are already validated and canonical, and a
+    swap plus a sorted transpose keeps them canonical, so H* is assembled
+    without the constructor: its ``mult`` and ``comult`` are H's ``comult`` and
+    ``mult`` dicts themselves, which nothing mutates.
     """
-    return HopfData(
+    dual = HopfData.__new__(HopfData)
+    vars(dual).update(
         name=f"dual({H.name})",
         dim=H.dim,
-        mult=H.comult,
-        unit=H.counit,
-        comult=H.mult,
-        counit=H.unit,
-        antipode={(j, i): c for (i, j), c in H.antipode.items()},
         cyclotomic_order=H.cyclotomic_order,
+        mult=H.comult,
+        comult=H.mult,
+        antipode=dict(sorted((((j, i), c) for (i, j), c in H.antipode.items()), key=itemgetter(0))),
+        unit=H.counit,
+        counit=H.unit,
     )
+    return dual
 
 
 # ---------------------------------------------------------------------------

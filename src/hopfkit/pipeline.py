@@ -12,7 +12,9 @@ center without certifying it again.  The blocks and fusion stages read the
 axioms stage if it has already run, and never run it.  A passed ``assoc``
 item lets the blocks stage of H solve the centre on the commutator rows of
 H's generating rows only, and the blocks stage of H* reads H's ``coassoc``
-item, as H*'s product is H's coproduct; a passed axiom report lets fusion
+item, as H*'s product is H's coproduct; each side takes the
+``generating_rows`` of its own algebra, which for H* is ``H.dual``, the same
+object the axioms check read H*'s rows from.  A passed axiom report lets fusion
 mirror half the character products through S*.  Without them every row and
 every product is used.  ``report`` and ``verify all`` run the axioms suite
 first, so they take both cuts; ``wedderburn`` and ``characters`` pay for no
@@ -112,7 +114,7 @@ class Pipeline:
         item = "coassoc" if of else "assoc"
         if axioms is None or not any(i.id == item and i.passed for i in axioms.items):
             return None
-        return of.H.dual_generating_rows if of else self.H.generating_rows
+        return self.H.generating_rows
 
     # -- suites ----------------------------------------------------------------
 

@@ -54,10 +54,10 @@ def _items(H):
 
 
 def _items_on_every_row(H):
-    # HopfData caches its generating rows, so both properties are replaced
+    # HopfData caches its generating rows, so the property is replaced; the
+    # check reads H*'s rows off H.dual, which is a HopfData too
     every_row = property(lambda self: list(range(self.dim)))
-    with mock.patch.object(HopfData, "generating_rows", every_row), \
-            mock.patch.object(HopfData, "dual_generating_rows", every_row):
+    with mock.patch.object(HopfData, "generating_rows", every_row):
         return _items(H)
 
 
@@ -129,3 +129,28 @@ def test_generating_rows_give_the_items_of_every_row(data, examples):
     section, change = data.draw(_perturbation(H))
     broken = perturbed(H, **{section: change})
     assert _items(broken) == _items_on_every_row(broken)
+
+
+@pytest.mark.parametrize("name", ["tensor", "D(S3)*"])
+def test_every_row_differential_reaches_both_sides(name, examples, monkeypatch):
+    # H*'s rows are H.dual's generating_rows, so the one patch of
+    # _items_on_every_row forces coassoc onto every row as well as assoc and
+    # comult-alg-map; without it each loop keeps its generating rows
+    import hopfkit.axioms as axioms
+
+    H = _algebra(name, examples)
+    seen = {}
+    for loop in ("_assoc", "_coassoc", "_comult_alg_map"):
+        original = getattr(axioms, loop)
+
+        def recorded(H, rows, loop=loop, original=original):
+            seen[loop] = list(rows)
+            return original(H, rows)
+
+        monkeypatch.setattr(axioms, loop, recorded)
+    assert _items(H) == _items_on_every_row(H)
+    assert seen == dict.fromkeys(seen, list(range(H.dim))) and len(seen) == 3
+    _items(H)
+    assert seen == {"_assoc": H.generating_rows, "_coassoc": H.dual.generating_rows,
+                    "_comult_alg_map": H.generating_rows}
+    assert len(H.generating_rows) < H.dim and len(H.dual.generating_rows) < H.dim

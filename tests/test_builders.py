@@ -65,3 +65,22 @@ def test_dualize_commutes_with_tensor():
     a = group_algebra(builtin_group("S3"))
     b = function_algebra(builtin_group("C2"))
     assert dualize(tensor_product(a, b)) == tensor_product(dualize(a), dualize(b))
+
+
+def test_function_algebra_is_its_cayley_table_definition():
+    # k^G on the delta basis, read straight off the Cayley table: d_x d_y =
+    # [x = y] d_x, Delta(d_x) = sum_{ab=x} d_a (x) d_b, eps(d_x) = [x = e] and
+    # S(d_x) = d_{x^-1}, with 1 = sum_x d_x
+    from hopfkit import builtin_names
+
+    for name in builtin_names():
+        g = builtin_group(name)
+        n = g.order
+        h = function_algebra(g)
+        assert (h.name, h.dim, h.cyclotomic_order) == (f"k^{name}", n, g.exponent)
+        assert h.mult == {(x, x, x): 1 for x in range(n)}
+        assert h.comult == {(a, b, g.table[a][b]): 1 for a in range(n) for b in range(n)}
+        assert list(h.unit) == [1] * n
+        assert list(h.counit) == [int(x == g.identity) for x in range(n)]
+        assert h.antipode == {(g.inverses[x], x): 1 for x in range(n)}
+        assert check_axioms(h).overall, name

@@ -362,3 +362,50 @@ def test_exploratory_suite_excluded_from_exit_code(workdir, capsys):
     assert main(["verify", str(out), "--suite", "central-fusion"]) == 0
     text = capsys.readouterr().out
     assert "exploratory" in text
+
+
+def test_python_dash_m_runs_the_cli(workdir):
+    # the `python -m hopfkit` entry point: the CLI's output and exit codes
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hopfkit
+
+    package_root = str(Path(hopfkit.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": package_root + (os.pathsep + path if path else "")}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "hopfkit", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    built = run("build", "group-algebra", str(workdir / "c2.grp"))
+    assert (built.returncode, built.stderr) == (0, "")
+    assert built.stdout == format_hopf(group_algebra(builtin_group("C2")))
+    missing = run("check-axioms", str(workdir / "missing.hopf"))
+    assert missing.returncode == 2 and missing.stderr.startswith("error: ")
+
+
+def test_build_from_a_group_needs_one_input(workdir, capsys):
+    grp = str(workdir / "c2.grp")
+    assert main(["build", "double", grp, grp]) == 2
+    assert capsys.readouterr() == ("", "error: build double needs exactly one .grp input\n")
+
+
+@pytest.mark.parametrize("text,code,message", [
+    # rows are permutations, but column e holds e twice
+    ("group X\norder 2\nelements e g\ntable\ne g\ne g\n", 1,
+     "Latin-square violation in column 0 (e)"),
+    ("group X\norder 2\nelements e e\ntable\ne e\ne e\n", 2, "line 3: duplicate element name"),
+    ("group X\norder 2\n", 2, "missing 'elements' declaration"),
+    # an order header after the elements is checked once the file is read
+    ("group X\nelements e g\norder 3\ntable\ne g\ng e\n", 2,
+     "order does not match number of elements"),
+])
+def test_grp_rejections(workdir, capsys, text, code, message):
+    bad = workdir / "bad.grp"
+    bad.write_text(text)
+    assert main(["build", "group-algebra", str(bad)]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -144,3 +144,46 @@ def test_wedderburn_text_bytes(group, kind, tmp_path, capsys):
     assert main(["wedderburn", str(path)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == WEDDERBURN_GOLDEN[group, kind]
+
+
+# -- dim 144 and 576: the doubles of A4 and S4, built from permutations --------
+# Recorded before H* shared H's tensors instead of being rebuilt through the
+# constructor; these are the largest duals a report reads.  Neither group is a
+# built-in, so the test writes its `.grp` table.
+
+LARGE_GOLDEN = {
+    ("A4", "double"): "98ef2e2ea25242b545aca448852e35f12340670ee3394861bdae5930c764cbca",
+    ("A4", "double-dual"): "f150841b8c364ea25e1241021ed9ae0f59187a7e53428f7f60ae2fac3a2082b6",
+    ("S4", "double"): "fa973500aa64857c0d1fd06241f0e35e4dd91de7b7b9db58eee3ccec66059737",
+    ("S4", "double-dual"): "41250f86a8408c87aa276f03fb2b435a40a42adcf580fda99401f0e0aa8ae7b6",
+}
+
+
+def _permutation_group(name):
+    import itertools
+
+    from hopfkit.groups import _from_permutations
+
+    def even(p):
+        return sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0
+
+    perms = [p for p in itertools.permutations(range(4)) if name == "S4" or even(p)]
+    return _from_permutations(name, {"".join(map(str, p)): p for p in perms})
+
+
+@pytest.mark.parametrize("group,kind", sorted(LARGE_GOLDEN), ids=lambda v: str(v))
+def test_large_report_json_bytes(group, kind, tmp_path, capsys):
+    from hopfkit.groups import format_grp
+
+    g = _permutation_group(group)
+    if kind == "double-dual":
+        path = tmp_path / f"D{group}-dual.hopf"
+        path.write_text(format_hopf(dualize(drinfeld_double(g))))
+        args = [str(path)]
+    else:
+        path = tmp_path / f"{group}.grp"
+        path.write_text(format_grp(g))
+        args = [str(path), "--as", kind]
+    assert main(["report", *args, "--json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == LARGE_GOLDEN[group, kind]

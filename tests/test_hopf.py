@@ -409,3 +409,91 @@ def test_mult_nz_memory_follows_entries():
     failed = [(item.id, item.witness) for item in check_axioms(h).items if not item.passed]
     assert failed == [("unit", "unit fails on b0"), ("counit", "counit fails on b0"),
                       ("counit-alg-map", "eps(1) != 1")]
+
+
+# -- the constructor is the one validation boundary ----------------------------
+
+
+@pytest.mark.parametrize("key", [(0, 0, 0.0), (0, 0.0, 0), (0, 0, True), (0, 0, "0")])
+def test_non_int_index_raises(key):
+    # rejected at the boundary: a stored float index would fail later in a bucketed view
+    unit = counit = [1]
+    with pytest.raises(ValueError, match=r"^bad multiplication key"):
+        HopfData("bad", 1, {key: 1}, unit, {(0, 0, 0): 1}, counit, {(0, 0): 1})
+    with pytest.raises(ValueError, match=r"^bad comultiplication key"):
+        HopfData("bad", 1, {(0, 0, 0): 1}, unit, {(1, 0, 0): 1, key: 1}, counit, {(0, 0): 1})
+    with pytest.raises(ValueError, match=r"^bad antipode key"):
+        HopfData("bad", 1, {(0, 0, 0): 1}, unit, {(0, 0, 0): 1}, counit, {key[1:]: 1})
+
+
+@pytest.mark.parametrize("dim", [0, -1, 1.0, 2.5, "1", True, None])
+def test_dim_must_be_a_positive_int(dim):
+    with pytest.raises(ValueError, match=r"^dim must be an int >= 1$"):
+        HopfData("bad", dim, {(0, 0, 0): 1}, [1], {(0, 0, 0): 1}, [1], {(0, 0): 1})
+
+
+@pytest.mark.parametrize("order", [0, -3, 1001, 2000, 2.0, "6", True, None])
+def test_cyclotomic_order_must_be_an_int_in_range(order):
+    # an order outside 1..1000 would format as a `cyclotomic` header that
+    # parse_hopf rejects
+    with pytest.raises(ValueError, match=r"^cyclotomic_order must be an int in 1\.\.1000$"):
+        HopfData("bad", 1, {(0, 0, 0): 1}, [1], {(0, 0, 0): 1}, [1], {(0, 0): 1},
+                 cyclotomic_order=order)
+
+
+def test_format_round_trip_at_the_maximum_order():
+    h = HopfData("k", 1, {(0, 0, 0): 1}, [1], {(0, 0, 0): 1}, [1], {(0, 0): 1}, cyclotomic_order=1000)
+    text = format_hopf(h)
+    assert "\ncyclotomic 1000\n" in text
+    back = parse_hopf(text)
+    assert back == h and back.cyclotomic_order == 1000 and format_hopf(back) == text
+
+
+def test_library_tensor_product_above_the_maximum_order_raises():
+    a, b = (HopfData("k", 1, {(0, 0, 0): 1}, [1], {(0, 0, 0): 1}, [1], {(0, 0): 1}, cyclotomic_order=n)
+            for n in (32, 33))
+    with pytest.raises(ValueError, match="cyclotomic_order"):
+        tensor_product(a, b)
+
+
+# -- H* shares H's store --------------------------------------------------------
+
+
+def test_dual_shares_the_tensors(examples):
+    for name in ("kS3", "k^S3", "D(S3)", "kS3(x)k^C2"):
+        h = examples[name]
+        d = dualize(h)
+        assert d.mult is h.comult and d.comult is h.mult, name
+        assert d.unit is h.counit and d.counit is h.unit, name
+        assert list(d.antipode) == sorted(d.antipode), name
+        assert d.antipode == {(j, i): c for (i, j), c in h.antipode.items()}, name
+
+
+def test_dualize_runs_no_validation(examples, monkeypatch):
+    import hopfkit.hopf
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dualize validated again")
+
+    h = examples["D(S3)"]
+    monkeypatch.setattr(hopfkit.hopf, "_sparse", forbidden)
+    monkeypatch.setattr(HopfData, "__init__", forbidden)
+    d = dualize(h)
+    assert dualize(d).mult is h.mult
+    monkeypatch.undo()
+    assert d == HopfData(d.name, h.dim, h.comult, h.counit, h.mult, h.unit,
+                         {(j, i): c for (i, j), c in h.antipode.items()}, h.cyclotomic_order)
+
+
+def test_dual_comult_buckets_the_products_by_output(examples):
+    # what the associativity check reads: the products with a b_k term
+    for name in ("kS3", "k^S3", "D(S3)", "kS3(x)k^C2"):
+        h = examples[name]
+        by_output = {k: [] for k in range(h.dim)}
+        for i in range(h.dim):
+            for j in range(h.dim):
+                for k in range(h.dim):
+                    c = h.mult.get((i, j, k))
+                    if c is not None:
+                        by_output[k].append((i, j, c))
+        assert h.dual.comult_nz == [tuple(by_output[k]) for k in range(h.dim)], name

@@ -75,3 +75,10 @@ def test_reports_never_build_a_dense_matrix(monkeypatch):
     monkeypatch.setattr(hopfkit.linalg, "Matrix", dense)
     monkeypatch.setattr(hopfkit.linalg, "kernel_basis", dense)
     assert [json.dumps(hopfkit.Pipeline(h).report_document()) for h in algebras] == want
+
+
+def test_one_store_for_h_and_its_dual():
+    # H*'s views are read off H.dual, which shares H's tensors; the stand-ins
+    # that HopfData kept for them are gone
+    gone = ("mult_by_output", "dual_generating_rows")
+    assert [name for name in gone if hasattr(hopfkit.HopfData, name)] == []
