@@ -6,8 +6,10 @@ per axiom.  Every loop visits, in index order, only the basis tuples on which
 one side of its identity can be nonzero (both sides vanish on the others), so
 its first failing tuple, the witness, is the one a sweep over all tuples finds.
 ``comult-alg-map`` is staged: per i it contracts Delta(b_i) with m once, then
-with Delta(b_j), then applies m on the second leg, which is O(d^6) on dense
-constants instead of O(d^8).
+with the a2 (x) b2 terms of every Delta(b_j), the j read off H*'s products
+``H.dual.mult_nz[a2][b2]``, then applies m on the second leg.  It compares only
+the pairs (i, j) where a side can be nonzero and is O(d^6) on dense constants
+instead of O(d^8).
 
 Three of the loops need not visit every row.  A set S of basis indices is a
 set of generating rows when the right-nested words b_s1 (b_s2 (... b_sn)), s_i
@@ -149,10 +151,10 @@ def _coassoc(H: HopfData, rows: Sequence[int]) -> str:
         for a, b, c in comult_nz[k]:
             for p, q, c2 in comult_nz[a]:
                 if p in keep:
-                    _acc_add(lhs, (p, q, b), c * c2)
+                    _acc_add(lhs, (p, q, b), c2 if c is ONE else c * c2)
             if a in keep:
                 for p, q, c2 in comult_nz[b]:
-                    _acc_add(rhs, (a, p, q), c * c2)
+                    _acc_add(rhs, (a, p, q), c2 if c is ONE else c * c2)
         if not _acc_equal(lhs, rhs):
             return f"coassociativity fails on b{k}"
     return ""
@@ -161,12 +163,12 @@ def _coassoc(H: HopfData, rows: Sequence[int]) -> str:
 def _comult_alg_map(H: HopfData, rows: Sequence[int]) -> str:
     # Delta(b_i b_j) == Delta(b_i) Delta(b_j), contracted in stages, O(d^6) on
     # dense data: X[a2][b1][p] = sum_{a1} Delta_i[a1, b1] m[a1, a2, p] once per
-    # i, then Y[b1, b2][p] = sum_{a2} X[a2][b1][p] Delta_j[a2, b2], then m on
-    # the second leg.  Both sides vanish unless b_i b_j != 0 or X and
-    # Delta(b_j) are nonzero
+    # i, then Y[j][b1, b2][p] = sum_{a2} X[a2][b1][p] Delta_j[a2, b2] over the
+    # b1 b2 != 0 and the j read off H*'s products phi_a2 phi_b2, then m on the
+    # second leg.  A side can be nonzero only at the j of Y or of b_i b_j != 0
     mult_nz = H.mult_nz
     comult_nz = H.comult_nz
-    comult_support = {j for j, terms in enumerate(comult_nz) if terms}
+    legs = H.dual.mult_nz
     for i in rows:
         row_i = mult_nz[i]
         X: dict[int, dict[int, dict[int, CycScalar]]] = {}
@@ -175,21 +177,22 @@ def _comult_alg_map(H: HopfData, rows: Sequence[int]) -> str:
                 xb = X.setdefault(a2, {}).setdefault(b1, {})
                 for p, cp in terms:
                     _acc_add(xb, p, c1 if cp is ONE else c1 * cp)
-        for j in sorted(comult_support.union(row_i)) if X else row_i:
+        Y: dict[int, dict[tuple[int, int], dict[int, CycScalar]]] = {}
+        for a2, xa in X.items():
+            legs_a2 = legs[a2]
+            for b1, xb in xa.items():
+                for b2 in mult_nz[b1]:
+                    for j, c2 in legs_a2.get(b2, ()):
+                        y = Y.setdefault(j, {}).setdefault((b1, b2), {})
+                        for p, x in xb.items():
+                            _acc_add(y, p, x if c2 is ONE else x * c2)
+        for j in sorted(Y.keys() | row_i.keys()):
             lhs: dict[tuple[int, int], CycScalar] = {}
             for k, c in row_i.get(j, ()):
                 for a, b, c2 in comult_nz[k]:
-                    _acc_add(lhs, (a, b), c * c2)
-            Y: dict[tuple[int, int], dict[int, CycScalar]] = {}
-            for a2, b2, c2 in comult_nz[j]:
-                for b1, xb in X.get(a2, {}).items():
-                    if b2 not in mult_nz[b1]:
-                        continue
-                    y = Y.setdefault((b1, b2), {})
-                    for p, x in xb.items():
-                        _acc_add(y, p, x if c2 is ONE else x * c2)
+                    _acc_add(lhs, (a, b), c2 if c is ONE else c * c2)
             rhs: dict[tuple[int, int], CycScalar] = {}
-            for (b1, b2), y in Y.items():
+            for (b1, b2), y in Y.get(j, {}).items():
                 terms = mult_nz[b1][b2]
                 for p, yp in y.items():
                     for q, cq in terms:

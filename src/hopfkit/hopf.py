@@ -14,12 +14,14 @@ b_0..b_{d-1}, keeping only the nonzero entries, in index order:
 coordinate :class:`~hopfkit.linalg.Vector` s over the basis; elements of the
 dual H* are Vectors over the dual basis, paired by the coordinate dot product.
 Every element operation walks the supports of its operands, never all d
-coordinates.  Dualization transposes the
-picture: with these conventions the dual Hopf algebra simply swaps mult with
-comult and unit with counit and transposes the antipode, so dualizing twice is
-the identity on the nose.  The constructor validates and canonicalises once;
-H* shares H's tensors (its ``mult`` is H's ``comult`` dict and its ``comult``
-H's ``mult``) and stores only its own transposed antipode.
+coordinates.  Dualization transposes the picture: with these conventions the
+dual Hopf algebra simply swaps mult with comult and unit with counit and
+transposes the antipode, so dualizing twice is the identity on the nose.  The
+constructor validates and canonicalises once: it checks the keys in bulk with
+C-level builtins and runs a per-key loop only to name the first bad key, and
+every stored scalar's order must divide ``cyclotomic_order``.  H* shares H's
+tensors (its ``mult`` is H's ``comult`` dict and its ``comult`` H's ``mult``)
+and stores only its own transposed antipode.
 
 The contraction loops read cached bucketed views that hold only the stored
 entries, in index order: ``mult_nz[i]`` is a dict ``{j: ((k, c), ...)}`` with a
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import weakref
 from functools import cached_property
-from math import lcm
+from itertools import chain
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -69,17 +71,27 @@ def format_vector(v: Sequence[CycScalar]) -> str:
 _ONE_KEY = ONE.key()
 
 
-def _sparse(entries: Mapping, arity: int, dim: int, what: str) -> dict:
-    """Index-ordered copy of ``entries`` with scalar values and zeros dropped."""
-    for key in entries:  # before sorting, which a non-int index could break
-        if len(key) != arity or any(type(i) is not int or not 0 <= i < dim for i in key):
-            raise ValueError(f"bad {what} key {key!r}: need {arity} indices in 0..{dim - 1}")
+def _sparse(entries: Mapping, arity: int, dim: int, what: str, order: int) -> dict:
+    """Index-ordered copy of ``entries`` with scalar values, of orders dividing
+    ``order``, and zeros dropped.  The keys are checked in bulk before sorting;
+    only a failure runs the per-key loop, which names the first bad key."""
+    flat = list(chain.from_iterable(entries)) if set(map(type, entries)) <= {tuple} else None
+    if flat is None or set(map(len, entries)) - {arity} or set(map(type, flat)) - {int} or (
+            flat and (min(flat) < 0 or max(flat) >= dim)):
+        for key in entries:
+            if len(key) != arity or any(type(i) is not int or not 0 <= i < dim for i in key):
+                raise ValueError(f"bad {what} key {key!r}: need {arity} indices in 0..{dim - 1}")
     out = {}
     for key in sorted(entries):
-        c = as_scalar(entries[key])
-        if c:
-            # the shared ONE lets the contractions skip unit factors by identity
-            out[key] = ONE if c.key() == _ONE_KEY else c
+        c = entries[key]
+        c = c if type(c) is CycScalar else as_scalar(c)
+        if c is ONE or c.key() == _ONE_KEY:
+            out[key] = ONE  # the shared ONE lets the contractions skip unit factors by identity
+        elif c:
+            if order % c.order:
+                raise ValueError(f"{what} entry {key!r} has order {c.order}, "
+                                 f"which does not divide cyclotomic_order {order}")
+            out[key] = c
     return out
 
 
@@ -102,13 +114,15 @@ class HopfData:
         self.name = name
         self.dim = dim
         self.cyclotomic_order = cyclotomic_order
-        self.mult = _sparse(mult, 3, dim, "multiplication")
-        self.comult = _sparse(comult, 3, dim, "comultiplication")
-        self.antipode = _sparse(antipode, 2, dim, "antipode")
+        self.mult = _sparse(mult, 3, dim, "multiplication", cyclotomic_order)
+        self.comult = _sparse(comult, 3, dim, "comultiplication", cyclotomic_order)
+        self.antipode = _sparse(antipode, 2, dim, "antipode", cyclotomic_order)
         self.unit = Vector.of(unit)
         self.counit = Vector.of(counit)
         if len(self.unit) != dim or len(self.counit) != dim:
             raise ValueError("dimension mismatch in unit/counit vector")
+        for what, v in (("unit", self.unit), ("counit", self.counit)):
+            _sparse({(k,): c for k, c in v.nz.items()}, 1, dim, what, cyclotomic_order)
 
     # -- cached bucketed views ------------------------------------------------
 
@@ -357,7 +371,7 @@ def parse_hopf(text: str) -> HopfData:
                 value = parse_scalar(scalar_text, order)
             except ParseError as exc:
                 raise ParseError(f"bad scalar literal: {exc}", lineno) from None
-            literals[scalar_text] = value
+            literals[scalar_text] = value = ONE if value.key() == _ONE_KEY else value
         if idx in target:
             raise ParseError(f"duplicate {section} entry {idx}", lineno)
         target[idx] = value
@@ -378,9 +392,7 @@ def parse_hopf(text: str) -> HopfData:
 
 def format_hopf(H: HopfData) -> str:
     """Render to the `.hopf` text format; round-trips exactly."""
-    order = lcm(H.cyclotomic_order, *{c.order for c in (
-        *H.unit.nz.values(), *H.counit.nz.values(), *H.mult.values(), *H.comult.values(),
-        *H.antipode.values())})
+    order = H.cyclotomic_order
     rendered: dict[tuple, str] = {}  # each distinct value is rendered once
 
     def lit(c: CycScalar) -> str:

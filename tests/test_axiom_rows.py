@@ -4,6 +4,8 @@
 ``assoc`` and ``comult-alg-map``, of H* for ``coassoc``) and sweeps every row
 only when that fails.  These tests check that S generates, pin its size, and
 compare every item, witness included, with the same check forced to all rows.
+``comult-alg-map`` is also compared with an all-pairs reference written here,
+and its work is pinned by call counts.
 """
 
 from fractions import Fraction
@@ -16,7 +18,8 @@ from hypothesis import Phase, given, settings, strategies as st
 from test_properties import _HILBERT_8, _rebase
 
 from hopfkit import HopfData, builtin_group, check_axioms, drinfeld_double, dualize, group_algebra, tensor_product
-from hopfkit.axioms import _generating_rows
+from hopfkit.axioms import _comult_alg_map, _generating_rows
+from hopfkit.scalars import CycScalar, ZERO
 
 
 @cache
@@ -154,3 +157,175 @@ def test_every_row_differential_reaches_both_sides(name, examples, monkeypatch):
     assert seen == {"_assoc": H.generating_rows, "_coassoc": H.dual.generating_rows,
                     "_comult_alg_map": H.generating_rows}
     assert len(H.generating_rows) < H.dim and len(H.dual.generating_rows) < H.dim
+
+
+# -- comult-alg-map against an all-pairs reference ------------------------------
+
+
+@cache
+def _dense_q8():
+    # no product of the Hilbert-rebased kQ8 is a single term: every row generates
+    return _rebase(group_algebra(builtin_group("Q8")), _HILBERT_8)
+
+
+def _scaled(H, lam):
+    """H in the basis b'_i = lam[i] b_i: still a Hopf algebra, and with
+    cyclotomic lam its constants are cyclotomic."""
+    inv = [1 / x for x in lam]
+    return HopfData(
+        f"{H.name}-scaled", H.dim,
+        {(i, j, k): c * lam[i] * lam[j] * inv[k] for (i, j, k), c in H.mult.items()},
+        [H.unit[k] * inv[k] for k in range(H.dim)],
+        {(i, j, k): c * lam[k] * inv[i] * inv[j] for (i, j, k), c in H.comult.items()},
+        [H.counit[k] * lam[k] for k in range(H.dim)],
+        {(i, j): c * lam[j] * inv[i] for (i, j), c in H.antipode.items()},
+        cyclotomic_order=12,
+    )
+
+
+@cache
+def _cyclotomic_d_c2():
+    H = _scaled(drinfeld_double(builtin_group("C2")), [CycScalar.zeta(12, k) + k for k in range(4)])
+    assert any(c.order == 12 for c in (*H.mult.values(), *H.comult.values()))
+    return H
+
+
+def _sides_of_first_failure(H):
+    """The first (i, j) in index order with Delta(b_i b_j) != Delta(b_i)
+    Delta(b_j), with both sides, or None.  Every pair is computed from plain
+    dicts over ``H.mult`` and ``H.comult``, with no pruning: the right side
+    sums D_i[a1, b1] D_j[a2, b2] m[a1, a2, p] m[b1, b2, q] over a1 once per i,
+    then over a2 and over (b1, b2) for each j."""
+    d = H.dim
+    m: dict = {}  # m[i, j] = [(k, c)]
+    for (i, j, k), c in H.mult.items():
+        m.setdefault((i, j), []).append((k, c))
+    delta: list = [[] for _ in range(d)]  # delta[k] = [(a, b, c)]
+    for (a, b, k), c in H.comult.items():
+        delta[k].append((a, b, c))
+
+    def add(acc, key, value):
+        acc[key] = acc.get(key, ZERO) + value
+
+    for i in range(d):
+        left: dict = {}  # left[a2][b1, p] = sum_a1 D_i[a1, b1] m[a1, a2, p]
+        for a1, b1, c1 in delta[i]:
+            for a2 in range(d):
+                for p, cp in m.get((a1, a2), ()):
+                    add(left.setdefault(a2, {}), (b1, p), c1 * cp)
+        for j in range(d):
+            lhs: dict = {}
+            for k, c in m.get((i, j), ()):
+                for a, b, c2 in delta[k]:
+                    add(lhs, (a, b), c * c2)
+            mid: dict = {}  # mid[p, b1, b2] = sum_a2 left[a2][b1, p] D_j[a2, b2]
+            for a2, b2, c2 in delta[j]:
+                for (b1, p), x in left.get(a2, {}).items():
+                    add(mid, (p, b1, b2), x * c2)
+            rhs: dict = {}
+            for (p, b1, b2), y in mid.items():
+                for q, cq in m.get((b1, b2), ()):
+                    add(rhs, (p, q), y * cq)
+            lhs = {key: v for key, v in lhs.items() if v}
+            rhs = {key: v for key, v in rhs.items() if v}
+            if lhs != rhs:
+                return i, j, lhs, rhs
+    return None
+
+
+def _reference_witnesses(H):
+    """The all-pairs reference's witness for the pair sweep (the first failing
+    pair, or '') and for the comult-alg-map item, which adds Delta(1) != 1 (x) 1."""
+    first = _sides_of_first_failure(H)
+    if first:
+        i, j = first[:2]
+        witness = f"Delta(b{i} b{j}) != Delta(b{i}) Delta(b{j})"
+        return witness, witness
+    lhs: dict = {}
+    for (a, b, k), c in H.comult.items():
+        lhs[a, b] = lhs.get((a, b), ZERO) + H.unit[k] * c
+    rhs = {(a, b): H.unit[a] * H.unit[b] for a in range(H.dim) for b in range(H.dim)}
+    same = all(lhs.get(key, ZERO) == rhs.get(key, ZERO) for key in lhs.keys() | rhs.keys())
+    return "", "" if same else "Delta(1) != 1 (x) 1"
+
+
+def _assert_comult_alg_map_matches_the_reference(H):
+    sweep, want = _reference_witnesses(H)
+    assert _comult_alg_map(H, range(H.dim)) == sweep
+    item = next(item for item in check_axioms(H).items if item.id == "comult-alg-map")
+    assert (item.passed, item.witness) == (not want, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None, phases=[Phase.generate])
+@given(data=st.data())
+def test_comult_alg_map_matches_the_all_pairs_reference(data, examples):
+    H = _algebra(data.draw(st.sampled_from(_NAMES)), examples)
+    section, change = data.draw(_perturbation(H))
+    _assert_comult_alg_map_matches_the_reference(perturbed(H, **{section: change}))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None, phases=[Phase.generate])
+@given(data=st.data())
+def test_comult_alg_map_matches_the_reference_on_cyclotomic_constants(data):
+    H = _cyclotomic_d_c2()
+    section, change = data.draw(_perturbation(H))
+    z = data.draw(st.sampled_from((1, CycScalar.zeta(12), CycScalar.zeta(12, 5) - 2)))
+    _assert_comult_alg_map_matches_the_reference(
+        perturbed(H, **{section: {key: value * z for key, value in change.items()}}))
+
+
+def test_comult_alg_map_matches_the_reference_on_passing_inputs(examples):
+    for H in (_cyclotomic_d_c2(), examples["D(S3)"], _tensor()):
+        assert _sides_of_first_failure(H) is None, H.name
+        _assert_comult_alg_map_matches_the_reference(H)
+
+
+@pytest.mark.parametrize("name,section,change,pair,side", [
+    # Delta(b_1) = 0 in kS3: Delta(b_1 b_1) != 0 = Delta(b_1) Delta(b_1)
+    ("kS3", "comult", {(1, 1, 1): 0}, (1, 1), "left"),
+    # Delta(delta_1) gains delta_0 (x) delta_0 in k^S3: delta_0 delta_1 = 0, yet
+    # Delta(delta_0) Delta(delta_1) has the term delta_0 (x) delta_0
+    ("k^S3", "comult", {(0, 0, 1): 1}, (0, 1), "right"),
+])
+def test_first_failure_with_one_side_zero(name, section, change, pair, side, examples):
+    broken = perturbed(examples[name], **{section: change})
+    i, j, lhs, rhs = _sides_of_first_failure(broken)
+    assert (i, j) == pair
+    assert (bool(lhs), bool(rhs)) == (side == "left", side == "right")
+    _assert_comult_alg_map_matches_the_reference(broken)
+
+
+def _counted_comult_alg_map(H, monkeypatch):
+    """_comult_alg_map(H, H.generating_rows), with its _acc_equal and _acc_add calls."""
+    import hopfkit.axioms as axioms
+
+    calls = {"_acc_equal": 0, "_acc_add": 0}
+    for fn in calls:
+        def counted(*args, fn=fn, original=getattr(axioms, fn)):
+            calls[fn] += 1
+            return original(*args)
+
+        monkeypatch.setattr(axioms, fn, counted)
+    failure = _comult_alg_map(H, H.generating_rows)
+    monkeypatch.undo()
+    return failure, calls
+
+
+@pytest.mark.parametrize("name,compared,accumulated", [("tensor", 192, 6144), ("D(S3)", 84, 2016)])
+def test_comult_alg_map_compares_only_pairs_with_a_nonzero_side(name, compared, accumulated, examples,
+                                                                monkeypatch):
+    # work counts, not timings: _acc_equal runs once per pair (i, j) where a
+    # side can be nonzero, b_i b_j != 0 or a gathered term of Delta(b_i) Delta(b_j)
+    H = _algebra(name, examples)
+    assert _counted_comult_alg_map(H, monkeypatch) == ("", {"_acc_equal": compared, "_acc_add": accumulated})
+
+
+def test_dense_comult_alg_map_keeps_its_work_and_matches_the_reference(monkeypatch):
+    # every row of the dense kQ8 is a generating row and every pair has a
+    # nonzero side: the staged contraction stays O(d^6), 589 824 accumulations
+    H = _dense_q8()
+    assert H.generating_rows == list(range(H.dim))
+    assert _reference_witnesses(H) == ("", "")
+    assert _counted_comult_alg_map(H, monkeypatch) == ("", {"_acc_equal": 64, "_acc_add": 589_824})
+    item = next(item for item in check_axioms(H).items if item.id == "comult-alg-map")
+    assert (item.passed, item.witness) == (True, "")

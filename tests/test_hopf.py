@@ -441,6 +441,61 @@ def test_cyclotomic_order_must_be_an_int_in_range(order):
                  cyclotomic_order=order)
 
 
+# the keys are checked in bulk; a failure runs the per-key loop, which names the
+# first bad key in insertion order, between good keys that come first and last
+@pytest.mark.parametrize("middle, bad", [
+    pytest.param({(0, 1, 0.0): 1}, (0, 1, 0.0), id="float"),
+    pytest.param({(0, 1, True): 1}, (0, 1, True), id="bool"),
+    pytest.param({(0, "1", 0): 1}, (0, "1", 0), id="str"),
+    pytest.param({(0, -1, 0): 1}, (0, -1, 0), id="negative"),
+    pytest.param({(0, 2, 0): 1}, (0, 2, 0), id="is-dim"),
+    pytest.param({(0, 1, 0, 1): 1}, (0, 1, 0, 1), id="arity"),
+    pytest.param({(1, 0, 1): 1, (0, 1): 1, (1, 0, 0): 1}, (0, 1), id="mixed-arities"),
+    # (1, -1, 1) holds the least index, (1, 1, 5) comes first
+    pytest.param({(1, 0, 1): 1, (1, 1, 5): 1, (1, -1, 1): 1}, (1, 1, 5), id="first-not-extreme"),
+    pytest.param({(1, 0, 0.5): 1, 7: 1}, (1, 0, 0.5), id="before-a-non-sequence-key"),
+])
+def test_bad_key_names_the_first_bad_key(middle, bad):
+    mult = {(0, 0, 0): 1, **middle, (1, 1, 1): 1}
+    with pytest.raises(ValueError) as err:
+        HopfData("bad", 2, mult, [1, 0], {(0, 0, 0): 1}, [1, 0], {(0, 0): 1})
+    assert str(err.value) == f"bad multiplication key {bad!r}: need 3 indices in 0..1"
+    with pytest.raises(ValueError) as err:
+        HopfData("bad", 2, {(0, 0, 0): 1}, [1, 0], {(0, 0, 0): 1}, [1, 0], {(0, 0): 1, (1, 2): 1})
+    assert str(err.value) == "bad antipode key (1, 2): need 2 indices in 0..1"
+
+
+def test_empty_sections_build_and_the_literal_one_is_shared():
+    h = HopfData("empty", 2, {}, [1, 0], {}, [0, 0], {})
+    assert h.mult == h.comult == h.antipode == {}
+    text = format_hopf(_tensor_d64())
+    h = parse_hopf(text)
+    values = [*h.mult.values(), *h.comult.values(), *h.antipode.values()]
+    assert values and all(c is ONE for c in values if c == 1)
+    assert all(c is ONE for c in HopfData("k", 1, {(0, 0, 0): Fraction(2, 2)}, [1], {(0, 0, 0): ONE},
+                                          [1], {(0, 0): CycScalar.from_coords(1, [1])}).mult.values())
+
+
+@pytest.mark.parametrize("section", ["multiplication", "comultiplication", "antipode", "unit", "counit"])
+def test_scalar_order_must_divide_the_cyclotomic_order(section):
+    # format_hopf writes `cyclotomic N` with N = cyclotomic_order, so a stored
+    # scalar of another order would format to a file that parse_hopf rejects
+    # (zeta_32 and zeta_33 at order 1 once formatted as `cyclotomic 1056`)
+    z32, z33 = CycScalar.zeta(32), CycScalar.zeta(33)
+    fields = {"multiplication": {(0, 0, 0): 1}, "unit": [1], "comultiplication": {(0, 0, 0): 1},
+              "counit": [1], "antipode": {(0, 0): 1}}
+    fields[section] = [z33] if section in ("unit", "counit") else {key: z33 for key in fields[section]}
+    key = "(0,)" if section in ("unit", "counit") else repr(next(iter(fields[section])))
+    with pytest.raises(ValueError) as err:
+        HopfData("k", 1, *fields.values())
+    assert str(err.value) == f"{section} entry {key} has order 33, which does not divide cyclotomic_order 1"
+    with pytest.raises(ValueError, match=r"^multiplication entry \(0, 0, 0\) has order 32, "):
+        HopfData("k", 1, {(0, 0, 0): z32}, [1], {(0, 0, 0): z33}, [1], {(0, 0): 1})
+    h = HopfData("k", 1, *fields.values(), cyclotomic_order=33)
+    assert format_hopf(h).startswith("hopf k\ndim 1\ncyclotomic 33\n")
+    assert parse_hopf(format_hopf(h)) == h
+
+
 def test_format_round_trip_at_the_maximum_order():
     h = HopfData("k", 1, {(0, 0, 0): 1}, [1], {(0, 0, 0): 1}, [1], {(0, 0): 1}, cyclotomic_order=1000)
     text = format_hopf(h)
