@@ -17,6 +17,17 @@ The six analysis subcommands (all but ``build``) share four options:
     --json           emit JSON instead of text
     -o, --output P   write to P instead of stdout (``build`` takes it too)
 
+argv is read against one table of the subcommands, their positionals and
+their options.  Options may come before, between or after the positionals;
+a value follows its option as the next word or after ``=`` (``--seed=-3``,
+``--seed -3``; ``-o P``, ``-oP`` and ``-o=P``).  A word that starts with
+``-`` is an option unless it is ``-`` or a negative integer, and ``--`` ends
+the options.  The last of a repeated option wins.  Options are spelled in
+full: a prefix such as ``--cyc`` is an unrecognized argument.  ``-h`` or
+``--help``, at the top or after a subcommand, prints a usage text and exits 0;
+a rejected argv prints ``usage: hopfkit ...`` and ``hopfkit ...: error: ...``
+on stderr and exits 2.
+
 Exit codes: 0 success, 1 verification failure (or a semantic error such as a
 non-semisimple input), 2 usage, parse or I/O error (files are read and written
 as UTF-8).  Scalars in files and reports always use the exact literal grammar;
@@ -28,13 +39,12 @@ not depend on it.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from contextlib import contextmanager
-from functools import cache
 from math import lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 from .builders import drinfeld_double, function_algebra, group_algebra, tensor_product
 from .characters import is_central_character
@@ -54,49 +64,136 @@ _BUILDERS = {
 }
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process; parse_args leaves the parser unchanged
-    # the four options shared by the analysis subcommands; build takes only -o
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--cyclotomic", type=int, default=None, metavar="N",
-                        help="cyclotomic order of the splitting field (default: from the file)")
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--json", action="store_true")
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("-o", "--output", help="write output to this path instead of stdout")
-    analysis = [shared, output]
+# Each subcommand: its usage, its description, its positionals (build's last
+# one takes every remaining word) and its options, by spelling -> field.
+_OUTPUT = {"-o": "output", "--output": "output"}
+_SHARED = {"--cyclotomic": "cyclotomic", "--seed": "seed", "--json": "json", **_OUTPUT}
+_GRAMMAR = {
+    "build": ("group-algebra|function-algebra|double <file.grp> | tensor <a.hopf> <b.hopf>",
+              "construct a .hopf file from group data", ("kind", "inputs"), _OUTPUT),
+    "check-axioms": ("<file.hopf>", "verify the Hopf axioms of a .hopf file", ("input",), _SHARED),
+    "integrals": ("<file.hopf>", "compute and certify the integral pair (assumes H and H* are "
+                  "associative and unital, which check-axioms and report certify)", ("input",), _SHARED),
+    "wedderburn": ("<file.hopf>", "compute the block decomposition", ("input",), _SHARED),
+    "characters": ("<file.hopf>", "compute the character table and fusion ring", ("input",), _SHARED),
+    "verify": ("<file.hopf>", "run verification suites", ("input",), {**_SHARED, "--suite": "suite"}),
+    "report": ("<file.grp|file.hopf>", "run every suite and emit one document", ("input",),
+               {**_SHARED, "--as": "build_as"}),
+}
+_DEFAULTS = {"cyclotomic": None, "seed": 0, "json": False, "output": None, "suite": "all", "build_as": None}
+_CHOICES = {"kind": (*_BUILDERS, "tensor"), "suite": (*SUITES, "all"), "build_as": tuple(_BUILDERS)}
+_OPTION_HELP = {
+    "cyclotomic": "--cyclotomic N   order of the splitting field Q(zeta_N), 1 <= N <= 1000 (default: from the input)",
+    "seed": "--seed s         seed of the corollary suite's subset sample (default 0)",
+    "json": "--json           emit JSON instead of text",
+    "output": "-o, --output P   write to P instead of stdout",
+    "suite": f"--suite NAME     run one suite: {'|'.join(_CHOICES['suite'])} (default all)",
+    "build_as": f"--as KIND        how to build a Hopf algebra from a .grp input: {'|'.join(_BUILDERS)}",
+}
 
-    parser = argparse.ArgumentParser(
-        prog="hopfkit",
-        description="Exact verification toolkit for finite-dimensional semisimple Hopf algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    build = sub.add_parser("build", parents=[output], help="construct a .hopf file from group data")
-    build.add_argument("kind", choices=(*_BUILDERS, "tensor"))
-    build.add_argument("inputs", nargs="+", help=".grp file (or two .hopf files for tensor)")
+class _UsageError(Exception):
+    """An argv the grammar rejects; ``command`` is the subcommand read, if any."""
 
-    for name, help_text in (
-        ("check-axioms", "verify the Hopf axioms of a .hopf file"),
-        ("integrals", "compute and certify the integral pair (assumes H and H* are associative "
-                      "and unital, which check-axioms and report certify)"),
-        ("wedderburn", "compute the block decomposition"),
-        ("characters", "compute the character table and fusion ring"),
-    ):
-        sub.add_parser(name, parents=analysis, help=help_text).add_argument("input", help=".hopf file")
+    def __init__(self, command: str | None, message: str):
+        super().__init__(message)
+        self.command = command
 
-    verify = sub.add_parser("verify", parents=analysis, help="run verification suites")
-    verify.add_argument("input", help=".hopf file")
-    verify.add_argument("--suite", default="all", choices=SUITES + ("all",))
 
-    report = sub.add_parser("report", parents=analysis, help="run every suite and emit one document")
-    report.add_argument("input", help=".grp or .hopf file")
-    report.add_argument("--as", dest="build_as", default=None,
-                        choices=tuple(_BUILDERS),
-                        help="how to build a Hopf algebra from a .grp input")
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: hopfkit <command> [options]"
+    return f"usage: hopfkit {command} {_GRAMMAR[command][0]} [options]"
 
-    return parser
+
+def _help(command: str | None) -> str:
+    if command is None:
+        lines = ["Exact verification toolkit for finite-dimensional semisimple Hopf algebras.", "",
+                 "commands:"]
+        lines += [f"  {name:<14}{entry[1]}" for name, entry in _GRAMMAR.items()]
+        lines.append("'hopfkit <command> --help' shows the options of a command.")
+    else:
+        lines = [_GRAMMAR[command][1], "", "options:", "  -h, --help       show this help and exit"]
+        lines += ["  " + _OPTION_HELP[field] for field in dict.fromkeys(_GRAMMAR[command][3].values())]
+    return "\n".join([_usage(command), "", *lines]) + "\n"
+
+
+def _is_option(word: str) -> bool:
+    # "-" and negative integers are values, not options
+    return word[:1] == "-" and word != "-" and not word[1:].isdigit()
+
+
+def _checked(command: str, name: str, field: str, value: str):
+    """The value of an option or positional, as an int or one of its choices."""
+    if field in ("cyclotomic", "seed"):
+        try:
+            return int(value)
+        except ValueError:
+            raise _UsageError(command, f"argument {name}: invalid int value: {value!r}") from None
+    if field in _CHOICES and value not in _CHOICES[field]:
+        choices = ", ".join(map(repr, _CHOICES[field]))
+        raise _UsageError(command, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The command and its fields, read from argv by the grammar the module
+    docstring gives, or None once --help is printed; a rejected argv raises
+    _UsageError."""
+    if not argv:
+        raise _UsageError(None, "the following arguments are required: command")
+    command, *words = argv
+    if command in ("-h", "--help"):
+        sys.stdout.write(_help(None))
+        return None
+    if command not in _GRAMMAR:
+        choices = ", ".join(map(repr, _GRAMMAR))
+        raise _UsageError(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    _, _, names, options = _GRAMMAR[command]
+    fields = {"command": command, **{field: _DEFAULTS[field] for field in options.values()}}
+    positionals: list[str] = []
+    unrecognized: list[str] = []
+    only_positionals = False
+    rest = iter(words)
+    for word in rest:
+        if only_positionals or not _is_option(word):
+            if len(positionals) < len(names):  # a choice is checked where it is read
+                _checked(command, names[len(positionals)], names[len(positionals)], word)
+            positionals.append(word)
+        elif word == "--":
+            only_positionals = True
+        elif word in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            return None
+        else:
+            if word[1] == "-":
+                name, attached, value = word.partition("=")
+            else:  # -oP and -o=P
+                name, attached, value = word[:2], word[2:], word[2:].removeprefix("=")
+            field = options.get(name)
+            if field is None:
+                unrecognized.append(word)  # reported once every word is read, so a later --help wins
+            elif field == "json":
+                if attached:
+                    raise _UsageError(command, f"argument {name}: ignored explicit argument {value!r}")
+                fields["json"] = True
+            else:
+                if not attached:
+                    value = next(rest, "--")  # past the end, as if an option followed
+                    if _is_option(value):
+                        raise _UsageError(command, f"argument {name}: expected one argument")
+                fields[field] = _checked(command, name, field, value)
+    missing = names[len(positionals):]
+    if missing:
+        raise _UsageError(command, "the following arguments are required: " + ", ".join(missing))
+    if names[-1] != "inputs":
+        unrecognized += positionals[len(names):]
+    if unrecognized:
+        raise _UsageError(command, "unrecognized arguments: " + " ".join(unrecognized))
+    fields.update(zip(names, positionals))
+    if names[-1] == "inputs":
+        fields["inputs"] = positionals[len(names) - 1:]
+    return SimpleNamespace(**fields)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -308,10 +405,13 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help; normalize
-        return 0 if exc.code == 0 else 2
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        where = f"hopfkit {exc.command}" if exc.command else "hopfkit"
+        print(f"{_usage(exc.command)}\n{where}: error: {exc}", file=sys.stderr)
+        return 2
+    if args is None:  # --help
+        return 0
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, OSError) as exc:

@@ -14,6 +14,9 @@ runs the classic Zassenhaus chain on what remains:
       -> linear multifactor Hensel lifting past the Mignotte coefficient bound
       -> exhaustive subset recombination (factor counts stay tiny at desk scale)
 
+An input whose monic form has integer coefficients is peeled before Yun; when
+that finds deg distinct roots, their linear factors are the answer.
+
 Factorization over Q(zeta_N) first divides out each cyclotomic polynomial
 Phi_d with d | N, whose roots are powers of zeta_N, and sends the rest to
 Trager's norm method: shift by an integer multiple s of zeta_N until the norm
@@ -393,7 +396,17 @@ def factor_rational(p: Poly) -> list[tuple[Poly, int]]:
         return []
     lead = coeffs[-1]
     monic = [c / lead for c in coeffs]
+    if all(c.denominator == 1 for c in monic):
+        # deg distinct integer roots: the product of the x - t is squarefree
+        linears, rest, _ = _peel_integer_roots([c.numerator for c in monic])
+        if rest == [1] and len({h[0] for h in linears}) == len(linears):
+            return [(Poly(h), 1) for h in sorted(linears)]
+    return _factor_by_yun(monic)
 
+
+def _factor_by_yun(monic: list[Fraction]) -> list[tuple[Poly, int]]:
+    """factor_rational of a monic polynomial of degree >= 1 through its
+    squarefree parts, each factored over Z."""
     out: list[tuple[Poly, int]] = []
     for part, mult in _yun(monic):
         # clear denominators: g(y) = L^n * part(y / L) is integer and monic

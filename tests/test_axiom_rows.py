@@ -109,10 +109,10 @@ def test_perturbation_outside_the_generating_rows(name, examples):
 
 
 @st.composite
-def _perturbation(draw, H):
+def _perturbation(draw, H, sections=("mult", "comult", "antipode")):
     """One section of H changed: a stored entry changed, an entry added, or a
     second term added to a product, coproduct or antipode image."""
-    section = draw(st.sampled_from(("mult", "comult", "antipode")))
+    section = draw(st.sampled_from(sections))
     entries = getattr(H, section)
     key = draw(st.sampled_from(sorted(entries)))
     kind = draw(st.sampled_from(("change", "add", "second term")))
@@ -157,6 +157,69 @@ def test_every_row_differential_reaches_both_sides(name, examples, monkeypatch):
     assert seen == {"_assoc": H.generating_rows, "_coassoc": H.dual.generating_rows,
                     "_comult_alg_map": H.generating_rows}
     assert len(H.generating_rows) < H.dim and len(H.dual.generating_rows) < H.dim
+
+
+def _comult_alg_map_calls(H, monkeypatch):
+    """check_axioms(H)'s items, and its _comult_alg_map calls as (side, rows),
+    side "H" or "H*"."""
+    import hopfkit.axioms as axioms
+
+    calls = []
+    original = axioms._comult_alg_map
+
+    def recorded(side, rows):
+        calls.append(("H" if side is H else "H*" if side is H.dual else side, list(rows)))
+        return original(side, rows)
+
+    monkeypatch.setattr(axioms, "_comult_alg_map", recorded)
+    items = _items(H)
+    monkeypatch.undo()
+    return items, calls
+
+
+@pytest.mark.parametrize("name,side", [("kS3", "H"), ("k^S3", "H*"), ("D(C2)", "H"), ("D(S3)", "H*"),
+                                       ("D(S3)*", "H"), ("tensor", "H")])
+def test_comult_alg_map_runs_on_the_side_with_fewer_rows(name, side, examples, monkeypatch):
+    # H*'s generating rows once coassoc passed, when they are fewer than H's;
+    # on a tie (D(C2), the tensor) the loop stays on H
+    H = _algebra(name, examples)
+    items, calls = _comult_alg_map_calls(H, monkeypatch)
+    assert calls == [(side, (H if side == "H" else H.dual).generating_rows)]
+    assert items == _items_on_every_row(H)
+
+
+_SWITCHED = ("k^S3", "D(S3)")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None, phases=[Phase.generate])
+@given(data=st.data())
+def test_switched_side_gives_the_items_of_every_row(data, examples):
+    # a change to H's mult or antipode leaves coassoc, so the loop runs on H*;
+    # where it fails there, the full sweep on H names the witness
+    H = _algebra(data.draw(st.sampled_from(_SWITCHED)), examples)
+    section, change = data.draw(_perturbation(H, ("mult", "antipode")))
+    broken = perturbed(H, **{section: change})
+    assert _items(broken) == _items_on_every_row(broken)
+    _assert_comult_alg_map_matches_the_reference(broken)
+
+
+@pytest.mark.parametrize("name", _SWITCHED)
+def test_switched_side_failure_reruns_every_row_of_h(name, examples, monkeypatch):
+    # each stored product changed in turn: the H* side sees every failure, and
+    # the rerun over every row of H names the all-pairs reference's witness
+    H = _algebra(name, examples)
+    failed = 0
+    for key in sorted(H.mult)[::7]:
+        broken = perturbed(H, mult={key: H.mult[key] + 1})
+        items, calls = _comult_alg_map_calls(broken, monkeypatch)
+        assert calls[0] == ("H*", broken.dual.generating_rows)
+        passed, witness = next((passed, witness) for id_, passed, witness in items if id_ == "comult-alg-map")
+        if not passed:
+            failed += 1
+            assert calls[1:] == [("H", list(range(H.dim)))]
+            assert witness == _reference_witnesses(broken)[1]
+        assert items == _items_on_every_row(broken)
+    assert failed
 
 
 # -- comult-alg-map against an all-pairs reference ------------------------------

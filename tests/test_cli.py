@@ -1,11 +1,13 @@
 """The hopfkit command line: subcommands, exit codes, and determinism."""
 
+import copy
 import json
 
 import pytest
 
 from hopfkit import builtin_group, builtin_grp_text, drinfeld_double, format_hopf, group_algebra, parse_hopf
-from hopfkit.cli import _build_parser, main
+from hopfkit import cli
+from hopfkit.cli import main
 
 
 @pytest.fixture()
@@ -198,7 +200,8 @@ def test_usage_error_exits_2(capsys):
 
 
 def test_one_parser_per_process_keeps_help_and_usage_errors(capsys):
-    assert _build_parser() is _build_parser()
+    # one grammar table per process, which reading argv leaves unchanged
+    grammar = copy.deepcopy(cli._GRAMMAR)
     for _ in range(2):
         assert main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: hopfkit")
@@ -206,6 +209,71 @@ def test_one_parser_per_process_keeps_help_and_usage_errors(capsys):
         assert "invalid choice: 'nope'" in capsys.readouterr().err
         assert main(["check-axioms"]) == 2
         assert "required: input" in capsys.readouterr().err
+        assert cli._GRAMMAR == grammar
+
+
+_COMMANDS = ("build", "check-axioms", "integrals", "wedderburn", "characters", "verify", "report")
+
+
+@pytest.mark.parametrize("argv,code,fragment", [
+    (["--help"], 0, "usage: hopfkit <command>"),
+    (["-h"], 0, "usage: hopfkit <command>"),
+    *[([command, "--help"], 0, f"usage: hopfkit {command} ") for command in _COMMANDS],
+    (["report", "kc2.hopf", "-h"], 0, "usage: hopfkit report "),
+    (["check-axioms", "--bogus", "-h"], 0, "usage: hopfkit check-axioms "),
+    (["check-axioms", "kc2.hopf", "--seed=-3"], 0, "PASS"),
+    (["check-axioms", "kc2.hopf", "--seed", "-3"], 0, "PASS"),
+    (["check-axioms", "--json", "--seed", "1", "kc2.hopf"], 0, '"algebra": "k[C2]"'),
+    (["check-axioms", "kc2.hopf", "--json", "--seed", "1", "--seed", "2"], 0, '"algebra": "k[C2]"'),
+    (["verify", "--suite", "axioms", "kc2.hopf", "--suite=lemma1"], 0, "lemma1"),
+    (["check-axioms", "kc2.hopf", "--bogus"], 2, "error: unrecognized arguments: --bogus"),
+    # prefixes of an option are not read as the option
+    (["report", "kc2.hopf", "--cyc", "3"], 2, "error: unrecognized arguments: --cyc"),
+    (["build", "x.grp", "--seed", "1"], 2, "error: argument kind: invalid choice: 'x.grp'"),
+    (["build", "double", "c2.grp", "--seed", "1"], 2, "error: unrecognized arguments: --seed"),
+    (["check-axioms", "x.hopf", "--as", "double"], 2, "error: unrecognized arguments: --as double"),
+    (["report", "kc2.hopf", "--seed"], 2, "error: argument --seed: expected one argument"),
+    (["report", "kc2.hopf", "-o", "--json"], 2, "error: argument -o: expected one argument"),
+    (["report", "kc2.hopf", "-o"], 2, "error: argument -o: expected one argument"),
+    (["report", "kc2.hopf", "--seed", "x"], 2, "error: argument --seed: invalid int value: 'x'"),
+    (["report", "kc2.hopf", "--cyclotomic=1.5"], 2, "error: argument --cyclotomic: invalid int value: '1.5'"),
+    (["report", "kc2.hopf", "--json=yes"], 2, "error: argument --json: ignored explicit argument 'yes'"),
+    (["check-axioms", "kc2.hopf", "kc2.hopf"], 2, "error: unrecognized arguments: kc2.hopf"),
+    (["build", "tensor"], 2, "error: the following arguments are required: inputs"),
+    ([], 2, "hopfkit: error: the following arguments are required: command"),
+    (["--json"], 2, "hopfkit: error: argument command: invalid choice: '--json'"),
+])
+def test_command_line_grammar(workdir, capsys, monkeypatch, argv, code, fragment):
+    monkeypatch.chdir(workdir)
+    (workdir / "kc2.hopf").write_text(format_hopf(group_algebra(builtin_group("C2"))))
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert fragment in out and err == ""
+    else:
+        command = f"hopfkit {argv[0]}" if argv and argv[0] in _COMMANDS else "hopfkit"
+        assert out == "" and err.startswith(f"usage: {command} ")
+        assert fragment in err and err.endswith("\n") and err.count("\n") == 2
+    assert "Traceback" not in out + err
+
+
+_DEFAULTS = {"cyclotomic": None, "seed": 0, "json": False, "output": None}
+
+
+@pytest.mark.parametrize("argv,fields", [
+    (["report", "s3.grp", "--as", "double", "--seed=-3"],
+     {**_DEFAULTS, "command": "report", "input": "s3.grp", "build_as": "double", "seed": -3}),
+    (["verify", "--suite=lemma1", "--json", "x.hopf", "--suite", "axioms", "--cyclotomic", "12"],
+     {**_DEFAULTS, "command": "verify", "input": "x.hopf", "suite": "axioms", "json": True, "cyclotomic": 12}),
+    (["build", "-o=t.hopf", "tensor", "a.hopf", "b.hopf"],
+     {"command": "build", "kind": "tensor", "inputs": ["a.hopf", "b.hopf"], "output": "t.hopf"}),
+    (["wedderburn", "-ow.txt", "x.hopf", "--output", "v.txt"],
+     {**_DEFAULTS, "command": "wedderburn", "input": "x.hopf", "output": "v.txt"}),
+    (["characters", "--", "-x.hopf"], {**_DEFAULTS, "command": "characters", "input": "-x.hopf"}),
+    (["integrals", "-3", "-o", "-"], {**_DEFAULTS, "command": "integrals", "input": "-3", "output": "-"}),
+])
+def test_command_line_fields(argv, fields):
+    assert vars(cli._parse(argv)) == fields
 
 
 def test_nonsemisimple_exits_1(workdir, capsys, sweedler):

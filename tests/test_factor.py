@@ -1,5 +1,6 @@
 """Factorization over Q and over cyclotomic fields."""
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -12,6 +13,7 @@ from hopfkit import CycScalar, Poly, cyclotomic_coeffs, factor, factor_over_cycl
 from hopfkit.factor import (
     _ROOT_CANDIDATE_CAP,
     _choose_prime,
+    _factor_by_yun,
     _next_prime,
     _norm,
     _peel_integer_roots,
@@ -240,6 +242,40 @@ def test_fraction_roots_are_peeled_after_scaling():
         (Poly([1, 0, 1]), 1),
     ]
     assert _product_with_lead(p, factors) == p
+
+
+_COFACTORS = ([1, 0, 1], [1, 1, 1], [-2, 0, 1], [-2, 0, 0, 1], [1, 0, 0, 0, 1])
+
+
+def _seeded_product(seed):
+    """A product of distinct integer linears, with, by the seed, a repeated
+    linear, an irreducible cofactor and a leading coefficient."""
+    rng = random.Random(seed)
+    roots = rng.sample(range(-12, 13), rng.randint(1, 5))
+    p = Poly([rng.choice((1, 1, -3, Fraction(1, 2)))])
+    for t in roots:
+        p = p * Poly([-t, 1])
+    if rng.random() < 0.3:
+        p = p * Poly([-rng.choice(roots), 1])
+    if rng.random() < 0.3:
+        p = p * Poly(rng.choice(_COFACTORS))
+    return p
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_integer_root_fast_path_matches_the_full_path(seed, monkeypatch):
+    # factor_rational skips Yun exactly when the input splits into distinct
+    # integer linears; either way the list, order included, is the full path's
+    p = _seeded_product(seed)
+    lead = p.leading().as_fraction()
+    full = _factor_by_yun([c.as_fraction() / lead for c in p.coeffs])
+    calls = []
+    monkeypatch.setattr(factor, "_factor_by_yun", lambda monic: calls.append(monic) or full)
+    got = factor_rational(p)
+    assert [(f.coeffs, m) for f, m in got] == [(f.coeffs, m) for f, m in full]
+    assert _product_with_lead(p, got) == p
+    split = all(f.degree == 1 and m == 1 for f, m in full)
+    assert bool(calls) != split
 
 
 def _roots_of_order(n, d):

@@ -15,18 +15,29 @@ def test_all_is_sorted_unique_and_resolves():
     assert [name for name in names if not hasattr(hopfkit, name)] == []
 
 
-def test_import_does_not_load_the_cli():
-    # the library never depends on its command line: a fresh interpreter that
-    # imports hopfkit has loaded neither hopfkit.cli nor argparse
+def _loaded_in_a_fresh_interpreter(statement, modules):
+    """The names among ``modules`` that a fresh interpreter has loaded after
+    running ``statement``."""
     package_root = str(Path(hopfkit.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": package_root + (os.pathsep + path if path else "")}
-    code = "import sys, hopfkit; print(sorted({'hopfkit.cli', 'argparse'} & set(sys.modules)))"
+    code = f"import sys; {statement}; print(sorted({set(modules)!r} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+def test_import_does_not_load_the_cli():
+    # the library never depends on its command line: a fresh interpreter that
+    # imports hopfkit has loaded neither hopfkit.cli nor argparse
+    assert _loaded_in_a_fresh_interpreter("import hopfkit", ("hopfkit.cli", "argparse")) == "[]\n"
+
+
+def test_the_cli_reads_argv_without_argparse():
+    # a fresh `import hopfkit.cli` pays for no argument-parsing library
+    assert _loaded_in_a_fresh_interpreter("import hopfkit.cli", ("argparse", "gettext")) == "[]\n"
 
 
 def test_one_element_form():
