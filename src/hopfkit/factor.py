@@ -1,21 +1,19 @@
 """Univariate polynomial factorization over Q and over cyclotomic fields.
 
-The rational kernel peels the integer roots of each monic squarefree part
-(candidates 0 and the divisors of the lowest nonzero coefficient below the
-Cauchy bound, each confirmed by Horner evaluation and removed by exact
-division; a cofactor of degree <= 3 left without one is irreducible), then
-runs the classic Zassenhaus chain on what remains:
+The rational kernel scales the monic input once to a monic integer
+polynomial and peels its integer roots with multiplicity (candidates 0 and
+the divisors of the lowest nonzero coefficient below the Cauchy bound, each
+confirmed by Horner evaluation and removed by synthetic division).  Only the
+cofactor left without integer roots goes on to the classic Zassenhaus chain,
+where a squarefree part of degree <= 3 is already irreducible:
 
     Yun squarefree decomposition
       -> reduction mod the first prime p > 2^30 modulo which the monic
-         squarefree input stays squarefree (gcd(f, f') = 1 in GF(p)[x],
+         squarefree part stays squarefree (gcd(f, f') = 1 in GF(p)[x],
          equivalently p does not divide the discriminant)
       -> distinct-degree + equal-degree splitting in GF(p)[x]
       -> linear multifactor Hensel lifting past the Mignotte coefficient bound
       -> exhaustive subset recombination (factor counts stay tiny at desk scale)
-
-An input whose monic form has integer coefficients is peeled before Yun; when
-that finds deg distinct roots, their linear factors are the answer.
 
 Factorization over Q(zeta_N) first divides out each cyclotomic polynomial
 Phi_d with d | N, whose roots are powers of zeta_N, and sends the rest to
@@ -92,15 +90,7 @@ def _gf_monic(a: list[int], p: int) -> list[int]:
 
 
 def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
+    return _poly_trim([c % p for c in _poly_mul(a, b)])
 
 
 def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -266,18 +256,28 @@ def _horner(f: list[int], t: int) -> int:
     return acc
 
 
-def _peel_integer_roots(f: list[int]) -> tuple[list[list[int]], list[int], bool]:
-    """Split x - t off a monic squarefree integer f for each integer root t.
+def _deflate(f: list[int], t: int) -> list[int]:
+    """f / (x - t) for an integer root t of f, by synthetic division."""
+    q = f[1:]
+    for k in range(len(q) - 2, -1, -1):
+        q[k] += t * q[k + 1]
+    return q
 
-    Returns the linear factors, the cofactor and whether every candidate was
-    tried.  The candidates are 0 and the divisors t of the lowest nonzero
-    coefficient with |t| < B, the least power of two with B^n > sum |a_i| B^i:
-    B exceeds the Cauchy radius (the positive root of x^n - sum |a_i| x^i,
-    itself at most 1 + max |a_i|), which bounds every root.  When there are
-    more than _ROOT_CANDIDATE_CAP candidates, only the root 0 is peeled.
+
+def _peel_integer_roots(f: list[int]) -> tuple[list[list[int]], list[int], bool]:
+    """Split x - t off a monic integer f as often as the integer t is a root.
+
+    f need not be squarefree.  Returns one linear factor per root counted with
+    multiplicity, the cofactor and whether every candidate was tried (then the
+    cofactor has no integer root).  The candidates are 0 and the divisors t of
+    the lowest nonzero coefficient with |t| < B, the least power of two with
+    B^n > sum |a_i| B^i: B exceeds the Cauchy radius (the positive root of
+    x^n - sum |a_i| x^i, itself at most 1 + max |a_i|), which bounds every
+    root.  When there are more than _ROOT_CANDIDATE_CAP candidates, only the
+    root 0 is peeled.
     """
     linears: list[list[int]] = []
-    if len(f) > 2 and f[0] == 0:
+    while len(f) > 2 and f[0] == 0:
         linears.append([0, 1])
         f = f[1:]
     if len(f) > 2:
@@ -291,26 +291,13 @@ def _peel_integer_roots(f: list[int]) -> tuple[list[list[int]], list[int], bool]
         for t in range(1, limit + 1):
             if len(f) > 2 and f[0] % t == 0:
                 for root in (t, -t):
-                    if _horner(f, root) == 0:
+                    while len(f) > 2 and _horner(f, root) == 0:
                         linears.append([-root, 1])
-                        f = _poly_divmod(f, linears[-1])[0]
+                        f = _deflate(f, root)
     if len(f) == 2:  # a monic linear cofactor x - t is the last root
         linears.append(f)
         f = [1]
     return linears, f, True
-
-
-def _factor_squarefree_monic_z(f: list[int]) -> list[list[int]]:
-    """Irreducible monic integer factors of a monic squarefree integer
-    polynomial.  Integer roots are peeled first; a cofactor of degree <= 3
-    without one is irreducible, and any other goes to Zassenhaus."""
-    factors, rest, complete = _peel_integer_roots(f)
-    n = len(rest) - 1
-    if n > (3 if complete else 1):
-        factors += _zassenhaus(rest)
-    elif n:
-        factors.append(rest)
-    return factors
 
 
 def _zassenhaus(f: list[int]) -> list[list[int]]:
@@ -387,41 +374,32 @@ def factor_rational(p: Poly) -> list[tuple[Poly, int]]:
 
     The product of the factors (with multiplicity) times the leading
     coefficient of ``p`` reproduces ``p`` exactly.  Constants factor into
-    nothing.
+    nothing.  Factors are sorted by degree, multiplicity and coefficients.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     coeffs = [c.as_fraction() for c in p.coeffs]
-    if len(coeffs) - 1 == 0:
+    n = len(coeffs) - 1
+    if n == 0:
         return []
     lead = coeffs[-1]
     monic = [c / lead for c in coeffs]
-    if all(c.denominator == 1 for c in monic):
-        # deg distinct integer roots: the product of the x - t is squarefree
-        linears, rest, _ = _peel_integer_roots([c.numerator for c in monic])
-        if rest == [1] and len({h[0] for h in linears}) == len(linears):
-            return [(Poly(h), 1) for h in sorted(linears)]
-    return _factor_by_yun(monic)
-
-
-def _factor_by_yun(monic: list[Fraction]) -> list[tuple[Poly, int]]:
-    """factor_rational of a monic polynomial of degree >= 1 through its
-    squarefree parts, each factored over Z."""
-    out: list[tuple[Poly, int]] = []
-    for part, mult in _yun(monic):
-        # clear denominators: g(y) = L^n * part(y / L) is integer and monic
-        L = 1
-        for c in part:
-            L = lcm(L, c.denominator)
-        n = len(part) - 1
-        g = [int(c * L ** (n - k)) for k, c in enumerate(part)]
-        for h in _factor_squarefree_monic_z(g):
-            # map back: monic rational factor is h(L x) / L^deg(h)
-            m = len(h) - 1
-            factor = [Fraction(c) * Fraction(L, 1) ** k / Fraction(L) ** m for k, c in enumerate(h)]
-            out.append((Poly(factor), mult))
-    out.sort(key=lambda fm: (fm[0].degree, fm[1], [c.as_fraction() for c in fm[0].coeffs]))
-    return out
+    # clear denominators: g(y) = L^n * f(y / L) is integer and monic
+    L = 1
+    for c in monic:
+        L = lcm(L, c.denominator)
+    if L > 1:
+        monic = [c * L ** (n - k) for k, c in enumerate(monic)]
+    linears, rest, complete = _peel_integer_roots([c.numerator for c in monic])
+    factors = [(2, m, [c, 1]) for c, m in {h[0]: linears.count(h) for h in linears}.items()]
+    for part, mult in _yun(rest) if len(rest) > 1 else ():
+        part = [c.numerator for c in part]  # monic factor of a monic integer rest: integer (Gauss)
+        # with no integer root left, a part of degree <= 3 has no factor
+        irreducible = len(part) <= (4 if complete else 2)
+        factors += [(len(h), mult, h) for h in ([part] if irreducible else _zassenhaus(part))]
+    if L > 1:  # map back: the monic rational factor is h(L x) / L^deg(h)
+        factors = [(d, m, [Fraction(c, L ** (d - 1 - k)) for k, c in enumerate(h)]) for d, m, h in factors]
+    return [(Poly(h), m) for _, m, h in sorted(factors)]
 
 
 # ---------------------------------------------------------------------------

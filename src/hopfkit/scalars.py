@@ -497,6 +497,13 @@ def format_scalar(a: CycScalar) -> str:
     return "".join(parts)
 
 
+def _literal_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts (4300 by default)
+        raise ParseError(f"a {len(digits)}-digit number in scalar literal is too long to convert") from None
+
+
 def parse_scalar(text: str, order: int) -> CycScalar:
     """Parse the literal grammar; ``z`` denotes zeta_order."""
     s = text.strip()
@@ -532,8 +539,8 @@ def parse_scalar(text: str, order: int) -> CycScalar:
         term = term.replace(" ", "")
         m = _RATIONAL_RE.match(term)
         if m:
-            num = int(m.group(1))
-            den = int(m.group(2)) if m.group(2) else 1
+            num = _literal_int(m.group(1))
+            den = _literal_int(m.group(2)) if m.group(2) else 1
             if den == 0:
                 raise ParseError(f"zero denominator in scalar literal {text!r}")
             accum[0] = accum.get(0, 0) + sgn * Fraction(num, den)
@@ -543,13 +550,13 @@ def parse_scalar(text: str, order: int) -> CycScalar:
             coeff = 1
             if m.group(1):
                 if "/" in m.group(1):
-                    n_, d_ = m.group(1).split("/")
-                    if int(d_) == 0:
+                    n_, d_ = map(_literal_int, m.group(1).split("/"))
+                    if d_ == 0:
                         raise ParseError(f"zero denominator in scalar literal {text!r}")
-                    coeff = Fraction(int(n_), int(d_))
+                    coeff = Fraction(n_, d_)
                 else:
-                    coeff = Fraction(int(m.group(1)))
-            k = int(m.group(2)) if m.group(2) else 1
+                    coeff = Fraction(_literal_int(m.group(1)))
+            k = _literal_int(m.group(2)) if m.group(2) else 1
             k %= order
             accum[k] = accum.get(k, 0) + sgn * coeff
             continue

@@ -13,7 +13,6 @@ from hopfkit import CycScalar, Poly, cyclotomic_coeffs, factor, factor_over_cycl
 from hopfkit.factor import (
     _ROOT_CANDIDATE_CAP,
     _choose_prime,
-    _factor_by_yun,
     _next_prime,
     _norm,
     _peel_integer_roots,
@@ -244,38 +243,115 @@ def test_fraction_roots_are_peeled_after_scaling():
     assert _product_with_lead(p, factors) == p
 
 
-_COFACTORS = ([1, 0, 1], [1, 1, 1], [-2, 0, 1], [-2, 0, 0, 1], [1, 0, 0, 0, 1])
+# x^4 + 1, Phi_5 and x^4 - 2 (Eisenstein) are irreducible over Q, and so is
+# x^4 - 10x^2 + 1, the minimal polynomial of sqrt2 + sqrt3; the octic is the
+# minimal polynomial of sqrt2 + sqrt3 + sqrt5, which splits into factors of
+# degree <= 2 modulo every prime
+_QUARTICS = ([1, 0, 0, 0, 1], [1, 1, 1, 1, 1], [-2, 0, 0, 0, 1], [1, 0, -10, 0, 1])
+_SWINNERTON_DYER = [576, 0, -960, 0, 352, 0, -40, 0, 1]
 
 
-def _seeded_product(seed):
-    """A product of distinct integer linears, with, by the seed, a repeated
-    linear, an irreducible cofactor and a leading coefficient."""
+def _known_factorisation(seed):
+    """A seeded leading coefficient and monic irreducible factors over Q with
+    their multiplicities, {coefficient tuple: multiplicity}.  The seed mod 7
+    picks one feature each case has: distinct integer roots, a repeated
+    integer root, the root 0 with multiplicity, a fraction root, a root past
+    the candidate cap, a squared irreducible of degree 2-4, or the
+    Swinnerton-Dyer octic.  Seeded integer and fraction roots and a plain or
+    squared irreducible, sometimes in a scaled variable, come on top."""
     rng = random.Random(seed)
-    roots = rng.sample(range(-12, 13), rng.randint(1, 5))
-    p = Poly([rng.choice((1, 1, -3, Fraction(1, 2)))])
+    known = {}
+
+    def add(coeffs, mult):
+        key = tuple(Fraction(c) for c in coeffs)
+        known[key] = known.get(key, 0) + mult
+
+    def irreducible():
+        q = [Fraction(c) for c in rng.choice(_QUADRATICS + _CUBICS + _QUARTICS)]
+        if rng.random() < 0.3:  # q(a x) / a^deg q is irreducible too
+            a = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            q = [c / a ** (len(q) - 1 - k) for k, c in enumerate(q)]
+        return q
+
+    feature = seed % 7
+    if feature == 0:
+        for t in rng.sample(range(-12, 13), 2):
+            add([-t, 1], 1)
+    elif feature == 1:
+        add([-rng.randint(-12, 12), 1], rng.randint(2, 3))
+    elif feature == 2:
+        add([0, 1], rng.randint(2, 4))
+    elif feature == 3:
+        add([Fraction(2 * rng.randint(-4, 4) + 1, 2 * rng.randint(1, 3)), 1], rng.randint(1, 2))
+    elif feature == 4:
+        add([rng.choice((-1, 1)) * (_BEYOND_CAP + rng.randint(0, 50)), 1], rng.randint(1, 2))
+    elif feature == 5:
+        add(irreducible(), 2)
+    else:
+        add(_SWINNERTON_DYER, 1)
+    for _ in range(rng.randint(0, 3)):
+        t = rng.randint(-12, 12) if rng.random() < 0.7 else Fraction(rng.randint(-9, 9), rng.randint(2, 5))
+        add([-t, 1], rng.choice((1, 1, 2, 3)))
+    if feature != 6 and rng.random() < 0.5:
+        add(irreducible(), rng.choice((1, 2)))
+    return rng.choice((1, -3, Fraction(1, 2), Fraction(-7, 5))), known
+
+
+@pytest.mark.parametrize("seed", range(49))
+def test_factor_rational_against_known_factorisations(seed):
+    lead, known = _known_factorisation(seed)
+    p = Poly([lead])
+    for coeffs, mult in known.items():
+        p = p * Poly(list(coeffs)) ** mult
+    # the documented order: degree, then multiplicity, then coefficients
+    expected = sorted(((list(f), m) for f, m in known.items()), key=lambda fm: (len(fm[0]), fm[1], fm[0]))
+    got = factor_rational(p)
+    assert [(f.rational_coeffs(), m) for f, m in got] == expected
+    assert _product_with_lead(p, got) == p
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """The arguments of each call to the peel, Yun and Zassenhaus, by name."""
+    seen = {"peel": [], "yun": [], "zassenhaus": []}
+    for name, attr in (("peel", "_peel_integer_roots"), ("yun", "_yun"), ("zassenhaus", "_zassenhaus")):
+        original = getattr(factor, attr)
+        monkeypatch.setattr(factor, attr, lambda f, _seen=seen[name], _f=original: _seen.append(f) or _f(f))
+    return seen
+
+
+@pytest.mark.parametrize("coeffs", [[-1, 0, 0, 0, 1], [1, 1, 1], [0, -1, 0, 0, 0, 1], [4, -4, 5, -4, 1]])
+def test_one_peel_per_call(coeffs, calls):
+    # x^4 - 1, x^2 + x + 1, x^5 - x and (x - 2)^2 (x^2 + 1)
+    factor_rational(Poly(coeffs))
+    assert calls["peel"] == [coeffs]
+
+
+@pytest.mark.parametrize("roots", [[0, 0], [1, -1], [2, 2, -3], [0, 0, 5, 5, 5], [-7, 4, 4, 1, 0]])
+def test_products_of_integer_linears_skip_yun(roots, calls):
+    # x^2 too, whose repeated root test_repeated_eigenvalue_is_not_semisimple
+    # in test_cli.py relies on
+    p = Poly([1])
     for t in roots:
         p = p * Poly([-t, 1])
-    if rng.random() < 0.3:
-        p = p * Poly([-rng.choice(roots), 1])
-    if rng.random() < 0.3:
-        p = p * Poly(rng.choice(_COFACTORS))
-    return p
-
-
-@pytest.mark.parametrize("seed", range(40))
-def test_integer_root_fast_path_matches_the_full_path(seed, monkeypatch):
-    # factor_rational skips Yun exactly when the input splits into distinct
-    # integer linears; either way the list, order included, is the full path's
-    p = _seeded_product(seed)
-    lead = p.leading().as_fraction()
-    full = _factor_by_yun([c.as_fraction() / lead for c in p.coeffs])
-    calls = []
-    monkeypatch.setattr(factor, "_factor_by_yun", lambda monic: calls.append(monic) or full)
     got = factor_rational(p)
-    assert [(f.coeffs, m) for f, m in got] == [(f.coeffs, m) for f, m in full]
-    assert _product_with_lead(p, got) == p
-    split = all(f.degree == 1 and m == 1 for f, m in full)
-    assert bool(calls) != split
+    assert [(m, f[0]) for f, m in got] == sorted((roots.count(t), -t) for t in set(roots))
+    assert calls["yun"] == [] and calls["zassenhaus"] == []
+
+
+@pytest.mark.parametrize("seed", range(0, 49, 3))
+def test_zassenhaus_sees_only_root_free_parts(seed, calls):
+    # a complete peel leaves no integer root, so a part of degree <= 3 is
+    # irreducible; a peel cut short at the candidate cap leaves only linears
+    lead, known = _known_factorisation(seed)
+    p = Poly([lead])
+    for coeffs, mult in known.items():
+        p = p * Poly(list(coeffs)) ** mult
+    factor_rational(p)
+    complete = _peel_integer_roots(calls["peel"][0])[2]
+    for f in calls["zassenhaus"]:
+        assert len(f) - 1 >= (4 if complete else 2), f
+        assert not complete or _peel_integer_roots(f)[0] == [], f
 
 
 def _roots_of_order(n, d):

@@ -93,3 +93,18 @@ def test_one_store_for_h_and_its_dual():
     # that HopfData kept for them are gone
     gone = ("mult_by_output", "dual_generating_rows")
     assert [name for name in gone if hasattr(hopfkit.HopfData, name)] == []
+
+
+def test_factor_module_stays_below_the_compile_peak_step():
+    # the CLI's children compile hopfkit from source, and factor.py is
+    # compiled late, when the heap is already large: past 4096 parser tokens
+    # its compile peak steps up by about 0.2 MB, which reads as a peak_rss_mb
+    # regression on every benchmark workload without any run-time cost
+    import io
+    import tokenize
+
+    import hopfkit.factor
+
+    source = Path(hopfkit.factor.__file__).read_text()
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    assert sum(t.type not in (tokenize.COMMENT, tokenize.NL) for t in tokens) < 4096

@@ -20,7 +20,8 @@ _BASES = {
     "D(C2)*": format_hopf(drinfeld_double(builtin_group("C2")).dual).splitlines(),
 }
 _COMMANDS = ("report", "wedderburn", "characters", "integrals", "check-axioms")
-_TOKENS = ("0", "1", "2", "3", "-1", "1/2", "-2/3", "z", "2*z^3", "z^9", "dim", "MULT", "", "x")
+# the last token has more digits than int() converts
+_TOKENS = ("0", "1", "2", "3", "-1", "1/2", "-2/3", "z", "2*z^3", "z^9", "dim", "MULT", "", "x", "1" * 5001)
 
 _GRP_BASES = {name: builtin_grp_text(name).splitlines() for name in ("C2", "C3", "S3", "C2xC2")}
 _GRP_COMMANDS = (("report", "--as", "group-algebra"), ("report", "--as", "function-algebra"),
@@ -83,6 +84,9 @@ def fuzz_grp(tmp_path_factory):
 # centre holds an element with minimal polynomial x^2
 @example(base="D(C2)*", edits=[("delete", _BASES["D(C2)*"].index("3 3 1 1"), 0, ["0"])],
          command="report")
+# a MULT scalar with more digits than int() converts
+@example(base="kC2", edits=[("token", _BASES["kC2"].index("MULT") + 1, 3, ["1" * 5001])],
+         command="check-axioms")
 def test_mutated_hopf_text_exits_cleanly(fuzz_file, base, edits, command):
     fuzz_file.write_text(_mutate(_BASES[base], edits))
     assert main([command, str(fuzz_file)]) in (0, 1, 2)

@@ -122,6 +122,13 @@ def test_parse_errors():
         parse_scalar("1 + ", 4)
 
 
+@pytest.mark.parametrize("literal", ["{}/2", "1/{}", "{}*z", "1/{}*z", "z^{}"])
+def test_overlong_numbers_are_parse_errors(literal):
+    # a numerator, denominator, coefficient or exponent past int()'s digit limit
+    with pytest.raises(ParseError, match="5001-digit"):
+        parse_scalar(literal.format("1" * 5001), 4)
+
+
 def test_parse_reduces_high_powers():
     # z^4 = 1 at order 4; z^2 = -1
     assert parse_scalar("z^4", 4) == 1
