@@ -53,7 +53,7 @@ from .groups import parse_group
 from .hopf import HopfData, format_hopf, format_vector, parse_hopf
 from .integrals import integrals_report
 from .pipeline import SUITES, Pipeline
-from .report import VerificationReport, report_document
+from .report import VerificationReport, render_json
 from .scalars import MAX_CYCLOTOMIC_ORDER, format_scalar
 from .wedderburn import blocks_report
 
@@ -284,8 +284,7 @@ def _cmd_build(args) -> int:
 
 
 def _emit_document(pipe: Pipeline, reports: list[VerificationReport], output: str | None) -> None:
-    doc = report_document(pipe.H.name, pipe.H.dim, reports)
-    _emit(json.dumps(doc, indent=2) + "\n", output)
+    _emit(render_json(pipe.H.name, pipe.H.dim, reports), output)
 
 
 def _cmd_check_axioms(args) -> int:

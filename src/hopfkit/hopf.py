@@ -65,7 +65,13 @@ from .scalars import MAX_CYCLOTOMIC_ORDER, CycScalar, ONE, ZERO, as_scalar, form
 
 
 def format_vector(v: Sequence[CycScalar]) -> str:
-    return "(" + ", ".join(format_scalar(as_scalar(e)) for e in v) + ")"
+    if isinstance(v, Vector):  # each support entry formatted once, "0" everywhere else
+        cells = ["0"] * v.dim
+        for i, x in v.nz.items():
+            cells[i] = format_scalar(x)
+    else:
+        cells = [format_scalar(as_scalar(e)) for e in v]
+    return "(" + ", ".join(cells) + ")"
 
 
 _ONE_KEY = ONE.key()
@@ -371,7 +377,7 @@ def parse_hopf(text: str) -> HopfData:
                 value = parse_scalar(scalar_text, order)
             except ParseError as exc:
                 raise ParseError(f"bad scalar literal: {exc}", lineno) from None
-            literals[scalar_text] = value = ONE if value.key() == _ONE_KEY else value
+            literals[scalar_text] = value
         if idx in target:
             raise ParseError(f"duplicate {section} entry {idx}", lineno)
         target[idx] = value

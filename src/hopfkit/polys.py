@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .scalars import CycScalar, ONE, ZERO, as_scalar
+from .scalars import CycScalar, ONE, ZERO, as_scalar, format_scalar
 from .scalars import _poly_add, _poly_derivative, _poly_divmod, _poly_gcd, _poly_monic, _poly_mul, _poly_sub
 
 
@@ -160,7 +160,7 @@ def format_poly(p: Poly) -> str:
             continue
         if c.is_rational():
             neg = c.nums[0] < 0
-            mag = str(-c if neg else c)
+            mag = format_scalar(c).lstrip("-")
             if k == 0:
                 body = mag
             else:

@@ -11,8 +11,20 @@ equality at one order compares the fields, and every operation runs on plain
 ints: Phi_N is monic with integer coefficients, so a product reduces in Z,
 and one gcd per result runs only when den != 1.  No float is ever involved.
 ``coords`` gives the rational coordinates (an int when integral, a Fraction
-otherwise), which formats and traces read.  Scalars of different orders
-combine by lifting both into Q(zeta_lcm).
+otherwise), which traces read; formatting reads ``nums`` and ``den`` directly.
+Scalars of different orders combine by lifting both into Q(zeta_lcm).
+
+The integers -64..64 are shared: one fixed instance each, ``ZERO`` and
+``ONE`` among them, so the many small integers of structure constants, sums
+and products cost no allocation.  ``_canonical`` (hence every cyclotomic
+result, ``from_coords``, ``zeta`` and ``parse_scalar``), the integer fast
+paths of ``+ - *`` and unary ``-``, the order-1 ``inverse``,
+``from_rational``, ``as_scalar`` and the coercion of int and Fraction
+operands return the shared instance for an integer in that range.  Only the
+rational paths with a denominator (``1/2 + 1/2``, ``2 * 1/2``) may build an
+integral value afresh.  Sharing is sound because values are immutable, and
+it keeps the ``c is ONE`` fast paths exact: they are shortcuts that may miss
+an equal value built elsewhere, never match a wrong one.
 
 The scalar literal grammar used by file formats and reports:
 
@@ -94,12 +106,14 @@ def _poly_mul(a, b):
 
 
 def _poly_inv(lead):
-    """1 / lead, exact: a canonical int or Fraction for a rational lead, never
-    a float."""
-    if isinstance(lead, (int, Fraction)):
-        q = Fraction(1, lead)
-        return q.numerator if q.denominator == 1 else q
-    return 1 / lead
+    """1 / lead, exact: the int itself for an int lead of +-1, a canonical int
+    or Fraction for another int or Fraction lead, never a float."""
+    if isinstance(lead, CycScalar):
+        return 1 / lead
+    if lead in (1, -1):  # a monic divisor, its own inverse: no Fraction is built
+        return int(lead)
+    q = Fraction(1, lead)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _poly_divmod(a, b):
@@ -195,6 +209,8 @@ def _canonical(order: int, nums: list, den: int) -> "CycScalar":
         if g != 1:
             nums = [x // g for x in nums]
             den //= g
+    if order == 1 == den and -65 < nums[0] < 65:
+        return _SMALL[nums[0]]
     return CycScalar(order, tuple(nums), den)
 
 
@@ -216,8 +232,7 @@ class CycScalar:
 
     @classmethod
     def from_rational(cls, value: Fraction | int) -> "CycScalar":
-        q = Fraction(value)
-        return cls(1, (q.numerator,), q.denominator)
+        return as_scalar(value)
 
     @classmethod
     def from_coords(cls, order: int, coords) -> "CycScalar":
@@ -233,9 +248,7 @@ class CycScalar:
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "CycScalar":
         """zeta_order ** power."""
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        return _canonical(order, _reduce_mod_cyclotomic([0] * (power % order) + [1], order), 1)
+        return cls.from_coords(order, [0] * (power % order) + [1])
 
     # -- predicates and conversions ---------------------------------------
 
@@ -301,7 +314,8 @@ class CycScalar:
         a, b = self.den, other.den
         if self.order == 1 == other.order:
             if a == b == 1:
-                return CycScalar(1, (self.nums[0] + other.nums[0],))
+                n = self.nums[0] + other.nums[0]
+                return _SMALL[n] if -65 < n < 65 else CycScalar(1, (n,))
             n, d = self.nums[0] * b + other.nums[0] * a, a * b
             g = gcd(n, d)
             return CycScalar(1, (n // g,), d // g)
@@ -313,6 +327,9 @@ class CycScalar:
     __radd__ = __add__
 
     def __neg__(self) -> "CycScalar":
+        if self.order == 1 == self.den:
+            n = -self.nums[0]
+            return _SMALL[n] if -65 < n < 65 else CycScalar(1, (n,))
         return CycScalar(self.order, tuple([-c for c in self.nums]), self.den)
 
     def __sub__(self, other) -> "CycScalar":
@@ -321,7 +338,8 @@ class CycScalar:
             if other is NotImplemented:
                 return NotImplemented
         if self.order == 1 == other.order and self.den == other.den == 1:
-            return CycScalar(1, (self.nums[0] - other.nums[0],))
+            n = self.nums[0] - other.nums[0]
+            return _SMALL[n] if -65 < n < 65 else CycScalar(1, (n,))
         return self + -other
 
     def __rsub__(self, other) -> "CycScalar":
@@ -338,7 +356,7 @@ class CycScalar:
         if self.order == 1 == other.order:
             n = self.nums[0] * other.nums[0]
             if den == 1:
-                return CycScalar(1, (n,))
+                return _SMALL[n] if -65 < n < 65 else CycScalar(1, (n,))
             g = gcd(n, den)
             return CycScalar(1, (n // g,), den // g)
         if self.order == 1 or other.order == 1:
@@ -362,7 +380,8 @@ class CycScalar:
             raise ZeroDivisionError("division by zero cyclotomic scalar")
         n, a = self.order, list(self.nums)
         if n == 1:
-            return CycScalar(1, (self.den,), a[0]) if a[0] > 0 else CycScalar(1, (-self.den,), -a[0])
+            s, d = (self.den, a[0]) if a[0] > 0 else (-self.den, -a[0])
+            return _SMALL[s] if d == 1 and -65 < s < 65 else CycScalar(1, (s,), d)
         # 1/a = C/N(a) with C the product of the conjugates sigma_k(a), k a
         # unit mod n other than 1, and the norm N(a) = a C; Q(zeta_n) is
         # totally complex for n > 2, so N(a) is a product of squares
@@ -440,8 +459,10 @@ class CycScalar:
         return format_scalar(self)
 
 
-ZERO = CycScalar(1, (0,))
-ONE = CycScalar(1, (1,))
+# the shared integers -64..64, laid out so that _SMALL[n] is n: 0..64, then
+# -64..-1 at the negative indices
+_SMALL = tuple(CycScalar(1, (n,)) for n in [*range(65), *range(-64, 0)])
+ZERO, ONE = _SMALL[0], _SMALL[1]
 
 
 def _coords(nums, den: int) -> tuple[int | Fraction, ...]:
@@ -453,7 +474,7 @@ def _coords(nums, den: int) -> tuple[int | Fraction, ...]:
 def _coerce(value) -> CycScalar:
     """An int or Fraction operand as a scalar; NotImplemented for others."""
     if isinstance(value, (int, Fraction)):
-        return CycScalar(1, (value.numerator,), value.denominator)
+        return _canonical(1, [value.numerator], value.denominator)
     return NotImplemented  # type: ignore[return-value]
 
 
@@ -461,40 +482,31 @@ def as_scalar(value) -> CycScalar:
     """Coerce an int / Fraction / CycScalar to a CycScalar."""
     if isinstance(value, CycScalar):
         return value
-    if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
-    return CycScalar(1, (value.numerator,), value.denominator)
+    return _coerce(value if isinstance(value, (int, Fraction)) else Fraction(value))
 
 
 # -- literal grammar -----------------------------------------------------------
 
-_RATIONAL_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
-_TERM_RE = re.compile(r"^(?:(\d+(?:/\d+)?)\*)?z(?:\^(\d+))?$")
+_TERM_RE = re.compile(r"(\d+)(?:/(\d+))?(\*z(?:\^(\d+))?)?")  # a bare z^k reads as 1*z^k
 
 
 def format_scalar(a: CycScalar) -> str:
     """Render in the literal grammar, highest power first: e.g. ``3/2*z^2 - 1``."""
-    coords = a.coords  # a property that rebuilds the tuple on each read
+    nums, den = a.nums, a.den
     if a.order == 1:
-        return str(coords[0])
-    parts: list[str] = []
-    for i in range(len(coords) - 1, -1, -1):
-        c = coords[i]
-        if not c:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            power = "z" if i == 1 else f"z^{i}"
-            body = power if mag == 1 else f"{mag}*{power}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if c > 0 else f" - {body}")
-    if not parts:
-        return "0"
-    return "".join(parts)
+        return str(nums[0]) if den == 1 else f"{nums[0]}/{den}"
+    out = ""
+    for i in range(len(nums) - 1, -1, -1):
+        c = nums[i]
+        if c:
+            g = gcd(c, den)  # the coordinate c/den in lowest terms
+            mag = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
+            if i:
+                power = "z" if i == 1 else f"z^{i}"
+                mag = power if mag == "1" else f"{mag}*{power}"
+            sign = (" - " if out else "-") if c < 0 else (" + " if out else "")
+            out += sign + mag
+    return out
 
 
 def _literal_int(digits: str) -> int:
@@ -509,59 +521,24 @@ def parse_scalar(text: str, order: int) -> CycScalar:
     s = text.strip()
     if not s:
         raise ParseError("empty scalar literal")
-    # split into signed terms
-    terms: list[tuple[int, str]] = []
-    sign, buf = 1, []
-    first = True
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch in "+-" and not first:
-            body = "".join(buf).strip()
-            if not body:
-                raise ParseError(f"misplaced sign in scalar literal {text!r}")
-            terms.append((sign, body))
-            sign, buf = (1 if ch == "+" else -1), []
-        elif ch in "+-" and first:
-            sign = 1 if ch == "+" else -1
-        else:
-            buf.append(ch)
-        if ch not in " \t":
-            first = False
-        i += 1
-    body = "".join(buf).strip()
-    if not body:
+    # ["", sign, term, sign, term, ...]: every + or - splits, and a literal
+    # that does not start with a sign starts with an implied +
+    pieces = re.split("([+-])", s if s[0] in "+-" else "+" + s)
+    terms = [t.strip().replace(" ", "") for t in pieces[2::2]]
+    if "" in terms[:-1]:
+        raise ParseError(f"misplaced sign in scalar literal {text!r}")
+    if not terms[-1]:
         raise ParseError(f"trailing sign in scalar literal {text!r}")
-    terms.append((sign, body))
-
     accum: dict[int, Fraction] = {}
-    for sgn, term in terms:
-        term = term.replace(" ", "")
-        m = _RATIONAL_RE.match(term)
-        if m:
-            num = _literal_int(m.group(1))
-            den = _literal_int(m.group(2)) if m.group(2) else 1
-            if den == 0:
-                raise ParseError(f"zero denominator in scalar literal {text!r}")
-            accum[0] = accum.get(0, 0) + sgn * Fraction(num, den)
-            continue
-        m = _TERM_RE.match(term)
-        if m:
-            coeff = 1
-            if m.group(1):
-                if "/" in m.group(1):
-                    n_, d_ = map(_literal_int, m.group(1).split("/"))
-                    if d_ == 0:
-                        raise ParseError(f"zero denominator in scalar literal {text!r}")
-                    coeff = Fraction(n_, d_)
-                else:
-                    coeff = Fraction(_literal_int(m.group(1)))
-            k = _literal_int(m.group(2)) if m.group(2) else 1
-            k %= order
-            accum[k] = accum.get(k, 0) + sgn * coeff
-            continue
-        raise ParseError(f"bad term {term!r} in scalar literal {text!r}")
-
-    top = max(accum) if accum else 0
-    coeffs = [accum.get(k, 0) for k in range(top + 1)]
-    return CycScalar.from_coords(order, coeffs)
+    for sign, term in zip(pieces[1::2], terms):
+        m = _TERM_RE.fullmatch("1*" + term if term[0] == "z" else term)
+        if not m:
+            raise ParseError(f"bad term {term!r} in scalar literal {text!r}")
+        num, den = _literal_int(m[1]), _literal_int(m[2]) if m[2] else 1
+        if not den:
+            raise ParseError(f"zero denominator in scalar literal {text!r}")
+        k = 0
+        if m[3]:  # a power of z
+            k = (_literal_int(m[4]) if m[4] else 1) % order
+        accum[k] = accum.get(k, 0) + Fraction(-num if sign == "-" else num, den)
+    return CycScalar.from_coords(order, [accum.get(k, 0) for k in range(max(accum) + 1)])

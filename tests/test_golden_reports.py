@@ -25,6 +25,7 @@ G0(k^S3) = Z[S3] is non-commutative.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -38,6 +39,8 @@ from hopfkit import (
     tensor_product,
 )
 from hopfkit.cli import main
+from hopfkit.hopf import check_axioms, parse_hopf
+from hopfkit.report import VerificationReport, render_json, report_document
 
 GOLDEN = {
     ("C2", "group-algebra"): "fddd52cc388cffa74d7119896418d430d9986c2a15f7e568a945fc2b08f7b9ca",
@@ -187,3 +190,47 @@ def test_large_report_json_bytes(group, kind, tmp_path, capsys):
     assert main(["report", *args, "--json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == LARGE_GOLDEN[group, kind]
+
+
+# -- the direct `--json` writer against json.dumps -------------------------------
+
+
+def _dumped(algebra, dim, reports) -> str:
+    return json.dumps(report_document(algebra, dim, reports), indent=2) + "\n"
+
+
+def test_render_json_is_json_dumps_on_every_example(examples, pipelines):
+    for name in examples:
+        pipe = pipelines(name)
+        reports = pipe.all_suites()
+        assert render_json(pipe.H.name, pipe.H.dim, reports) == _dumped(pipe.H.name, pipe.H.dim, reports), name
+
+
+_AWKWARD = 'q"uote \\back\\slash\x01\x1f\x7f caf\u00e9 \u03b6_6 \U0001d53d end'
+
+
+def test_render_json_is_json_dumps_on_failures_and_awkward_strings(tmp_path, capsys):
+    # Delta(b1) = b1 (x) b0 breaks the counit and antipode axioms; the name
+    # in the .hopf header holds a quote, backslashes, control characters and
+    # non-ASCII text
+    text = (
+        f"hopf {_AWKWARD}\ndim 2\ncyclotomic 1\n"
+        "MULT\n0 0 0 1\n0 1 1 1\n1 0 1 1\n1 1 0 1\n"
+        "COMULT\n0 0 0 1\n1 0 1 1\n"
+        "UNIT\n0 1\nCOUNIT\n0 1\n1 1\n"
+        "ANTIPODE\n0 0 1\n1 1 1\n"
+    )
+    H = parse_hopf(text)
+    assert H.name == _AWKWARD
+    axioms = check_axioms(H)
+    assert axioms.failures()
+    odd = VerificationReport(subject=H.name, dim=2, suite=f"odd {_AWKWARD}", exploratory=True)
+    odd.add(f"id {_AWKWARD}", "a statement\nover two lines\tand a tab", False, f"witness {_AWKWARD}")
+    odd.add("passing", "", True)
+    empty = VerificationReport(subject=H.name, dim=2, suite="empty")
+    for reports in ([axioms], [axioms, odd, empty], [odd], [empty], [empty, empty], []):
+        assert render_json(H.name, H.dim, reports) == _dumped(H.name, H.dim, reports)
+    path = tmp_path / "broken.hopf"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check-axioms", str(path), "--json"]) == 1
+    assert capsys.readouterr().out == _dumped(H.name, H.dim, [axioms])

@@ -6,8 +6,10 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfkit import CycScalar, ParseError, cyclotomic_coeffs, euler_phi, format_scalar, parse_scalar
-from hopfkit.scalars import ONE, _poly_divmod, _poly_mul, _poly_sub, _poly_trim, as_scalar
+from hopfkit import CycScalar, ParseError, Vector, cyclotomic_coeffs, euler_phi, format_scalar, parse_scalar
+from hopfkit.hopf import format_vector
+from hopfkit.polys import Poly, format_poly
+from hopfkit.scalars import ONE, ZERO, _SMALL, _coerce, _poly_divmod, _poly_inv, _poly_mul, _poly_sub, _poly_trim, as_scalar
 from hopfkit.rng import DeterministicRng
 
 
@@ -98,6 +100,15 @@ def test_literal_format_examples():
     assert format_scalar(CycScalar.from_rational(0)) == "0"
     assert format_scalar(-z) == "-z"
     assert format_scalar(z**3 - z) == "z^3 - z"
+    # each coordinate of nums / den in lowest terms; polynomials and vectors
+    # format their entries the same way
+    x = CycScalar.from_coords(6, [Fraction(-2, 3), Fraction(3, 4)])
+    assert format_scalar(x) == "3/4*z - 2/3"
+    assert format_scalar(-x / 6) == "-1/8*z + 1/9"
+    assert format_scalar(CycScalar.from_rational(Fraction(-5, 6))) == "-5/6"
+    assert format_poly(Poly([Fraction(-5, 6), 1, x, Fraction(1, 2), -3])) == "-3*x^4 + 1/2*x^3 + (3/4*z - 2/3)*x^2 + x - 5/6"
+    assert format_vector(Vector(4, {1: x, 3: as_scalar(-7)})) == "(0, 3/4*z - 2/3, 0, -7)"
+    assert format_vector([0, Fraction(1, 2), x]) == "(0, 1/2, 3/4*z - 2/3)"
 
 
 @pytest.mark.parametrize("order", [3, 4, 6, 8, 12])
@@ -305,15 +316,144 @@ def test_integer_kernel_matches_fraction_reference(a, b, q, e):
 
 
 def test_arithmetic_builds_no_fraction(monkeypatch):
-    # + - * == run on the integer numerators alone, den > 1 included; a
-    # Fraction appears only where the coordinates are read
+    # + - * == and the literal formats run on the integer numerators alone,
+    # den > 1 included; a Fraction appears only where the coordinates are read
     values = [CycScalar.from_coords(n, range(1, euler_phi(n) + 1)) / d for n in (1, 3, 4, 6, 12) for d in (1, 2)]
+    values += [CycScalar.from_coords(6, [Fraction(-2, 3), Fraction(3, 4)]), CycScalar.from_rational(Fraction(-5, 6))]
     made = []
     new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: made.append(a) or new(cls, *a, **k)))
     for x in values:
         for y in values:
             x + y, x - y, x * y, x == y, x + 2, 3 * x, 1 - x, x == 0
+        format_scalar(x)
+    format_poly(Poly(values)), format_vector(Vector.of(values + [0])), format_vector(values)
     assert made == []
     values[-1].coords
     assert made
+
+
+# -- the shared integers -64..64 --------------------------------------------------
+
+
+def _fresh(n: int) -> CycScalar:
+    """The integer n as an instance of its own, from the trusted constructor."""
+    return CycScalar(1, (n,))
+
+
+# the paths that the scalars.py docstring names as sharing, each made to yield n
+_INTEGER_PATHS = {
+    "_canonical": lambda n: CycScalar.from_coords(4, [Fraction(3 * n, 3), 0]),
+    "_canonical (den)": lambda n: CycScalar.from_coords(4, [Fraction(2 * n + 1, 2), Fraction(1, 2)])
+    + CycScalar.from_coords(4, [Fraction(-1, 2), Fraction(-1, 2)]),
+    "add": lambda n: _fresh(n + 100) + _fresh(-100),
+    "sub": lambda n: _fresh(n + 100) - _fresh(100),
+    "mul": lambda n: _fresh(-n) * _fresh(-1),
+    "neg": lambda n: -_fresh(-n),
+    "inverse": lambda n: CycScalar(1, (1 if n > 0 else -1,), abs(n)).inverse(),
+    "from_rational": lambda n: CycScalar.from_rational(Fraction(2 * n, 2)),
+    "_coerce": _coerce,
+    "as_scalar": as_scalar,
+    "parse_scalar": lambda n: parse_scalar(f"{n} + z^6 - 1", 6),
+}
+
+
+def test_the_table_holds_the_integers_minus_64_to_64():
+    assert len(_SMALL) == 129 and _SMALL[0] is ZERO and _SMALL[1] is ONE
+    assert [_SMALL[n].key() for n in range(-64, 65)] == [(1, (n,), 1) for n in range(-64, 65)]
+
+
+@pytest.mark.parametrize("path", sorted(_INTEGER_PATHS))
+def test_integer_results_are_shared_between_minus_64_and_64(path):
+    make = _INTEGER_PATHS[path]
+    for n in range(-64, 65):
+        if n or path != "inverse":
+            assert make(n) is _SMALL[n], n
+    for n in (65, -65, 10**30):
+        a, b = make(n), make(n)
+        assert a.key() == b.key() == (1, (n,), 1) and a is not b
+
+
+def test_cyclotomic_results_that_are_integers_are_shared():
+    z3, z4 = CycScalar.zeta(3), CycScalar.zeta(4)
+    assert z4 * z4 is _SMALL[-1] and z3 + z3**2 is _SMALL[-1] and z4**4 is ONE
+    assert CycScalar.zeta(1) is ONE and CycScalar.zeta(2) is _SMALL[-1] and z3 - z3 is ZERO
+    assert (2 * z4 + 7) - 2 * z4 is _SMALL[7]
+
+
+def test_poly_inv_of_a_unit_lead_is_the_int(monkeypatch):
+    # division by a monic integer polynomial stays in int and builds no Fraction
+    minus_one = Fraction(-1)
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: made.append(a) or new(cls, *a, **k)))
+    for lead in (1, -1):
+        inv = _poly_inv(lead)
+        assert inv == lead and type(inv) is int
+    assert _poly_divmod([-32, 0, 0, 0, 0, 1], [-2, 1]) == ([16, 8, 4, 2, 1], [])
+    assert _poly_divmod([1, 0, 3], [5, 0, -1]) == ([-3], [16])
+    assert made == []
+    assert _poly_inv(minus_one) == -1 and type(_poly_inv(minus_one)) is int
+    assert _poly_inv(Fraction(1, 3)) == 3 and type(_poly_inv(Fraction(1, 3))) is int
+    assert _poly_inv(-2) == Fraction(-1, 2) and _poly_inv(CycScalar.zeta(4)) == -CycScalar.zeta(4)
+
+
+# -- every constructor and operation against the Fraction reference, by key() ----
+
+_INT = st.one_of(st.integers(-70, 70), st.integers(-10**12, 10**12))
+_COORD = st.one_of(_INT.map(Fraction), _RATIONAL)
+
+
+@st.composite
+def _kind_operand(draw):
+    """An int, a rational, or a value of order 3, 4 or 6, as a reference value."""
+    kind = draw(st.sampled_from(("int", "rational", 3, 4, 6)))
+    if kind == "int":
+        return 1, [Fraction(draw(_INT))]
+    if kind == "rational":
+        return 1, [draw(_RATIONAL)]
+    return kind, [draw(_COORD) for _ in range(euler_phi(kind))]
+
+
+def _ref_key(ref) -> tuple:
+    """The canonical key of a reference value: order 1 when it is rational,
+    the coordinates as numerators over their least common denominator."""
+    n, coords = ref
+    if not any(coords[1:]):
+        n, coords = 1, coords[:1]
+    den = lcm(*(c.denominator for c in coords))
+    return n, tuple(int(c * den) for c in coords), den
+
+
+def _literal(ref, shift: int) -> str:
+    """The reference value in the literal grammar, each power raised by shift * order."""
+    n, coords = ref
+    return " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*z^{i + shift * n}" for i, c in enumerate(coords))
+
+
+def _shared_if_small(v: CycScalar) -> None:
+    if v.order == 1 == v.den and -64 <= v.nums[0] <= 64:
+        assert v is _SMALL[v.nums[0]], v
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=_kind_operand(), b=_kind_operand(), shift=st.integers(0, 2))
+def test_keys_match_the_fraction_reference(a, b, shift):
+    x, y = CycScalar.from_coords(*a), parse_scalar(_literal(b, shift), b[0])
+    # a rational operand is stored at order 1, so results live at the lcm of
+    # the operands' orders after that collapse
+    a, b = ((1, r[1][:1]) if not any(r[1][1:]) else r for r in (a, b))
+    # constructors, negation and inverse return the shared instance for every
+    # small integer; + - * do when no operand is a non-integer rational (whose
+    # den path may come out integral unshared); / is checked by key only
+    always = [(x, a), (y, b), (-x, _ref_add((1, [Fraction(0)]), a, -1))]
+    if a[0] == 1:
+        always.append((CycScalar.from_rational(a[1][0]), a))
+    if any(a[1]):
+        always.append((x.inverse(), _ref_inverse(a)))
+    ring = [(x + y, _ref_add(a, b)), (x - y, _ref_add(a, b, -1)), (x * y, _ref_mul(a, b))]
+    quotient = [(x / y, _ref_mul(a, _ref_inverse(b)))] if any(b[1]) else []
+    for v, ref in always + ring + quotient:
+        assert v.key() == _ref_key(ref), (v, ref)
+    for v, _ in always + (ring if all(v.order > 1 or v.den == 1 for v in (x, y)) else []):
+        _shared_if_small(v)
